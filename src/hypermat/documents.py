@@ -27,7 +27,7 @@ def tensor_from_document(doc) -> SymTensor:
     if missing:
         raise ValueError(f"tensor document lacks fields: {sorted(missing)}")
     rank, dim, raw_entries = doc["rank"], doc["dim"], doc["entries"]
-    if not isinstance(rank, int) or not isinstance(dim, int):
+    if any(not isinstance(n, int) or isinstance(n, bool) for n in (rank, dim)):
         raise ValueError("rank and dim must be integers")
     if not isinstance(raw_entries, list):
         raise ValueError("entries must be a list")

@@ -8,15 +8,39 @@ antisymmetric sign symbol. Determinants, discriminant numerators, inverse
 tensors and permutation coefficient tensors are all normalizations of
 this primitive or of its slot-freed gradients.
 
+Every sum runs through one kernel, ``_signed_sum``:
+
+- Integer tables. Each distinct factor is expanded once per call into a
+  dense list over its d**r ordered indices (flat index sum_k i_k d**(r-1-k)),
+  so no index is sorted inside the loop. On the exact path a factor is
+  stored times the lcm of its denominators; the inner loop multiplies and
+  adds Python integers only, and the scales are divided out once at the
+  end. If any factor in the product holds a value that is not an int or
+  a Fraction (the ``allow_inexact`` float path), no factor is scaled and
+  the values keep their own arithmetic.
+- Lead-symbol restriction. Permuting the positions of identical factors
+  (the same permutation applied to every sign symbol) leaves a term's
+  factor product unchanged and multiplies its sign by sgn(pi)**r. For
+  even rank that is +1, so the sum is |H| times the sum with the first
+  permutation increasing on each class of identical non-freed factors,
+  H being the product of the classes' symmetric groups. For odd rank the
+  terms of an orbit cancel in pairs instead, so every permutation is
+  enumerated. The coset restriction (two blocks, s!(d-s)!) and the
+  row-product determinant (first permutation fixed to the identity) are
+  the same restriction with explicitly given classes.
+- Free positions. A gradient leaves one position out of the product and
+  accumulates each term at the flat index of that position's r indices;
+  a permutation coefficient tensor leaves several out. The position
+  permutations behind the restriction never move a freed position, so
+  the restricted sum is exact at every freed index, not only in total.
+
 Derivative convention used package-wide: gradients are formal, treating
 all d**r ordered components of a factor as independent. The derivative
 with respect to a stored canonical component is the formal value times
 the key's multiplicity.
 
 All functions are pure. Exact-rational addition is associative and
-commutative, so the permutation enumeration may be partitioned across
-workers without changing results; this reference implementation runs it
-serially in lexicographic order.
+commutative, so the order of enumeration does not change exact results.
 """
 
 from __future__ import annotations
@@ -25,12 +49,13 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, itemgetter, methodcaller
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularTensorError
-from .tensor import SymTensor, canonical_key, multiplicity
+from .tensor import SymTensor
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -59,28 +84,136 @@ def _uniform_shape(factors: Sequence[SymTensor]):
     return rank, dim
 
 
+@lru_cache(maxsize=32)
+def _orbits(rank: int, dim: int):
+    # each canonical key with the flat ordered indices of its orderings
+    orbits: dict = {}
+    for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
+        orbits.setdefault(tuple(sorted(idx)), []).append(flat)
+    return tuple((key, tuple(flats)) for key, flats in orbits.items())
+
+
+@lru_cache(maxsize=64)
+def _plan(rank: int, dim: int, free: tuple, classes: tuple):
+    """Per-shape enumeration structure of the kernel.
+
+    Every level (sign symbol) but the last is a list of (sign, table
+    offsets of the non-freed positions, output offset) per permutation;
+    the first level holds only permutations increasing on each class. The
+    last level has stride one, so it is grouped by output offset into
+    getters that pick the sign and one entry per non-freed row from the
+    rows laid end to end behind a leading (1, -1).
+    """
+    perms = signed_permutations(dim)
+    leads = [(p, s) for p, s in perms
+             if all(p[a] < p[b] for c in classes for a, b in zip(c, c[1:]))]
+    held = [t for t in range(dim) if t not in free]
+    m = len(free)
+    levels = []
+    for k in range(rank):
+        stride = dim ** (rank - 1 - k)
+        levels.append([
+            (s, tuple(p[t] * stride for t in held),
+             sum(p[u] * dim ** (m * (rank - 1 - k) + m - 1 - j)
+                 for j, u in enumerate(free)))
+            for p, s in (leads if k == 0 else perms)])
+    groups: dict = {}
+    for s, offsets, out in levels[-1]:
+        # the sign is picked from the leading (1, -1) of the rows; a second
+        # pick of the 1 keeps the result a tuple when no row is held
+        positions = tuple(2 + j * dim + o for j, o in enumerate(offsets))
+        picks = itemgetter(s < 0, *(positions or (0,)))
+        groups.setdefault(out, []).append(picks)
+    last = tuple((out, tuple(picks)) for out, picks in groups.items())
+    terms = len(leads) * len(perms) ** (rank - 1)
+    return levels[:-1], last, dim ** (rank * m), terms
+
+
+def _expand(states, level):
+    for sign, base, out in states:
+        for s, offsets, o in level:
+            yield sign * s, tuple(map(add, base, offsets)), out + o
+
+
+def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
+                classes: tuple | None = None):
+    """The one enumeration of the signed sum.
+
+    Returns ``(acc, scale, terms)``: the sum of the terms whose freed
+    indices (grouped per sign symbol) have flat index f is
+    ``acc[f] * scale``; ``terms`` counts the enumerated permutation
+    tuples. With ``classes`` None the first permutation is restricted over
+    identical non-freed factors for even rank and the result is the full
+    sum; given classes restrict it as stated and the result is the
+    restricted sum itself.
+    """
+    rank, dim = factors[0].rank, factors[0].dim
+    held = [t for t in range(dim) if t not in free]
+    groups: list = []  # positions of identical non-freed factors
+    for t in held:
+        for group in groups:
+            if factors[group[0]] is factors[t] or factors[group[0]] == factors[t]:
+                group.append(t)
+                break
+        else:
+            groups.append([t])
+    multiplier = 1
+    if classes is None:
+        classes = ()
+        if rank % 2 == 0:
+            classes = tuple(tuple(group) for group in groups if len(group) > 1)
+            for c in classes:
+                multiplier *= math.factorial(len(c))
+    outer, last, size, terms = _plan(rank, dim, free, classes)
+
+    exact = all(all(map(isinstance, factors[group[0]].entries.values(),
+                        itertools.repeat((int, Fraction))))
+                for group in groups)
+    table_at = {}
+    denominator = 1
+    for group in groups:
+        entries = factors[group[0]].entries
+        scale = 1
+        if exact:
+            for v in entries.values():
+                scale = math.lcm(scale, v.denominator)
+        table = [0] * dim ** rank
+        for key, flats in _orbits(rank, dim):
+            v = entries.get(key)
+            if v is not None:
+                if exact:
+                    v = v.numerator * (scale // v.denominator)
+                for flat in flats:
+                    table[flat] = v
+        for t in group:
+            table_at[t] = table
+        denominator *= scale ** len(group)
+    rows = [table_at[t] for t in held]
+
+    acc = [0] * size
+    states = [(1, (0,) * len(held), 0)]
+    for level in outer:
+        states = _expand(states, level)
+    for sign, base, out in states:
+        flat = [1, -1]
+        for table, b in zip(rows, base):
+            flat += table[b:b + dim]
+        pick_from = methodcaller("__call__", flat)
+        for o, picks in last:
+            v = sum(map(math.prod, map(pick_from, picks)))
+            if v:
+                acc[out + o] += sign * v
+    return acc, Fraction(multiplier, denominator), terms
+
+
 def epsilon_product(factors: Sequence[SymTensor]):
     """Full signed contraction of d factors of rank r (one sign symbol per
     index slot). No factorial normalization is applied; callers divide by
     d! or s!(d-s)! as their definitions require.
     """
-    rank, dim = _uniform_shape(factors)
-    entry_maps = [f.entries for f in factors]
-    total = Fraction(0)
-    for combo in itertools.product(signed_permutations(dim), repeat=rank):
-        term = None
-        for t, entries in enumerate(entry_maps):
-            value = entries.get(canonical_key(tuple(p[t] for p, _ in combo)))
-            if value is None:
-                term = None
-                break
-            term = value if term is None else term * value
-        if term is not None:
-            sign = 1
-            for _, s in combo:
-                sign *= s
-            total += sign * term
-    return total
+    _uniform_shape(factors)
+    acc, scale, _ = _signed_sum(factors)
+    return acc[0] * scale
 
 
 def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> SymTensor:
@@ -95,40 +228,15 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
     rank, dim = _uniform_shape(factors)
     if not 0 <= position < dim:
         raise ValueError(f"position {position} out of range for {dim} slots")
-    others = [(t, f.entries) for t, f in enumerate(factors) if t != position]
-    sums: dict = {}
-    for combo in itertools.product(signed_permutations(dim), repeat=rank):
-        term = None
-        for t, entries in others:
-            value = entries.get(canonical_key(tuple(p[t] for p, _ in combo)))
-            if value is None:
-                term = None
-                break
-            term = value if term is None else term * value
-        if term is None:
-            continue
-        sign = 1
-        for _, s in combo:
-            sign *= s
-        key = canonical_key(tuple(p[position] for p, _ in combo))
-        sums[key] = sums.get(key, Fraction(0)) + sign * term
+    acc, scale, _ = _signed_sum(factors, (position,))
     # Each orbit was accumulated over all its orderings; dividing by the
     # orbit size leaves the per-component formal value.
     entries = {}
-    for key, value in sums.items():
-        formal = value / multiplicity(key)
+    for key, flats in _orbits(rank, dim):
+        formal = sum([acc[f] for f in flats]) * scale / len(flats)
         if formal:
             entries[key] = formal
     return SymTensor(rank, dim, entries)
-
-
-def _block_representatives(dim: int, split: int):
-    # one permutation per right coset of the block subgroup: increasing on
-    # the first `split` positions and on the rest
-    for subset in itertools.combinations(range(dim), split):
-        rest = tuple(v for v in range(dim) if v not in subset)
-        perm = subset + rest
-        yield perm, permutation_sign(perm)
 
 
 def coset_restricted_product(factors: Sequence[SymTensor], split: int):
@@ -147,7 +255,7 @@ def coset_restricted_product(factors: Sequence[SymTensor], split: int):
 
 def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
     """Like coset_restricted_product, also returning the number of
-    enumerated terms (at most C(d, split) * (d!)**(r-1))."""
+    enumerated terms (exactly C(d, split) * (d!)**(r-1))."""
     rank, dim = _uniform_shape(factors)
     if rank % 2:
         raise ValueError("coset restriction requires even rank")
@@ -159,29 +267,9 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
     for t in range(split + 1, dim):
         if factors[t] != factors[split]:
             raise ValueError("factors in the second block differ")
-    entry_maps = [f.entries for f in factors]
-    perms = signed_permutations(dim)
-    total = Fraction(0)
-    count = 0
-    for lead_perm, lead_sign in _block_representatives(dim, split):
-        for combo in itertools.product(perms, repeat=rank - 1):
-            count += 1
-            term = None
-            for t, entries in enumerate(entry_maps):
-                idx = (lead_perm[t],) + tuple(p[t] for p, _ in combo)
-                value = entries.get(canonical_key(idx))
-                if value is None:
-                    term = None
-                    break
-                term = value if term is None else term * value
-            if term is None:
-                continue
-            sign = lead_sign
-            for _, s in combo:
-                sign *= s
-            total += sign * term
-    scale = math.factorial(split) * math.factorial(dim - split)
-    return scale * total, count
+    blocks = (tuple(range(split)), tuple(range(split, dim)))
+    acc, scale, count = _signed_sum(factors, (), blocks)
+    return acc[0] * math.factorial(split) * math.factorial(dim - split) * scale, count
 
 
 def two_block_product(a: SymTensor, b: SymTensor, order: int):
@@ -239,25 +327,8 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
     if det == 0:
         raise SingularTensorError(
             "metric determinant is zero; the coefficient tensor divides by it")
-    shape = (d,) * (r * order)
-    out = np.full(shape, Fraction(0), dtype=object)
-    entries = metric.entries
-    for combo in itertools.product(signed_permutations(d), repeat=r):
-        term = Fraction(1)
-        for t in range(order, d):
-            value = entries.get(canonical_key(tuple(p[t] for p, _ in combo)))
-            if value is None:
-                term = None
-                break
-            term = term * value
-        if term is None:
-            continue
-        sign = 1
-        for _, s in combo:
-            sign *= s
-        key = tuple(p[u] for p, _ in combo for u in range(order))
-        out[key] += sign * term
-    norm = Fraction(1, math.factorial(order) * math.factorial(d - order)) / det
-    for key in itertools.product(range(d), repeat=r * order):
-        out[key] *= norm
-    return out
+    acc, scale, _ = _signed_sum([metric] * d, tuple(range(order)))
+    norm = scale / (math.factorial(order) * math.factorial(d - order)) / det
+    out = np.empty(len(acc), dtype=object)
+    out[:] = [v * norm for v in acc]
+    return out.reshape((d,) * (r * order))

@@ -40,24 +40,9 @@ def cayley_det(a: SymTensor):
     Coincides with det_even for even rank; for odd rank it is generally
     nonzero, unlike the fully signed contraction.
     """
-    d, r = a.dim, a.rank
-    perms = engine.signed_permutations(d)
-    entries = a.entries
-    total = Fraction(0)
-    for combo in itertools.product(perms, repeat=r - 1):
-        term = None
-        for i in range(d):
-            value = entries.get(canonical_key((i,) + tuple(p[i] for p, _ in combo)))
-            if value is None:
-                term = None
-                break
-            term = value if term is None else term * value
-        if term is not None:
-            sign = 1
-            for _, s in combo:
-                sign *= s
-            total += sign * term
-    return total
+    d = a.dim
+    acc, scale, _ = engine._signed_sum([a] * d, (), (tuple(range(d)),))
+    return acc[0] * scale
 
 
 def inverse_even(a: SymTensor) -> SymTensor:

@@ -6,7 +6,6 @@ Every suite draws its tensors from the deterministic generator, so a
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -19,14 +18,20 @@ BOUND = 7
 
 SUITE_DIMS = {"rank2": (2, 3, 4), "rank4": (2, 3), "odd": (2, 3)}
 
+MAX_ATTEMPTS = 64
+
 
 def random_invertible(rank: int, dim: int, seed: int, bound: int = BOUND) -> SymTensor:
-    """First tensor with nonzero determinant along a seed-derived chain."""
-    for attempt in itertools.count():
+    """First tensor with nonzero determinant along a seed-derived chain of
+    at most MAX_ATTEMPTS draws."""
+    for attempt in range(MAX_ATTEMPTS):
         tensor = random_symmetric(
             rank, dim, seed if attempt == 0 else derive_seed(seed, attempt), bound)
         if engine.epsilon_determinant(tensor) != 0:
             return tensor
+    raise ValueError(
+        f"no invertible tensor of rank {rank}, dim {dim} in {MAX_ATTEMPTS} "
+        f"draws from seed {seed}")
 
 
 def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:

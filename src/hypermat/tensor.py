@@ -28,6 +28,11 @@ def canonical_key(idx: Sequence[int]) -> MultiIndex:
     return tuple(sorted(idx))
 
 
+def _is_integer(value) -> bool:
+    # bool is a subclass of int, but True is no index or dimension
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def multiplicity(key: Sequence[int]) -> int:
     """Number of distinct orderings of a key: r! / prod_v count(v)!."""
     mu = math.factorial(len(key))
@@ -69,6 +74,8 @@ class SymTensor:
         rationals unless ``allow_inexact`` is set, in which case floats are
         stored as given.
         """
+        if not (_is_integer(rank) and _is_integer(dim)):
+            raise ValueError("rank and dim must be integers")
         if rank < 1 or dim < 1:
             raise ValueError(f"invalid shape: rank {rank}, dim {dim}")
         pairs = entries.items() if isinstance(entries, Mapping) else entries
@@ -77,7 +84,7 @@ class SymTensor:
             idx = tuple(idx)
             if len(idx) != rank:
                 raise ValueError(f"index {idx} does not have {rank} entries")
-            if any(not isinstance(i, int) or i < 0 or i >= dim for i in idx):
+            if any(not _is_integer(i) or i < 0 or i >= dim for i in idx):
                 raise ValueError(f"index {idx} out of range for dimension {dim}")
             key = canonical_key(idx)
             if key in canonical:

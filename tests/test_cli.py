@@ -94,6 +94,20 @@ class TestDocuments:
         with pytest.raises(TypeError):
             tensor_from_document(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"rank": True, "dim": 2, "entries": [{"index": [True], "value": "1"}]},
+        {"rank": 2, "dim": True, "entries": []},
+        {"rank": 2, "dim": 2, "entries": [{"index": [0, True], "value": "1"}]},
+    ])
+    def test_booleans_rejected_as_integers(self, doc, tmp_path, capsys):
+        with pytest.raises(ValueError):
+            tensor_from_document(doc)
+        path = write_doc(tmp_path, "bool.json", doc)
+        code, out, err = run(capsys, "det", path)
+        assert code == 2
+        assert out == ""
+        assert err
+
 
 class TestDet:
     def test_fourth_rank_fixture(self, tmp_path, capsys):

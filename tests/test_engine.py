@@ -271,3 +271,51 @@ def test_gradient_recontraction_property(seed, dim):
     value = epsilon_product(factors)
     grad = epsilon_product_gradient(factors, dim - 1)
     assert contract_full(grad, factors[dim - 1]) == value
+
+
+def _coprime_factor(rank, dim):
+    # denominators 7, 11 and 13 in turn, so no two neighbouring entries
+    # share a scale
+    return SymTensor(rank, dim, {
+        key: Fraction((-1) ** n * (n + 2), (7, 11, 13)[n % 3])
+        for n, key in enumerate(canonical_keys(rank, dim))})
+
+
+def _sparse_factor(rank, dim, seed):
+    # every other stored entry of a random tensor set to zero
+    full = random_symmetric(rank, dim, seed, 5)
+    keys = sorted(full.entries)
+    return SymTensor(rank, dim, {k: full.entries[k] for k in keys[::2]})
+
+
+REPEATED_PATTERNS = {2: ("aa", "zz"),
+                     3: ("aag", "aga", "zaz", "aaa"),
+                     4: ("gaag", "agag", "azza")}
+
+
+@pytest.mark.parametrize("rank,dim", [(2, 3), (2, 4), (4, 2), (3, 3), (6, 2)])
+def test_identical_factors_match_the_oracles(rank, dim):
+    named = {"a": _coprime_factor(rank, dim),
+             "z": _sparse_factor(rank, dim, 130 + rank),
+             "g": random_symmetric(rank, dim, 140 + rank, 5)}
+    assert any(not v for v in
+               (named["z"].component(k) for k in canonical_keys(rank, dim)))
+    for pattern in REPEATED_PATTERNS[dim]:
+        factors = [named[c] for c in pattern]
+        value = epsilon_product(factors)
+        assert isinstance(value, Fraction)
+        assert value == oracles.brute_epsilon_product(factors)
+        for slot in range(dim):
+            grad = epsilon_product_gradient(factors, slot)
+            assert all(isinstance(v, Fraction) for v in grad.entries.values())
+            for key in canonical_keys(rank, dim):
+                direction = oracles.basis_direction(rank, dim, key)
+
+                def shifted(tensor):
+                    replaced = list(factors)
+                    replaced[slot] = tensor
+                    return epsilon_product(replaced)
+
+                derivative = oracles.directional_derivative(
+                    shifted, factors[slot], direction, 1)
+                assert derivative == multiplicity(key) * grad.component(key)

@@ -90,6 +90,14 @@ class TestComponents:
         t = SymTensor.from_entries(2, 2, {(0, 1): 0.5}, allow_inexact=True)
         assert t.component((1, 0)) == 0.5
 
+    def test_booleans_are_not_integers(self):
+        with pytest.raises(ValueError, match="integers"):
+            SymTensor.from_entries(True, 2, {(0, 1): 1})
+        with pytest.raises(ValueError, match="integers"):
+            SymTensor.from_entries(2, True, {(0, 0): 1})
+        with pytest.raises(ValueError, match="out of range"):
+            SymTensor.from_entries(2, 2, {(0, True): 1})
+
     def test_stored_key_count_is_bounded(self):
         for rank, dim in [(3, 2), (4, 3), (6, 2)]:
             t = random_symmetric(rank, dim, 5, 9)
