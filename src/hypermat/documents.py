@@ -7,9 +7,11 @@ A document is a UTF-8 JSON object with fields exactly
 
 Input index arrays may be in any order (they canonicalize on load); two
 entries landing on the same canonical index are an error rather than
-last-wins. Values are rational strings, with "/1" optional for integers;
-bare JSON integers are accepted on input. Output documents always carry
-sorted canonical indices in lexicographic order and omit zero entries.
+last-wins. Values are rational strings, with "/1" optional for integers
+(``rational.as_scalar`` gives the exact grammar; decimals, exponents and
+zero denominators are rejected); bare JSON integers are accepted on
+input. Output documents always carry sorted canonical indices in
+lexicographic order and omit zero entries.
 """
 
 from __future__ import annotations

@@ -52,8 +52,6 @@ from functools import lru_cache
 from operator import add, itemgetter, methodcaller
 from typing import Sequence
 
-import numpy as np
-
 from .errors import SingularTensorError
 from .tensor import SymTensor
 
@@ -300,7 +298,7 @@ def epsilon_inverse(tensor: SymTensor) -> SymTensor:
 
 
 def materialize_permutation_tensor(order: int, metric: SymTensor,
-                                   cap: int = 10 ** 6) -> np.ndarray:
+                                   cap: int = 10 ** 6):
     """Dense coefficient tensor that contracts `order` copies of a rank-r
     tensor into its order-s invariant relative to ``metric``.
 
@@ -312,6 +310,10 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
     Rejects order > d, where every entry vanishes because a sign symbol
     cannot take `order` distinct values in fewer slots, and results with
     more than ``cap`` entries.
+
+    Returns a numpy object array of Fractions. numpy is imported here, once
+    the arguments are checked, and nowhere else in the package, so only
+    callers of this function need it (the ``dense`` extra).
     """
     r, d = metric.rank, metric.dim
     if order < 0:
@@ -327,6 +329,7 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
     if det == 0:
         raise SingularTensorError(
             "metric determinant is zero; the coefficient tensor divides by it")
+    import numpy as np
     acc, scale, _ = _signed_sum([metric] * d, tuple(range(order)))
     norm = scale / (math.factorial(order) * math.factorial(d - order)) / det
     out = np.empty(len(acc), dtype=object)

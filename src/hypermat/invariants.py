@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from . import engine
 from .errors import SingularTensorError
@@ -173,14 +171,8 @@ def characteristic_residual_at(a: SymTensor, g: SymTensor, point) -> Fraction:
     return direct - evaluate_polynomial(coeffs, point)
 
 
-def identity_residual(array: np.ndarray):
-    """Largest absolute deviation of a d x d array from the unit matrix."""
-    d = array.shape[0]
-    worst = Fraction(0)
-    for i in range(d):
-        for j in range(d):
-            expected = 1 if i == j else 0
-            deviation = abs(array[i, j] - expected)
-            if deviation > worst:
-                worst = deviation
-    return worst
+def identity_residual(array: Mapping) -> Fraction:
+    """Largest absolute deviation from the unit matrix of a d x d mapping
+    keyed by ``(i, j)``, as returned by ``tensor.contract_one_free``."""
+    return max((abs(value - (1 if i == j else 0))
+                for (i, j), value in array.items()), default=Fraction(0))

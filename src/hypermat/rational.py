@@ -10,19 +10,37 @@ opted into explicitly where supported.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Scalar = Fraction
 
+# ASCII digits only: the grammar of document values, not of Fraction(),
+# which also parses decimals, exponents and Unicode digits
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 def as_scalar(value) -> Fraction:
-    """Coerce an int, a Fraction, or a string like ``"p/q"`` or ``"3"``."""
+    """Coerce an int, a Fraction, or a string like ``"p/q"`` or ``"3"``.
+
+    A string is an optional sign and decimal digits, optionally followed
+    by ``/`` and a nonzero run of digits, with surrounding whitespace
+    allowed. Anything else, such as a decimal point, an exponent, ``inf``,
+    ``nan`` or a zero denominator, raises ``ValueError``.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        match = _RATIONAL.fullmatch(value.strip())
+        if match is None:
+            raise ValueError(f"not a rational string: {value!r}")
+        numerator, denominator = match.groups()
+        denominator = int(denominator or 1)
+        if denominator == 0:
+            raise ValueError(f"zero denominator in {value!r}")
+        return Fraction(int(numerator), denominator)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .rational import as_scalar
 
 MultiIndex = tuple
@@ -249,13 +247,17 @@ def contract_full(x: SymTensor, y: SymTensor):
     return total
 
 
-def contract_one_free(x: SymTensor, y: SymTensor) -> np.ndarray:
-    """T[i][j] = sum over all (r-1)-tuples k of x[(i,)+k] * y[(j,)+k]."""
+def contract_one_free(x: SymTensor, y: SymTensor) -> dict:
+    """T[i, j] = sum over all (r-1)-tuples k of x[(i,)+k] * y[(j,)+k].
+
+    Returns a dict keyed by ``(i, j)`` that holds all d*d entries, zeros
+    included, so ``T[i, j]`` indexes it like a d x d array.
+    """
     x._require_same_shape(y)
     if x.rank < 2:
         raise ValueError("contraction with one free index needs rank >= 2")
     d = x.dim
-    out = np.full((d, d), Fraction(0), dtype=object)
+    out = {(i, j): Fraction(0) for i in range(d) for j in range(d)}
     for key in canonical_keys(x.rank - 1, d):
         mu = multiplicity(key)
         for i in range(d):

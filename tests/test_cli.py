@@ -2,6 +2,10 @@
 determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,16 @@ class TestDet:
         assert code == 2
         assert out == ""
         assert err
+
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "1e10000000", "nan", "0.5"])
+    def test_malformed_value_exits_2(self, value, tmp_path, capsys):
+        doc = {"rank": 2, "dim": 2, "entries": [{"index": [0, 0], "value": value}]}
+        path = write_doc(tmp_path, "value.json", doc)
+        code, out, err = run(capsys, "det", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, out, _ = run(capsys, "det", "/nonexistent/tensor.json")
@@ -328,3 +342,15 @@ class TestLift:
 
 def test_unit_matrix_helper_matches_fixture():
     assert tensor_from_document(UNIT_DOC) == from_matrix([[1, 0], [0, 1]])
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is needed only by materialize_permutation_tensor, which imports
+    # it on call; a module-level import would cost every process its load
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import hypermat.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"

@@ -42,6 +42,20 @@ class TestExactScalars:
         assert format_scalar(Fraction(-3, 7)) == "-3/7"
         assert format_scalar(Fraction(8, 2)) == "4"
 
+    @pytest.mark.parametrize("text, expected", [
+        (" -4/6\n", Fraction(-2, 3)), ("+3", Fraction(3)),
+        ("007/010", Fraction(7, 10)), ("-0", Fraction(0))])
+    def test_rational_string_grammar(self, text, expected):
+        assert as_scalar(text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "0/0", "-5/00", "1e10000000", "1e3", "0.5", ".5", "inf",
+        "-inf", "nan", "1_000", "3 / 4", "1/-2", "/3", "3/", "", "+",
+        "\u0663", "0x10"])
+    def test_malformed_rational_strings_raise_value_error(self, text):
+        with pytest.raises(ValueError):
+            as_scalar(text)
+
 
 class TestMultiplicity:
     def test_examples(self):
