@@ -33,6 +33,20 @@ Every sum runs through one kernel, ``_signed_sum``:
   a permutation coefficient tensor leaves several out. The position
   permutations behind the restriction never move a freed position, so
   the restricted sum is exact at every freed index, not only in total.
+- Shared sums. The invariants c_0..c_d, their gradients and the
+  recurrence rows all read the same few sums of s copies of a tensor and
+  d-s copies of a metric, so one identity sample asks for most of its
+  sums several times. Inside a ``with shared_sums():`` block each sum is
+  enumerated once: a request is keyed by (rank, dim, freed positions,
+  classes, the frozenset of each factor's entries) and a repeat is
+  served from a dict that lives only as long as the block. Results are
+  immutable (``acc`` is a tuple). A factor holding a value that is not
+  an int or a Fraction bypasses the dict: 1.0 == 1 == Fraction(1) with
+  equal hashes, so a float factor could otherwise be served an exact
+  result. The dict is scoped, not global: a sample reuses only its own
+  sums, so the cost of a call never depends on what ran before it, and
+  the memory goes when the block ends. Outside a block every request is
+  enumerated.
 
 Derivative convention used package-wide: gradients are formal, treating
 all d**r ordered components of a factor as independent. The derivative
@@ -47,6 +61,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter, methodcaller
@@ -133,18 +149,61 @@ def _expand(states, level):
             yield sign * s, tuple(map(add, base, offsets)), out + o
 
 
+# (sums by request key, (tensor, entry set or None if inexact) by id)
+_SHARED: ContextVar = ContextVar("hypermat_shared_sums", default=None)
+
+
+@contextmanager
+def shared_sums():
+    """Enumerate each distinct signed sum once within the block.
+
+    The block also holds every tensor passed to the kernel, reading its
+    entries once; tensors are immutable values, so that read stays valid.
+    A nested block starts empty and the enclosing one resumes when it
+    ends.
+    """
+    token = _SHARED.set(({}, {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
                 classes: tuple | None = None):
-    """The one enumeration of the signed sum.
+    """The signed sum, served from the enclosing ``shared_sums`` block
+    when an equal request was enumerated there before.
 
     Returns ``(acc, scale, terms)``: the sum of the terms whose freed
     indices (grouped per sign symbol) have flat index f is
-    ``acc[f] * scale``; ``terms`` counts the enumerated permutation
-    tuples. With ``classes`` None the first permutation is restricted over
-    identical non-freed factors for even rank and the result is the full
-    sum; given classes restrict it as stated and the result is the
-    restricted sum itself.
+    ``acc[f] * scale``; ``terms`` counts the permutation tuples the
+    request enumerates. With ``classes`` None the first permutation is
+    restricted over identical non-freed factors for even rank and the
+    result is the full sum; given classes restrict it as stated and the
+    result is the restricted sum itself.
     """
+    scope = _SHARED.get()
+    if scope is None:
+        return _enumerate(factors, free, classes)
+    sums, contents = scope
+    for f in factors:
+        # held in the scope, f keeps its id from naming another tensor
+        if id(f) not in contents:
+            exact = all(map(isinstance, f.entries.values(),
+                            itertools.repeat((int, Fraction))))
+            contents[id(f)] = f, frozenset(f.entries.items()) if exact else None
+    entry_sets = tuple(contents[id(f)][1] for f in factors)
+    if None in entry_sets:
+        return _enumerate(factors, free, classes)
+    key = (factors[0].rank, factors[0].dim, free, classes, entry_sets)
+    result = sums.get(key)
+    if result is None:
+        result = sums[key] = _enumerate(factors, free, classes)
+    return result
+
+
+def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None):
+    """The one enumeration behind ``_signed_sum``, never memoized."""
     rank, dim = factors[0].rank, factors[0].dim
     held = [t for t in range(dim) if t not in free]
     groups: list = []  # positions of identical non-freed factors
@@ -201,7 +260,7 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
             v = sum(map(math.prod, map(pick_from, picks)))
             if v:
                 acc[out + o] += sign * v
-    return acc, Fraction(multiplier, denominator), terms
+    return tuple(acc), Fraction(multiplier, denominator), terms
 
 
 def epsilon_product(factors: Sequence[SymTensor]):

@@ -9,8 +9,10 @@ where only the contraction route survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import engine, invariants
@@ -61,38 +63,49 @@ def unit_metric(dim: int) -> MetricPair:
     return MetricPair(eye, eye, Fraction(1))
 
 
+def _rows(t: SymTensor, exact: bool):
+    """Dense rows of a rank-2 tensor and their common scale: on the exact
+    path each row holds integers, the entries times the lcm of their
+    denominators; otherwise the entries themselves with scale 1."""
+    scale = 1
+    if exact:
+        for v in t.entries.values():
+            scale = math.lcm(scale, v.denominator)
+    rows = [[0] * t.dim for _ in range(t.dim)]
+    for (i, j), v in t.entries.items():
+        if exact:
+            v = v.numerator * (scale // v.denominator)
+        rows[i][j] = rows[j][i] = v
+    return rows, scale
+
+
 def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
     """Metric product c_ij = a_ik g^lk b_lj, symmetrized for storage.
 
     Powers of a single matrix are symmetric already (the products are
-    palindromes), so for them the symmetrization is a no-op.
+    palindromes), so for them the symmetrization is a no-op. Exact
+    operands are multiplied as integer rows, scaled as in the engine
+    kernel, and each entry becomes one Fraction at the end; if any operand
+    holds a float, nothing is scaled.
     """
     d = a.dim
     if b.dim != d or metric.g.dim != d or a.rank != 2 or b.rank != 2:
         raise ValueError("metric product needs rank-2 operands of one dimension")
-    ginv = metric.g_inv
-    raw = {}
-    for i in range(d):
-        for j in range(d):
-            total = Fraction(0)
-            for k in range(d):
-                aik = a.entries.get((min(i, k), max(i, k)))
-                if not aik:
-                    continue
-                for l in range(d):
-                    gv = ginv.entries.get((min(l, k), max(l, k)))
-                    if not gv:
-                        continue
-                    bv = b.entries.get((min(l, j), max(l, j)))
-                    if bv:
-                        total += aik * gv * bv
-            raw[(i, j)] = total
+    operands = (a, metric.g_inv, b)
+    exact = all(isinstance(v, (int, Fraction))
+                for t in operands for v in t.entries.values())
+    (ra, sa), (rg, sg), (rb, sb) = (_rows(t, exact) for t in operands)
+    # all three are symmetric, so row j of b is its column j and
+    # gb[j][k] = g^kl b_lj is column j of g^-1 b
+    gb = [[sum(map(mul, rg_k, rb_j)) for rg_k in rg] for rb_j in rb]
+    raw = [[sum(map(mul, ra_i, gb_j)) for gb_j in gb] for ra_i in ra]
+    scale = 2 * sa * sg * sb
     entries = {}
     for i in range(d):
         for j in range(i, d):
-            value = (raw[(i, j)] + raw[(j, i)]) / 2
+            value = raw[i][j] + raw[j][i]
             if value:
-                entries[(i, j)] = value
+                entries[(i, j)] = Fraction(value, scale) if exact else value / scale
     return SymTensor(2, d, entries)
 
 
@@ -108,11 +121,11 @@ def power_sums(a: SymTensor, metric: MetricPair, max_order: int) -> list:
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    sums = [Fraction(a.dim)]
+    sums = [Fraction(a.dim), g_trace(a, metric)]
     current = a
-    for _ in range(max_order):
-        sums.append(g_trace(current, metric))
+    for _ in range(max_order - 1):
         current = g_product(current, a, metric)
+        sums.append(g_trace(current, metric))
     return sums
 
 

@@ -269,6 +269,14 @@ class TestVerify:
         assert out == ""
         assert "(d!)^r" in err
 
+    def test_sample_guard(self, capsys):
+        # rejected before any sample runs, so this returns at once
+        code, out, err = run(capsys, "verify", "--suite", "rank4", "--dim", "3",
+                             "--seed", "1", "--samples", "1000000")
+        assert code == 2
+        assert out == ""
+        assert "samples" in err
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "rank3",
                          "--dim", "2", "--seed", "1")

@@ -17,6 +17,7 @@ from hypermat import (SingularTensorError, SymTensor,
                       inverse_even, materialize_permutation_tensor,
                       multiplicity, permutation_sign, random_symmetric,
                       signed_permutations)
+from hypermat import engine, suites
 from hypermat.tensor import canonical_keys, contract_full
 
 import oracles
@@ -319,3 +320,92 @@ def test_identical_factors_match_the_oracles(rank, dim):
                 derivative = oracles.directional_derivative(
                     shifted, factors[slot], direction, 1)
                 assert derivative == multiplicity(key) * grad.component(key)
+
+
+class TestSharedSums:
+    """Inside ``engine.shared_sums`` each distinct signed sum is enumerated
+    once; counts are asserted, times are not."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Record every kernel request (by factor content) and every
+        enumeration behind it, with the scope each ran in."""
+        requests, enumerated, scopes = [], [], []
+        signed_sum, enumerate_sum = engine._signed_sum, engine._enumerate
+
+        def request(factors, free=(), classes=None):
+            contents = tuple(tuple(sorted(f.entries.items())) for f in factors)
+            requests.append((factors[0].rank, free, classes, contents))
+            return signed_sum(factors, free, classes)
+
+        def enumeration(factors, free, classes):
+            scope = engine._SHARED.get()
+            if not any(scope is seen for seen in scopes):
+                scopes.append(scope)
+            enumerated.append(scope)
+            return enumerate_sum(factors, free, classes)
+
+        monkeypatch.setattr(engine, "_signed_sum", request)
+        monkeypatch.setattr(engine, "_enumerate", enumeration)
+        return requests, enumerated, scopes
+
+    @pytest.mark.parametrize("suite,dim", [("rank4", 3), ("rank2", 2)])
+    def test_one_sample_enumerates_each_distinct_request_once(
+            self, monkeypatch, suite, dim):
+        requests, enumerated, scopes = self._count(monkeypatch)
+        report = suites.run_suite(suite, dim, 5, 1)
+        assert report.all_pass
+        assert len(enumerated) == len(set(requests)) < len(requests)
+        assert len(scopes) == 1 and scopes[0] is not None
+
+    def test_each_sample_starts_empty_and_no_scope_outlives_the_suite(
+            self, monkeypatch):
+        _, enumerated, scopes = self._count(monkeypatch)
+        one = suites.run_suite("rank2", 2, 5, 1)
+        assert engine._SHARED.get() is None
+        first = len(enumerated)
+        two = suites.run_suite("rank2", 2, 5, 2)
+        assert engine._SHARED.get() is None
+        # the first sample of the second call repeats the first call's
+        # sample, and is enumerated again in a fresh scope
+        assert one.checks == two.checks[:len(one.checks)]
+        assert len(enumerated) - first > first
+        assert len(scopes) == 3 and None not in scopes
+
+    def test_requests_outside_a_scope_are_always_enumerated(self, monkeypatch):
+        _, enumerated, _ = self._count(monkeypatch)
+        epsilon_determinant(SAMPLE_A)
+        epsilon_determinant(SAMPLE_A)
+        assert enumerated == [None, None]
+
+    def test_a_float_factor_is_never_served_an_exact_result(self):
+        # every value is exact in binary, so the float entries compare and
+        # hash equal to the exact ones
+        a = SymTensor.from_entries(4, 2, {(0, 0, 0, 0): 2, (0, 0, 1, 1): -1,
+                                          (0, 1, 1, 1): Fraction(1, 2),
+                                          (1, 1, 1, 1): 3})
+        assert oracles.to_float(a).entries == a.entries
+        with engine.shared_sums():
+            exact = epsilon_determinant(a)
+            inexact = epsilon_determinant(oracles.to_float(a))
+            assert isinstance(exact, Fraction)
+            assert isinstance(inexact, float)
+            assert inexact == pytest.approx(float(exact))
+
+    def test_a_shared_result_is_immutable(self):
+        factors = [SAMPLE_A, SAMPLE_A]
+        with engine.shared_sums():
+            acc, scale, terms = engine._signed_sum(factors, (0,))
+            with pytest.raises(TypeError):
+                acc[0] = 1
+            assert engine._signed_sum(list(factors), (0,))[0] is acc
+        assert engine._signed_sum(factors, (0,)) == (acc, scale, terms)
+
+    def test_a_nested_scope_starts_empty(self, monkeypatch):
+        _, enumerated, _ = self._count(monkeypatch)
+        with engine.shared_sums():
+            epsilon_determinant(SAMPLE_A)
+            with engine.shared_sums():
+                epsilon_determinant(SAMPLE_A)
+            epsilon_determinant(SAMPLE_A)
+        assert len(enumerated) == 2

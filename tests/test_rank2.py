@@ -106,6 +106,88 @@ class TestMetricAlgebra:
         assert power_sums(a, m, 4) == expected
 
 
+def _symmetrized_oracle_product(a, ginv, b):
+    """sym(A G^-1 B) by plain dense products, and the raw product."""
+    raw = oracles.mat_mul(oracles.mat_mul(oracles.to_dense_matrix(a),
+                                          oracles.to_dense_matrix(ginv)),
+                          oracles.to_dense_matrix(b))
+    d = len(raw)
+    return [[(raw[i][j] + raw[j][i]) / 2 for j in range(d)] for i in range(d)], raw
+
+
+class TestIntegerMetricProduct:
+    # dense, with denominators, and not commuting with each other
+    A = from_matrix([["3/2", -2, 5, 1], [-2, 4, "1/3", -7],
+                     [5, "1/3", -1, 2], [1, -7, 2, "5/4"]])
+    B = from_matrix([[1, 6, -3, "2/5"], [6, -2, 1, 3],
+                     [-3, 1, "7/2", -1], ["2/5", 3, -1, 2]])
+    # inverse metric with denominators 7, 11 and 13
+    G_INV = from_matrix([["1/7", "2/11", "-3/13", 1], ["2/11", "5/7", 2, "1/13"],
+                         ["-3/13", 2, "4/11", "-6/7"], [1, "1/13", "-6/7", "9/13"]])
+
+    def metric(self):
+        g_inv = self.G_INV
+        return rank2.MetricPair(inverse2(g_inv), g_inv, 1 / det2(g_inv))
+
+    def assert_matches_oracle(self, a, b, metric):
+        expected, _ = _symmetrized_oracle_product(a, metric.g_inv, b)
+        product = g_product(a, b, metric)
+        d = a.dim
+        for i in range(d):
+            for j in range(d):
+                value = product.component((i, j))
+                assert isinstance(value, Fraction)
+                assert value == expected[i][j]
+
+    def test_non_commuting_operands(self):
+        metric = self.metric()
+        _, raw = _symmetrized_oracle_product(self.A, metric.g_inv, self.B)
+        assert raw != [list(row) for row in zip(*raw)]  # the order matters
+        assert {v.denominator for v in self.G_INV.entries.values()} >= {7, 11, 13}
+        self.assert_matches_oracle(self.A, self.B, metric)
+        self.assert_matches_oracle(self.B, self.A, metric)
+        self.assert_matches_oracle(self.A, self.A, metric)
+
+    def test_unit_metric_and_random_operands(self):
+        for dim in (2, 3, 5):
+            a = random_symmetric(2, dim, 60 + dim, 7)
+            b = random_symmetric(2, dim, 70 + dim, 7) * Fraction(3, 8)
+            self.assert_matches_oracle(a, b, unit_metric(dim))
+            g = random_invertible_2(dim, 80 + dim)
+            self.assert_matches_oracle(a, b, metric_inverse(g))
+
+    def test_zero_operands(self):
+        metric = self.metric()
+        zero = SymTensor.zero(2, 4)
+        assert g_product(zero, self.B, metric).is_zero()
+        assert g_product(self.A, zero, metric).is_zero()
+        assert g_product(zero, zero, metric).is_zero()
+
+    def test_float_operand_keeps_float_arithmetic(self):
+        metric = self.metric()
+        expected, _ = _symmetrized_oracle_product(self.A, metric.g_inv, self.B)
+        product = g_product(oracles.to_float(self.A), self.B, metric)
+        for (i, j), value in product.entries.items():
+            assert isinstance(value, float)
+            assert value == pytest.approx(float(expected[i][j]), rel=1e-12)
+        assert len(product.entries) == 10
+
+    def test_power_sums_skips_the_product_it_would_not_trace(self, monkeypatch):
+        calls = []
+        product = rank2.g_product
+
+        def counting(*args):
+            calls.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(rank2, "g_product", counting)
+        for max_order in (1, 2, 4):
+            calls.clear()
+            assert power_sums(A_HAND, unit_metric(2), max_order) == [
+                2, 5, 15, 50, 175][:max_order + 1]
+            assert len(calls) == max_order - 1
+
+
 class TestNewton:
     def test_unit_eigenvalues(self):
         assert newton_elementary_from_power([2, 2]) == [1, 2, 1]
