@@ -12,23 +12,21 @@ exactly zero.
 from .engine import (coset_restricted_product, coset_restricted_product_counted,
                      epsilon_determinant, epsilon_inverse, epsilon_product,
                      epsilon_product_gradient, materialize_permutation_tensor,
-                     permutation_sign, signed_permutations, two_block_product)
+                     permutation_sign, signed_permutations)
 from .errors import SingularTensorError
 from .evenrank import (EvenInvariants, cayley_det, char_poly_even, det_even,
-                       discriminants_even, discriminant_grad_metric,
-                       discriminant_grad_tensor, inverse_even,
+                       discriminants_even, inverse_even,
                        quadratic_identity_residual, self_identity_residual,
-                       verify_cayley_hamilton_even, verify_poly_identity_d2,
-                       verify_recurrence_even)
+                       verify_poly_identity_d2, verify_recurrence_even)
 from .invariants import DiscriminantVector
 from .oddrank import (CUBIC_LIFT_RATIO, OddLiftResult, cubic_discriminant,
                       inverse_odd_d2, inverse_odd_d2_gradient, lift,
                       lift_gradient_candidate, verify_inverse_d2,
                       verify_odd_rank_vanishing, verify_proportionality)
-from .rank2 import (MetricPair, char_poly2, det2, discriminants_epsilon,
-                    discriminants_trace, g_product, g_trace, inverse2,
-                    metric_inverse, newton_elementary_from_power, power_sums,
-                    unit_metric, verify_cayley_hamilton2, verify_recurrence2)
+from .rank2 import (MetricPair, char_poly2, discriminants_epsilon,
+                    discriminants_trace, g_product, g_trace, metric_inverse,
+                    newton_elementary_from_power, power_sums, unit_metric,
+                    verify_recurrence2)
 from .rational import Scalar, as_scalar, format_scalar
 from .report import IdentityCheck, VerificationReport
 from .tensor import (SymTensor, canonical_key, canonical_keys, contract_full,

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import evenrank, oddrank, rank2, suites
+from . import evenrank, invariants, oddrank, suites
 from .documents import load_tensor, tensor_to_document
 from .errors import SingularTensorError
 from .rational import format_scalar
@@ -77,12 +77,8 @@ def _cmd_invariants(args) -> int:
     if tensor.rank % 2:
         raise ValueError("odd rank has no metric-relative invariants; "
                          "lift to even rank first (see `lift`)")
-    if tensor.rank == 2:
-        values = tuple(rank2.discriminants_epsilon(
-            tensor, rank2.metric_inverse(metric)))
-    else:
-        values = tuple(evenrank.discriminants_even(tensor, metric).values)
-    rendered = [format_scalar(v) for v in values]
+    rendered = [format_scalar(v)
+                for v in invariants.invariant_values(tensor, metric)]
     if args.pretty:
         print("\n".join(f"c_{s} = {v}" for s, v in enumerate(rendered)))
     else:
@@ -92,9 +88,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_inverse(args) -> int:
     tensor = load_tensor(args.file)
-    if tensor.rank == 2:
-        result = rank2.inverse2(tensor)
-    elif tensor.rank % 2 == 0:
+    if tensor.rank % 2 == 0:
         result = evenrank.inverse_even(tensor)
     elif tensor.rank == 3 and tensor.dim == 2:
         result = oddrank.inverse_odd_d2(tensor)

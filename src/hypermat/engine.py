@@ -329,20 +329,13 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
     return acc[0] * math.factorial(split) * math.factorial(dim - split) * scale, count
 
 
-def two_block_product(a: SymTensor, b: SymTensor, order: int):
-    """Signed contraction with `order` copies of `a` and d-order copies of
-    `b`, via the coset-restricted path."""
-    dim = a.dim
-    return coset_restricted_product([a] * order + [b] * (dim - order), order)
-
-
 def epsilon_determinant(tensor: SymTensor):
     """(1/d!) times the all-copies signed contraction; the even-rank
     determinant (for rank 2 this is the ordinary determinant)."""
     if tensor.rank % 2:
         raise ValueError("determinant by signed contraction needs even rank")
     d = tensor.dim
-    return two_block_product(tensor, tensor, d) / math.factorial(d)
+    return coset_restricted_product([tensor] * d, d) / math.factorial(d)
 
 
 def epsilon_inverse(tensor: SymTensor) -> SymTensor:

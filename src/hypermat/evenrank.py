@@ -59,23 +59,6 @@ def discriminants_even(a: SymTensor, g: SymTensor) -> EvenInvariants:
     return EvenInvariants(values, det_even(a), det_g)
 
 
-def discriminant_of_order(a: SymTensor, g: SymTensor, s: int):
-    """Single order-s invariant; exactly zero for s > d."""
-    return invariants.invariant_of_order(a, g, s)
-
-
-def discriminant_grad_tensor(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
-    """Formal derivative of the order-s invariant with respect to the
-    tensor."""
-    return invariants.grad_tensor(a, g, s)
-
-
-def discriminant_grad_metric(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
-    """Formal derivative of the order-s invariant with respect to the
-    metric, including the determinant-prefactor term."""
-    return invariants.grad_metric(a, g, s)
-
-
 def char_poly_even(a: SymTensor, g: SymTensor) -> tuple:
     """Characteristic polynomial coefficients, highest power first."""
     det_g = invariants.metric_determinant(g)
@@ -83,34 +66,17 @@ def char_poly_even(a: SymTensor, g: SymTensor) -> tuple:
         invariants.invariant_values(a, g, det_g))
 
 
-_RECURRENCE_FORMULA = "d(C_s)/dG + C_s*inv(G) == d(C_{s+1})/dA"
-_CH_FORMULA = "d(C_d)/dG + C_d*inv(G) == 0"
+_RECURRENCE_FORMULAS = ("d(C_s)/dG + C_s*inv(G) == d(C_{s+1})/dA",
+                        "d(C_d)/dG + C_d*inv(G) == 0")
 
 
 def verify_recurrence_even(a: SymTensor, g: SymTensor,
                            seed: int | None = None) -> VerificationReport:
     """Recurrence residuals for every order; the order-d row is the
     Cayley-Hamilton statement."""
-    det_g = invariants.metric_determinant(g)
-    g_inv = engine.epsilon_inverse(g)
-    report = VerificationReport("even-rank-recurrence")
-    for s in range(a.dim + 1):
-        residual = invariants.recurrence_residual(a, g, s, det_g, g_inv)
-        name = "cayley_hamilton" if s == a.dim else f"recurrence_order_{s}"
-        formula = _CH_FORMULA if s == a.dim else _RECURRENCE_FORMULA
-        report.checks.append(check(name, formula, residual, seed))
-    return report
-
-
-def verify_cayley_hamilton_even(a: SymTensor, g: SymTensor,
-                                seed: int | None = None) -> VerificationReport:
-    """The order-d recurrence alone."""
-    det_g = invariants.metric_determinant(g)
-    g_inv = engine.epsilon_inverse(g)
-    residual = invariants.recurrence_residual(a, g, a.dim, det_g, g_inv)
-    report = VerificationReport("even-rank-cayley-hamilton")
-    report.checks.append(check("cayley_hamilton", _CH_FORMULA, residual, seed))
-    return report
+    return VerificationReport("even-rank-recurrence", invariants.recurrence_checks(
+        a, g, invariants.metric_determinant(g), engine.epsilon_inverse(g),
+        _RECURRENCE_FORMULAS, seed))
 
 
 def _one_three_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 from . import engine
 from .errors import SingularTensorError
+from .report import IdentityCheck, check
 from .tensor import SymTensor
 
 
@@ -129,6 +130,19 @@ def recurrence_residual(a: SymTensor, g: SymTensor, s: int, g_det=None,
         g_inv = engine.epsilon_inverse(g)
     lhs = grad_metric(a, g, s, g_det, g_inv) + g_inv * invariant_of_order(a, g, s, g_det)
     return lhs - grad_tensor(a, g, s + 1, g_det)
+
+
+def recurrence_checks(a: SymTensor, g: SymTensor, g_det, g_inv: SymTensor,
+                      formulas: tuple, seed: int | None) -> list[IdentityCheck]:
+    """One check row per order 0..d of the recurrence; the order-d row is
+    the Cayley-Hamilton statement. ``formulas`` holds the printed forms of
+    the general row and of the order-d row."""
+    recurrence, cayley_hamilton = formulas
+    d = a.dim
+    return [check("cayley_hamilton" if s == d else f"recurrence_order_{s}",
+                  cayley_hamilton if s == d else recurrence,
+                  recurrence_residual(a, g, s, g_det, g_inv), seed)
+            for s in range(d + 1)]
 
 
 def metric_derivative_bridge_residual(a: SymTensor, g: SymTensor, s: int) -> SymTensor:

@@ -80,8 +80,9 @@ def lift(s: SymTensor) -> OddLiftResult:
     return OddLiftResult(lifted, det, disc, ratio)
 
 
-def _discriminant_partials(s: SymTensor):
-    # canonical derivatives of the cubic discriminant, one per stored key
+def discriminant_partials(s: SymTensor) -> dict:
+    """Canonical derivatives of the cubic discriminant, one per stored
+    key: each is the key's multiplicity times the formal derivative."""
     a = s.component((0, 0, 0))
     b = s.component((0, 0, 1))
     c = s.component((0, 1, 1))
@@ -134,7 +135,7 @@ def inverse_odd_d2_gradient(s: SymTensor) -> SymTensor:
     if disc == 0:
         raise SingularTensorError("cubic discriminant is zero; no inverse")
     entries = {}
-    for key, partial in _discriminant_partials(s).items():
+    for key, partial in discriminant_partials(s).items():
         value = partial / multiplicity(key) / (2 * disc)
         if value:
             entries[key] = value

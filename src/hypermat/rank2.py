@@ -16,7 +16,6 @@ from operator import mul
 from typing import Sequence
 
 from . import engine, invariants
-from .errors import SingularTensorError
 from .invariants import DiscriminantVector
 from .report import VerificationReport, check
 from .tensor import SymTensor, contract_full, identity
@@ -31,31 +30,13 @@ class MetricPair:
     g_det: Fraction
 
 
-def det2(a: SymTensor):
-    """Determinant of a symmetric matrix via the signed contraction."""
-    if a.rank != 2:
-        raise ValueError("det2 takes a rank-2 tensor")
-    return engine.epsilon_determinant(a)
-
-
-def inverse2(a: SymTensor) -> SymTensor:
-    """Contravariant inverse matrix (cofactor gradient over determinant)."""
-    if a.rank != 2:
-        raise ValueError("inverse2 takes a rank-2 tensor")
-    return engine.epsilon_inverse(a)
-
-
 def metric_inverse(g: SymTensor) -> MetricPair:
     """Bundle a metric with its inverse and determinant; singular metrics
     are rejected."""
     if g.rank != 2:
         raise ValueError("a metric is a rank-2 tensor")
-    det = det2(g)
-    if det == 0:
-        raise SingularTensorError(
-            "singular metric: its determinant is zero and the invariant "
-            "normalization divides by it")
-    return MetricPair(g, inverse2(g), det)
+    det = invariants.metric_determinant(g)
+    return MetricPair(g, engine.epsilon_inverse(g), det)
 
 
 def unit_metric(dim: int) -> MetricPair:
@@ -158,11 +139,6 @@ def discriminants_epsilon(a: SymTensor, metric: MetricPair) -> DiscriminantVecto
     return DiscriminantVector(invariants.invariant_values(a, metric.g, metric.g_det))
 
 
-def discriminant_of_order(a: SymTensor, metric: MetricPair, s: int):
-    """Single order-s invariant; exactly zero for s > d."""
-    return invariants.invariant_of_order(a, metric.g, s, metric.g_det)
-
-
 def char_poly2(a: SymTensor, metric: MetricPair) -> tuple:
     """Characteristic polynomial coefficients, highest power first."""
     return invariants.characteristic_coefficients(
@@ -186,8 +162,8 @@ def matrix_polynomial_residual(a: SymTensor) -> SymTensor:
     return residual
 
 
-_RECURRENCE_FORMULA = "d(c_s)/dg + c_s*inv(g) == d(c_{s+1})/da"
-_CH_FORMULA = "d(c_d)/dg + c_d*inv(g) == 0"
+_RECURRENCE_FORMULAS = ("d(c_s)/dg + c_s*inv(g) == d(c_{s+1})/da",
+                        "d(c_d)/dg + c_d*inv(g) == 0")
 _MATRIX_FORMULA = "sum_s (-1)^s c_s a^(d-s) == 0 with the unit metric"
 
 
@@ -195,26 +171,10 @@ def verify_recurrence2(a: SymTensor, metric: MetricPair,
                        seed: int | None = None) -> VerificationReport:
     """Recurrence residuals for every order, the Cayley-Hamilton case
     included, plus the explicit unit-metric matrix identity for d <= 4."""
-    d = a.dim
-    report = VerificationReport("rank2-recurrence")
-    for s in range(d + 1):
-        residual = invariants.recurrence_residual(
-            a, metric.g, s, metric.g_det, metric.g_inv)
-        name = "cayley_hamilton" if s == d else f"recurrence_order_{s}"
-        formula = _CH_FORMULA if s == d else _RECURRENCE_FORMULA
-        report.checks.append(check(name, formula, residual, seed))
-    if d <= 4:
+    report = VerificationReport("rank2-recurrence", invariants.recurrence_checks(
+        a, metric.g, metric.g_det, metric.g_inv, _RECURRENCE_FORMULAS, seed))
+    if a.dim <= 4:
         report.checks.append(check(
             "matrix_polynomial_unit_metric", _MATRIX_FORMULA,
             matrix_polynomial_residual(a), seed))
-    return report
-
-
-def verify_cayley_hamilton2(a: SymTensor, metric: MetricPair,
-                            seed: int | None = None) -> VerificationReport:
-    """The order-d recurrence alone: d(c_d)/dg + c_d*inv(g) = 0."""
-    residual = invariants.recurrence_residual(
-        a, metric.g, a.dim, metric.g_det, metric.g_inv)
-    report = VerificationReport("rank2-cayley-hamilton")
-    report.checks.append(check("cayley_hamilton", _CH_FORMULA, residual, seed))
     return report

@@ -58,9 +58,10 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
 
             report.checks.append(check(
                 "determinant_ratio", "c_d * det(g) == det(a)",
-                epsilon_route[dim] * metric.g_det - rank2.det2(a), sample_seed))
+                epsilon_route[dim] * metric.g_det - engine.epsilon_determinant(a),
+                sample_seed))
 
-            inverse = rank2.inverse2(a)
+            inverse = engine.epsilon_inverse(a)
             report.checks.append(check(
                 "inverse_contraction",
                 "inv[(i,)+k] * a[(j,)+k] summed over k == delta",
@@ -116,7 +117,8 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
 
             report.checks.append(check(
                 "order_above_dimension", "c_s == 0 for s > d",
-                rank2.discriminant_of_order(a, metric, dim + 1), sample_seed))
+                invariants.invariant_of_order(a, metric.g, dim + 1, metric.g_det),
+                sample_seed))
     return report
 
 
@@ -175,7 +177,7 @@ def rank4_suite(dim: int, seed: int, samples: int) -> VerificationReport:
 
             report.checks.append(check(
                 "order_above_dimension", "C_s == 0 for s > d",
-                evenrank.discriminant_of_order(a, g, dim + 1), sample_seed))
+                invariants.invariant_of_order(a, g, dim + 1), sample_seed))
 
             lam = Fraction(5, 2)
             scaled = evenrank.discriminants_even(a * lam, g).values
@@ -197,7 +199,7 @@ def odd_suite(dim: int, seed: int, samples: int) -> VerificationReport:
                 result = oddrank.lift(s)
                 if result.cubic_disc != 0:
                     report.extend(oddrank.verify_inverse_d2(s, sample_seed))
-                    partials = oddrank._discriminant_partials(s)
+                    partials = oddrank.discriminant_partials(s)
                     closed = oddrank.inverse_odd_d2(s)
                     factor_residual = (
                         partials[(0, 0, 1)]

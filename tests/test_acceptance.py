@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypermat import (CUBIC_LIFT_RATIO, SymTensor, contract_one_free,
                       coset_restricted_product_counted, cubic_discriminant,
-                      derive_seed, det2, det_even, discriminants_epsilon,
+                      derive_seed, det_even, discriminants_epsilon,
                       discriminants_trace, epsilon_determinant,
                       epsilon_inverse, epsilon_product, inverse_even,
                       inverse_odd_d2, inverse_odd_d2_gradient, lift,
@@ -79,7 +79,7 @@ def test_criterion_03_trace_epsilon_bridge():
             trace_route = tuple(discriminants_trace(a, m))
             epsilon_route = tuple(discriminants_epsilon(a, m))
             assert trace_route == epsilon_route
-            assert epsilon_route[dim] * m.g_det == det2(a)
+            assert epsilon_route[dim] * m.g_det == epsilon_determinant(a)
     _stamp(3, 10, started,
            "trace and contraction invariants agree, d in {2,3,4}, 25 seeds each")
 
@@ -158,7 +158,7 @@ def test_criterion_09_cubic_inverse_routes():
         assert closed == inverse_odd_d2_gradient(s)
         assert identity_residual(contract_one_free(closed, s)) == 0
         disc = cubic_discriminant(s)
-        partials = oddrank._discriminant_partials(s)
+        partials = oddrank.discriminant_partials(s)
         assert partials[(0, 0, 1)] == \
             multiplicity((0, 0, 1)) * (2 * disc * closed.component((0, 0, 1)))
         factor_checked = True

@@ -28,6 +28,19 @@ UNIT_DOC = {"rank": 2, "dim": 2, "entries": [
     {"index": [0, 0], "value": "1"},
     {"index": [1, 1], "value": "1"}]}
 
+DIAG_METRIC_DOC = {"rank": 4, "dim": 2, "entries": [
+    {"index": [0, 0, 0, 0], "value": "1"},
+    {"index": [1, 1, 1, 1], "value": "1"}]}
+
+# the two factors of each signed term hold index 1 in four slots between
+# them, and no entry here holds it
+SINGULAR_RANK4_DOC = {"rank": 4, "dim": 2, "entries": [
+    {"index": [0, 0, 0, 0], "value": "1"}]}
+
+SINGULAR_MATRIX_DOC = {"rank": 2, "dim": 2, "entries": [
+    {"index": [0, 0], "value": "1"}, {"index": [0, 1], "value": "1"},
+    {"index": [1, 1], "value": "1"}]}
+
 CORNERS_DOC = {"rank": 3, "dim": 2, "entries": [
     {"index": [0, 0, 0], "value": "1"},
     {"index": [1, 1, 1], "value": "1"}]}
@@ -171,11 +184,26 @@ class TestInvariants:
         assert code == 0
         assert json.loads(out) == ["1", "2", "1"]
 
+    def test_fourth_rank_diagonal_metric(self, tmp_path, capsys):
+        # det(G) = 1, det(A) = 4, and only the two corner terms survive in
+        # the order-1 sum
+        a = write_doc(tmp_path, "a.json", SAMPLE_A_DOC)
+        g = write_doc(tmp_path, "g.json", DIAG_METRIC_DOC)
+        code, out, _ = run(capsys, "invariants", a, "--metric", g)
+        assert code == 0
+        assert json.loads(out) == ["1", "2", "4"]
+
     def test_singular_metric(self, tmp_path, capsys):
         a = write_doc(tmp_path, "a.json", HAND_MATRIX_DOC)
-        g = write_doc(tmp_path, "g.json", {"rank": 2, "dim": 2, "entries": [
-            {"index": [0, 0], "value": "1"}, {"index": [0, 1], "value": "1"},
-            {"index": [1, 1], "value": "1"}]})
+        g = write_doc(tmp_path, "g.json", SINGULAR_MATRIX_DOC)
+        code, out, err = run(capsys, "invariants", a, "--metric", g)
+        assert code == 3
+        assert out == ""
+        assert "determinant" in err
+
+    def test_singular_fourth_rank_metric(self, tmp_path, capsys):
+        a = write_doc(tmp_path, "a.json", SAMPLE_A_DOC)
+        g = write_doc(tmp_path, "g.json", SINGULAR_RANK4_DOC)
         code, out, err = run(capsys, "invariants", a, "--metric", g)
         assert code == 3
         assert out == ""
@@ -220,6 +248,15 @@ class TestInverse:
         inverse = tensor_from_document(json.loads(out))
         original = tensor_from_document(SAMPLE_A_DOC)
         assert identity_residual(contract_one_free(inverse, original)) == 0
+
+    @pytest.mark.parametrize("doc", [SINGULAR_MATRIX_DOC, SINGULAR_RANK4_DOC],
+                             ids=["rank2", "rank4"])
+    def test_singular_even_rank(self, doc, tmp_path, capsys):
+        path = write_doc(tmp_path, "a.json", doc)
+        code, out, err = run(capsys, "inverse", path)
+        assert code == 3
+        assert out == ""
+        assert "determinant" in err
 
     def test_degenerate_cubic(self, tmp_path, capsys):
         doc = {"rank": 3, "dim": 2, "entries": [

@@ -10,14 +10,14 @@ import pytest
 
 from hypermat import (SingularTensorError, SymTensor, cayley_det,
                       char_poly_even, contract_full, contract_one_free,
-                      derive_seed, det_even, discriminant_grad_metric,
-                      discriminant_grad_tensor, discriminants_even,
+                      derive_seed, det_even, discriminants_even,
                       epsilon_determinant, from_matrix, inverse_even,
                       quadratic_identity_residual, random_symmetric,
-                      self_identity_residual, verify_cayley_hamilton_even,
-                      verify_poly_identity_d2, verify_recurrence_even)
+                      self_identity_residual, verify_poly_identity_d2,
+                      verify_recurrence_even)
 from hypermat import evenrank, invariants
 from hypermat.invariants import identity_residual
+from hypermat.report import residual_magnitude
 from hypermat.tensor import canonical_keys, symmetrized_from
 
 import oracles
@@ -161,8 +161,8 @@ class TestInvariantSequence:
     def test_order_above_dimension(self):
         a = random_symmetric(4, 2, 36, 7)
         g = random_invertible_4(2, 37)
-        assert evenrank.discriminant_of_order(a, g, 3) == 0
-        assert evenrank.discriminant_of_order(a, g, 9) == 0
+        assert invariants.invariant_of_order(a, g, 3) == 0
+        assert invariants.invariant_of_order(a, g, 9) == 0
 
     def test_singular_metric_rejected(self):
         a = random_symmetric(4, 2, 38, 7)
@@ -186,15 +186,15 @@ class TestGradients:
     def test_order_zero_vanishes(self):
         a = random_symmetric(4, 2, 41, 7)
         g = random_invertible_4(2, 42)
-        assert discriminant_grad_tensor(a, g, 0).is_zero()
-        assert discriminant_grad_metric(a, g, 0).is_zero()
+        assert invariants.grad_tensor(a, g, 0).is_zero()
+        assert invariants.grad_metric(a, g, 0).is_zero()
 
     def test_top_order_two_routes(self):
         # d(C_d)/dA equals the determinant gradient over det(G)
         a = random_invertible_4(2, 43)
         g = random_invertible_4(2, 44)
         det_g = det_even(g)
-        via_invariant = discriminant_grad_tensor(a, g, 2)
+        via_invariant = invariants.grad_tensor(a, g, 2)
         via_det = inverse_even(a) * (det_even(a) / det_g)
         assert via_invariant == via_det
 
@@ -253,6 +253,9 @@ class TestRecurrence:
         assert report.all_pass
         assert [c.identity for c in report.checks] == [
             "recurrence_order_0", "recurrence_order_1", "cayley_hamilton"]
+        recurrence = "d(C_s)/dG + C_s*inv(G) == d(C_{s+1})/dA"
+        assert [c.formula for c in report.checks] == [
+            recurrence, recurrence, "d(C_d)/dG + C_d*inv(G) == 0"]
 
     def test_d3_rows_vanish(self):
         a = random_symmetric(4, 3, 22, 5)
@@ -263,11 +266,13 @@ class TestRecurrence:
         for dim, seed in ((2, 23), (3, 24)):
             a = random_symmetric(4, dim, seed, 5)
             g = random_invertible_4(dim, 100 + seed)
-            assert verify_cayley_hamilton_even(a, g, seed=seed).all_pass
+            report = verify_recurrence_even(a, g, seed=seed)
+            assert report.checks[-1].identity == "cayley_hamilton"
+            assert report.all_pass
 
     def test_self_metric_cayley_hamilton(self):
         g = random_invertible_4(2, 125)
-        report = verify_cayley_hamilton_even(g, g)
+        report = verify_recurrence_even(g, g)
         assert report.all_pass
         assert discriminants_even(g, g).values[2] == 1
 
@@ -290,8 +295,8 @@ class TestRecurrence:
         a = random_symmetric(4, 2, 126, 7)
         g = random_invertible_4(2, 127)
         full = verify_recurrence_even(a, g)
-        single = verify_cayley_hamilton_even(a, g)
-        assert full.checks[-1].residual == single.checks[0].residual == "0"
+        single = invariants.recurrence_residual(a, g, a.dim)
+        assert full.checks[-1].residual == residual_magnitude(single) == "0"
 
     def test_independent_expansion_d2(self):
         # both sides of each row rebuilt from scratch with the exact

@@ -134,7 +134,7 @@ class TestInverse:
         disc = cubic_discriminant(s)
         assert disc != 0
         closed = inverse_odd_d2(s)
-        partials = oddrank._discriminant_partials(s)
+        partials = oddrank.discriminant_partials(s)
         assert partials[(0, 0, 1)] == 3 * (2 * disc * closed.component((0, 0, 1)))
         assert partials[(0, 0, 0)] == 1 * (2 * disc * closed.component((0, 0, 0)))
 

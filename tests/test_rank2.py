@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from hypermat import (SingularTensorError, SymTensor, char_poly2,
-                      contract_one_free, det2, discriminants_epsilon,
-                      discriminants_trace, from_matrix, g_product, g_trace,
-                      identity, inverse2, metric_inverse,
-                      newton_elementary_from_power, power_sums,
-                      random_symmetric, unit_metric, verify_cayley_hamilton2,
+                      contract_one_free, discriminants_epsilon,
+                      discriminants_trace, epsilon_determinant,
+                      epsilon_inverse, from_matrix, g_product, g_trace,
+                      identity, metric_inverse, newton_elementary_from_power,
+                      power_sums, random_symmetric, unit_metric,
                       verify_recurrence2)
 from hypermat import invariants, rank2
 from hypermat.invariants import identity_residual
@@ -127,7 +127,8 @@ class TestIntegerMetricProduct:
 
     def metric(self):
         g_inv = self.G_INV
-        return rank2.MetricPair(inverse2(g_inv), g_inv, 1 / det2(g_inv))
+        return rank2.MetricPair(epsilon_inverse(g_inv), g_inv,
+                                1 / epsilon_determinant(g_inv))
 
     def assert_matches_oracle(self, a, b, metric):
         expected, _ = _symmetrized_oracle_product(a, metric.g_inv, b)
@@ -240,45 +241,46 @@ class TestDiscriminants:
     def test_order_above_dimension_vanishes(self):
         a = random_symmetric(2, 3, 70, 7)
         m = metric_inverse(random_invertible_2(3, 71))
-        assert rank2.discriminant_of_order(a, m, 4) == 0
-        assert rank2.discriminant_of_order(a, m, 7) == 0
+        assert invariants.invariant_of_order(a, m.g, 4, m.g_det) == 0
+        assert invariants.invariant_of_order(a, m.g, 7, m.g_det) == 0
 
     def test_determinant_ratio(self):
         a = random_symmetric(2, 3, 72, 7)
         g = random_invertible_2(3, 73)
         m = metric_inverse(g)
-        assert discriminants_epsilon(a, m)[3] * m.g_det == det2(a)
+        assert discriminants_epsilon(a, m)[3] * m.g_det == epsilon_determinant(a)
 
 
 class TestDetInverse:
     def test_unit(self):
-        assert det2(identity(3)) == 1
-        assert inverse2(identity(3)) == identity(3)
+        assert epsilon_determinant(identity(3)) == 1
+        assert epsilon_inverse(identity(3)) == identity(3)
 
     def test_hand(self):
-        assert det2(A_HAND) == 5
-        assert inverse2(A_HAND) == from_matrix([["3/5", "-1/5"], ["-1/5", "2/5"]])
+        assert epsilon_determinant(A_HAND) == 5
+        assert epsilon_inverse(A_HAND) == from_matrix(
+            [["3/5", "-1/5"], ["-1/5", "2/5"]])
 
     def test_leibniz_oracle_dim_four(self):
         a = random_symmetric(2, 4, 11, 9)
-        assert det2(a) == oracles.leibniz_det(a)
+        assert epsilon_determinant(a) == oracles.leibniz_det(a)
 
     def test_inverse_contraction(self):
         a = random_invertible_2(3, 74)
-        assert identity_residual(contract_one_free(inverse2(a), a)) == 0
+        assert identity_residual(contract_one_free(epsilon_inverse(a), a)) == 0
 
     def test_singular(self):
         with pytest.raises(SingularTensorError):
-            inverse2(from_matrix([[1, 1], [1, 1]]))
+            epsilon_inverse(from_matrix([[1, 1], [1, 1]]))
 
     def test_inverse_agrees_with_invariant_gradient(self):
         # determinant route and discriminant-gradient route coincide
         a = random_invertible_2(3, 75)
         g = random_invertible_2(3, 76)
         m = metric_inverse(g)
-        top = rank2.discriminant_of_order(a, m, 3)
+        top = invariants.invariant_of_order(a, m.g, 3, m.g_det)
         grad = invariants.grad_tensor(a, g, 3, m.g_det)
-        assert inverse2(a) == grad * (1 / top)
+        assert epsilon_inverse(a) == grad * (1 / top)
 
 
 class TestCharPoly:
@@ -336,7 +338,8 @@ class TestGradientOracles:
                 direction = oracles.basis_direction(2, dim, key)
                 d_numerator = oracles.directional_derivative(
                     numerator, g, direction, max(numerator_degree, 1))
-                d_det = oracles.directional_derivative(det2, g, direction, dim)
+                d_det = oracles.directional_derivative(
+                    epsilon_determinant, g, direction, dim)
                 n_value = numerator(g)
                 quotient = (d_numerator * m.g_det - n_value * d_det) / m.g_det ** 2
                 assert quotient == multiplicity(key) * grad.component(key)
@@ -349,6 +352,13 @@ class TestRecurrence:
         report = verify_recurrence2(a, metric_inverse(g), seed=5)
         assert report.all_pass
         assert {c.residual for c in report.checks} == {"0"}
+        recurrence = "d(c_s)/dg + c_s*inv(g) == d(c_{s+1})/da"
+        assert [(c.identity, c.formula) for c in report.checks] == [
+            ("recurrence_order_0", recurrence),
+            ("recurrence_order_1", recurrence),
+            ("cayley_hamilton", "d(c_d)/dg + c_d*inv(g) == 0"),
+            ("matrix_polynomial_unit_metric",
+             "sum_s (-1)^s c_s a^(d-s) == 0 with the unit metric")]
 
     def test_hand_cayley_hamilton(self):
         # a^2 - 5a + 5I vanishes for the hand matrix
@@ -371,9 +381,9 @@ class TestRecurrence:
     def test_cayley_hamilton_op(self):
         a = random_symmetric(2, 3, 95, 7)
         g = random_invertible_2(3, 96)
-        report = verify_cayley_hamilton2(a, metric_inverse(g), seed=96)
+        report = verify_recurrence2(a, metric_inverse(g), seed=96)
         assert report.all_pass
-        assert report.checks[0].identity == "cayley_hamilton"
+        assert report.checks[3].identity == "cayley_hamilton"
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_metric_derivative_bridge(self, dim):
