@@ -32,7 +32,25 @@ Every sum runs through one kernel, ``_signed_sum``:
   accumulates each term at the flat index of that position's r indices;
   a permutation coefficient tensor leaves several out. The position
   permutations behind the restriction never move a freed position, so
-  the restricted sum is exact at every freed index, not only in total.
+  the restriction keeps the sum exact at every freed index, not only in
+  total (coalescing, below, keeps a lone freed slot exact per orbit).
+- Coalesced states. The sign symbols are placed one level at a time, and
+  a partial term is a state: the flat offset of each held position's
+  index prefix, the offset of the freed indices so far, and a sign.
+  Every factor is completely symmetric, so its value depends only on
+  the multiset of indices at its position, and two states whose held
+  prefixes are equal once sorted have the same continuation. After each
+  level every prefix offset is mapped to the offset of its sorted prefix
+  (one lookup list per prefix length, cached per (rank, dim)), equal
+  states are merged with their signs summed into an integer
+  coefficient, and states whose coefficient is 0 are dropped. A one-index
+  prefix is already sorted, so nothing merges after the first level.
+  A lone freed slot has the table layout and is folded the same way, so
+  a gradient's sum is exact per orbit of ordered indices, which is all
+  a symmetric result needs; two or more freed slots keep their ordered
+  layout. Rank 2 places only one level before the last and is
+  enumerated as before. The terms a request covers, and the count
+  ``_plan`` reports for it, do not change.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, so one identity sample asks for most of its
@@ -143,10 +161,20 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple):
     return levels[:-1], last, dim ** (rank * m), terms
 
 
-def _expand(states, level):
-    for sign, base, out in states:
-        for s, offsets, o in level:
-            yield sign * s, tuple(map(add, base, offsets)), out + o
+@lru_cache(maxsize=32)
+def _sorted_prefixes(rank: int, dim: int):
+    """For each prefix length k = 1..rank-1 (entry k-1), a list mapping
+    the flat offset of every k-index prefix, later indices zero, to the
+    offset of the same prefix sorted."""
+    maps = []
+    for k in range(1, rank):
+        strides = [dim ** (rank - 1 - j) for j in range(k)]
+        sorted_at = [0] * dim ** rank
+        for prefix in itertools.product(range(dim), repeat=k):
+            sorted_at[sum(map(math.prod, zip(prefix, strides)))] = sum(
+                map(math.prod, zip(sorted(prefix), strides)))
+        maps.append(sorted_at)
+    return tuple(maps)
 
 
 # (sums by request key, (tensor, entry set or None if inexact) by id)
@@ -176,8 +204,10 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
 
     Returns ``(acc, scale, terms)``: the sum of the terms whose freed
     indices (grouped per sign symbol) have flat index f is
-    ``acc[f] * scale``; ``terms`` counts the permutation tuples the
-    request enumerates. With ``classes`` None the first permutation is
+    ``acc[f] * scale``; with one freed position that holds only for the
+    sum of ``acc`` over each orbit of flat indices (see "Coalesced
+    states"). ``terms`` counts the permutation tuples the request
+    covers. With ``classes`` None the first permutation is
     restricted over identical non-freed factors for even rank and the
     result is the full sum; given classes restrict it as stated and the
     result is the restricted sum itself.
@@ -247,11 +277,22 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
         denominator *= scale ** len(group)
     rows = [table_at[t] for t in held]
 
+    # states map (held prefix offsets, output offset) to the summed sign
+    # of the partial terms that reach them
+    states = {((0,) * len(held), 0): 1}
+    for level, sorted_at in zip(outer, _sorted_prefixes(rank, dim)):
+        fold = sorted_at.__getitem__
+        # two or more freed slots keep their ordered layout (int is the
+        # identity on offsets)
+        fold_out = fold if len(free) == 1 else int
+        merged: dict = {}
+        for (base, out), coeff in states.items():
+            for s, offsets, o in level:
+                key = (tuple(map(fold, map(add, base, offsets))), fold_out(out + o))
+                merged[key] = merged.get(key, 0) + coeff * s
+        states = {key: coeff for key, coeff in merged.items() if coeff}
     acc = [0] * size
-    states = [(1, (0,) * len(held), 0)]
-    for level in outer:
-        states = _expand(states, level)
-    for sign, base, out in states:
+    for (base, out), coeff in states.items():
         flat = [1, -1]
         for table, b in zip(rows, base):
             flat += table[b:b + dim]
@@ -259,7 +300,7 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
         for o, picks in last:
             v = sum(map(math.prod, map(pick_from, picks)))
             if v:
-                acc[out + o] += sign * v
+                acc[out + o] += coeff * v
     return tuple(acc), Fraction(multiplier, denominator), terms
 
 
@@ -303,7 +344,7 @@ def coset_restricted_product(factors: Sequence[SymTensor], split: int):
 
     Requires even rank and factors that are constant within the two blocks
     [0, split) and [split, d); under those conditions the value equals the
-    unrestricted sum exactly while enumerating d!/(split!(d-split)!) times
+    unrestricted sum exactly while covering d!/(split!(d-split)!) times
     fewer terms.
     """
     value, _ = coset_restricted_product_counted(factors, split)
@@ -311,8 +352,10 @@ def coset_restricted_product(factors: Sequence[SymTensor], split: int):
 
 
 def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
-    """Like coset_restricted_product, also returning the number of
-    enumerated terms (exactly C(d, split) * (d!)**(r-1))."""
+    """Like coset_restricted_product, also returning the number of terms
+    the restricted sum covers: exactly C(d, split) * (d!)**(r-1). The
+    kernel merges partial terms (see "Coalesced states"), so it visits
+    fewer; the count is of the terms summed, not of the steps taken."""
     rank, dim = _uniform_shape(factors)
     if rank % 2:
         raise ValueError("coset restriction requires even rank")
@@ -384,6 +427,16 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
     import numpy as np
     acc, scale, _ = _signed_sum([metric] * d, tuple(range(order)))
     norm = scale / (math.factorial(order) * math.factorial(d - order)) / det
+    if order == 1:
+        # a lone freed slot is exact per orbit only; the tensor is
+        # symmetric, so each ordering holds an equal share
+        values = [0] * len(acc)
+        for _, flats in _orbits(r, d):
+            share = sum([acc[f] for f in flats]) * norm / len(flats)
+            for f in flats:
+                values[f] = share
+    else:
+        values = [v * norm for v in acc]
     out = np.empty(len(acc), dtype=object)
-    out[:] = [v * norm for v in acc]
+    out[:] = values
     return out.reshape((d,) * (r * order))

@@ -19,12 +19,15 @@ from .errors import SingularTensorError
 from .evenrank import det_even
 from .rational import format_scalar
 from .report import VerificationReport, check
-from .tensor import (SymTensor, canonical_keys, contract_full,
+from .tensor import (SymTensor, canonical_key, canonical_keys,
                      contract_one_free, derive_seed, multiplicity,
                      random_symmetric, sym_outer)
 
-# det(lift(s)) / cubic_discriminant(s) for every binary cubic; frozen from
-# the brute-force oracle run in the test suite.
+# det(lift(s)) / cubic_discriminant(s) for every binary cubic. Proved:
+# det(lift(s)) - 9/10 disc(s) has degree at most 4 in each of the four
+# coefficients and vanishes on the grid {-2..2}^4, so by the Combinatorial
+# Nullstellensatz (Alon, Combin. Probab. Comput. 8, 1999, Lemma 2.1) it is
+# the zero polynomial; tests/test_oddrank.py evaluates the grid.
 CUBIC_LIFT_RATIO = Fraction(9, 10)
 
 
@@ -146,6 +149,17 @@ def lift_gradient_candidate(s: SymTensor) -> SymTensor:
     """Inverse candidate for any dimension: formal gradient of det(lift)
     over twice its value, obtained by the chain rule through the lift.
 
+    With G the slot-freed gradient of det(lift) over (d-1)!, the lift's
+    derivative in the direction of a key k contracts G against 2 s, so
+    the candidate is one partial contraction of G with s,
+
+        candidate[k] = sum over canonical i of
+                       multiplicity(i) * G[sort(i + k)] * s[i] / det.
+
+    The determinant is computed on its own, not recovered from G by
+    Euler's identity, which would make the trace of the reported
+    contraction equal d by construction.
+
     In two dimensions this equals the closed-form inverse exactly (the
     proportionality constant cancels). For d > 2 the defining contraction
     is underdetermined and the candidate is only reported, never asserted.
@@ -157,16 +171,15 @@ def lift_gradient_candidate(s: SymTensor) -> SymTensor:
     det = det_even(lifted)
     if det == 0:
         raise SingularTensorError("lift determinant is zero; no candidate")
-    det_grad = engine.epsilon_product_gradient([lifted] * d, 0) * Fraction(
-        1, math.factorial(d - 1))
+    grad = engine.epsilon_product_gradient([lifted] * d, 0).entries
+    weighted = [(i, multiplicity(i) * v) for i, v in s.entries.items()]
+    norm = math.factorial(d - 1) * det
     entries = {}
     for key in canonical_keys(3, d):
-        direction = SymTensor(3, d, {key: Fraction(1)})
-        lift_derivative = sym_outer(s, direction) * 2
-        derivative = contract_full(det_grad, lift_derivative)
-        value = derivative / multiplicity(key) / (2 * det)
-        if value:
-            entries[key] = value
+        total = sum(weight * grad.get(canonical_key(i + key), 0)
+                    for i, weight in weighted)
+        if total:
+            entries[key] = total / norm
     return SymTensor(3, d, entries)
 
 

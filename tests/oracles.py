@@ -28,23 +28,22 @@ def sign_of(seq) -> int:
 
 def brute_epsilon_product(factors):
     """Signed contraction by enumerating every ordered index assignment of
-    every sign symbol (cost d**(d*r); keep shapes small)."""
+    every sign symbol. An assignment that repeats an index has sign 0, so
+    those are dropped per symbol before the product over symbols is
+    formed (cost (d!)**r assignments; keep shapes small)."""
     dim = factors[0].dim
     rank = factors[0].rank
-    assignments = itertools.product(
-        itertools.product(range(dim), repeat=dim), repeat=rank)
+    symbols = [(symbol, sign_of(symbol))
+               for symbol in itertools.product(range(dim), repeat=dim)
+               if sign_of(symbol)]
     total = Fraction(0)
-    for symbols in assignments:
+    for assignment in itertools.product(symbols, repeat=rank):
         sign = 1
-        for symbol in symbols:
-            sign *= sign_of(symbol)
-            if sign == 0:
-                break
-        if sign == 0:
-            continue
+        for _, symbol_sign in assignment:
+            sign *= symbol_sign
         term = Fraction(1)
         for t, factor in enumerate(factors):
-            term *= factor.component(tuple(symbol[t] for symbol in symbols))
+            term *= factor.component(tuple(symbol[t] for symbol, _ in assignment))
             if term == 0:
                 break
         total += sign * term

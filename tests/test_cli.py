@@ -147,6 +147,17 @@ class TestDet:
         assert lines[0] == "epsilon: 0 (identically zero for odd rank)"
         assert lines[1] == "cayley: 1"
 
+    def test_pretty_odd_rank_prints_the_labelled_lines(self, tmp_path, capsys):
+        # both odd-rank values are labelled already, so --pretty prints
+        # exactly what the plain command prints
+        path = write_doc(tmp_path, "s.json", CORNERS_DOC)
+        code, plain, _ = run(capsys, "det", path)
+        pretty_code, pretty, err = run(capsys, "det", "--pretty", path)
+        assert code == pretty_code == 0
+        assert err == ""
+        assert pretty == plain == (
+            "epsilon: 0 (identically zero for odd rank)\ncayley: 1\n")
+
     def test_malformed_file(self, tmp_path, capsys):
         path = write_doc(tmp_path, "bad.json", "{not json")
         code, out, err = run(capsys, "det", path)

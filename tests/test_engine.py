@@ -322,6 +322,52 @@ def test_identical_factors_match_the_oracles(rank, dim):
                 assert derivative == multiplicity(key) * grad.component(key)
 
 
+class TestCoalescedStates:
+    """Shapes with a level past the first, where the kernel merges partial
+    terms whose held index prefixes agree once sorted."""
+
+    @pytest.mark.parametrize("pattern", ["azg", "aga"])
+    def test_rank6_dim3_matches_the_oracle(self, pattern):
+        named = {"a": _coprime_factor(6, 3), "z": _sparse_factor(6, 3, 150),
+                 "g": random_symmetric(6, 3, 151, 5)}
+        factors = [named[c] for c in pattern]
+        value = epsilon_product(factors)
+        assert isinstance(value, Fraction)
+        assert value == oracles.brute_epsilon_product(factors)
+
+    @pytest.mark.parametrize("rank,dim", [(4, 4), (5, 3), (6, 3)])
+    def test_gradient_recontracts_to_the_product(self, rank, dim):
+        a = _coprime_factor(rank, dim)
+        z = _sparse_factor(rank, dim, 160 + rank)
+        g = random_symmetric(rank, dim, 170 + rank, 5)
+        for factors in ([a, z, g, a][:dim], [z, a, z, g][:dim]):
+            value = epsilon_product(factors)
+            if rank % 2 == 0:
+                assert value != 0
+            for slot in range(dim):
+                grad = epsilon_product_gradient(factors, slot)
+                assert contract_full(grad, factors[slot]) == value
+
+    def test_order_one_tensor_is_the_inverse_at_every_ordered_index(self):
+        g = random_symmetric(4, 3, 180, 5)
+        assert epsilon_determinant(g) != 0
+        q1 = materialize_permutation_tensor(1, g)
+        ginv = epsilon_inverse(g)
+        for idx in itertools.product(range(3), repeat=4):
+            assert q1[idx] == ginv.component(idx)
+
+    def test_float_gradient_matches_the_exact_one(self):
+        exact = [random_symmetric(6, 3, 190 + t, 5) for t in (0, 1, 0)]
+        grad = epsilon_product_gradient(exact, 1)
+        inexact = epsilon_product_gradient(
+            [oracles.to_float(f) for f in exact], 1)
+        assert not grad.is_zero()
+        assert all(isinstance(v, float) for v in inexact.entries.values())
+        for key in canonical_keys(6, 3):
+            assert float(inexact.component(key)) == pytest.approx(
+                float(grad.component(key)), rel=1e-9, abs=1e-9)
+
+
 class TestSharedSums:
     """Inside ``engine.shared_sums`` each distinct signed sum is enumerated
     once; counts are asserted, times are not."""

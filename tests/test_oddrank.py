@@ -2,6 +2,8 @@
 lift and its determinant, both inverse routes, and the proportionality
 between the lift determinant and the discriminant."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,9 @@ from hypermat import (CUBIC_LIFT_RATIO, SingularTensorError, SymTensor,
                       lift_gradient_candidate, random_symmetric, sym_outer,
                       verify_inverse_d2, verify_odd_rank_vanishing,
                       verify_proportionality)
-from hypermat import oddrank
+from hypermat import engine, oddrank
 from hypermat.invariants import identity_residual
+from hypermat.tensor import canonical_keys, multiplicity
 
 import oracles
 
@@ -155,6 +158,29 @@ class TestInverse:
         s = random_symmetric(3, 2, 48, 9)
         assert lift_gradient_candidate(s) == inverse_odd_d2(s)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_candidate_is_the_chain_rule_through_the_lift(self, seed):
+        # the definition the partial contraction replaces: the formal
+        # gradient of det(lift) contracted against the lift's derivative in
+        # the direction of each basis tensor
+        s = random_symmetric(3, 3, seed, 9)
+        d = s.dim
+        lifted = sym_outer(s, s)
+        det = engine.epsilon_determinant(lifted)
+        det_grad = engine.epsilon_product_gradient([lifted] * d, 0) * Fraction(
+            1, math.factorial(d - 1))
+        entries = {}
+        for key in canonical_keys(3, d):
+            direction = SymTensor(3, d, {key: Fraction(1)})
+            derivative = oracles.brute_contract_full(
+                det_grad, sym_outer(s, direction) * 2)
+            value = derivative / multiplicity(key) / (2 * det)
+            if value:
+                entries[key] = value
+        assert lift_gradient_candidate(s) == SymTensor(3, d, entries)
+        cubic = random_symmetric(3, 2, seed, 9)
+        assert lift_gradient_candidate(cubic) == inverse_odd_d2(cubic)
+
     def test_candidate_reported_for_three_dims(self):
         s = random_symmetric(3, 3, 49, 5)
         report = oddrank.report_candidate_inverse(s, seed=49)
@@ -171,6 +197,22 @@ class TestProportionality:
         first = verify_proportionality(6, seed=44)
         second = verify_proportionality(6, seed=44)
         assert first.to_dict() == second.to_dict()
+
+    def test_ratio_is_proved_on_a_grid(self):
+        # Each lift entry is a quadratic form in the cubic's coefficients
+        # (a, b, c, d), and det(lift) sums products of two lift entries, so
+        # det(lift(s)) - 9/10 disc(s) has degree at most 4 in each
+        # variable. A polynomial of degree at most 4 in each of its
+        # variables that vanishes on {-2..2}^4 is zero (Alon,
+        # "Combinatorial Nullstellensatz", Combin. Probab. Comput. 8, 1999,
+        # Lemma 2.1), so the 625 evaluations prove the identity.
+        keys = list(canonical_keys(3, 2))
+        for values in itertools.product(range(-2, 3), repeat=4):
+            s = SymTensor(3, 2, {k: Fraction(v)
+                                 for k, v in zip(keys, values) if v})
+            lifted = sym_outer(s, s)
+            assert (engine.epsilon_determinant(lifted)
+                    == CUBIC_LIFT_RATIO * cubic_discriminant(s))
 
     def test_degenerate_sample_asserts_zero_determinant(self):
         result = lift(ALL_ONES)
