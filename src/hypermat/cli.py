@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import evenrank, invariants, oddrank, suites
+from . import engine, evenrank, invariants, oddrank, suites
 from .documents import load_tensor, tensor_to_document
 from .errors import SingularTensorError
 from .rational import format_scalar
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_det(args) -> int:
     tensor = load_tensor(args.file)
     if tensor.rank % 2 == 0:
-        value = format_scalar(evenrank.det_even(tensor))
+        value = format_scalar(engine.epsilon_determinant(tensor))
         print(f"det: {value}" if args.pretty else value)
         return EXIT_OK
     cayley = format_scalar(evenrank.cayley_det(tensor))
@@ -72,11 +72,6 @@ def _cmd_det(args) -> int:
 def _cmd_invariants(args) -> int:
     tensor = load_tensor(args.file)
     metric = load_tensor(args.metric)
-    if (tensor.rank, tensor.dim) != (metric.rank, metric.dim):
-        raise ValueError("tensor and metric must share rank and dimension")
-    if tensor.rank % 2:
-        raise ValueError("odd rank has no metric-relative invariants; "
-                         "lift to even rank first (see `lift`)")
     rendered = [format_scalar(v)
                 for v in invariants.invariant_values(tensor, metric)]
     if args.pretty:
@@ -89,7 +84,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_inverse(args) -> int:
     tensor = load_tensor(args.file)
     if tensor.rank % 2 == 0:
-        result = evenrank.inverse_even(tensor)
+        result = engine.epsilon_inverse(tensor)
     elif tensor.rank == 3 and tensor.dim == 2:
         result = oddrank.inverse_odd_d2(tensor)
     else:

@@ -376,7 +376,8 @@ def epsilon_determinant(tensor: SymTensor):
     """(1/d!) times the all-copies signed contraction; the even-rank
     determinant (for rank 2 this is the ordinary determinant)."""
     if tensor.rank % 2:
-        raise ValueError("determinant by signed contraction needs even rank")
+        raise ValueError("odd rank: the signed contraction vanishes "
+                         "identically, lift to even rank instead")
     d = tensor.dim
     return coset_restricted_product([tensor] * d, d) / math.factorial(d)
 
@@ -406,9 +407,8 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
     cannot take `order` distinct values in fewer slots, and results with
     more than ``cap`` entries.
 
-    Returns a numpy object array of Fractions. numpy is imported here, once
-    the arguments are checked, and nowhere else in the package, so only
-    callers of this function need it (the ``dense`` extra).
+    Returns a dict keyed by every index tuple of length r*order, zeros
+    included, as ``tensor.contract_one_free`` does.
     """
     r, d = metric.rank, metric.dim
     if order < 0:
@@ -424,7 +424,6 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
     if det == 0:
         raise SingularTensorError(
             "metric determinant is zero; the coefficient tensor divides by it")
-    import numpy as np
     acc, scale, _ = _signed_sum([metric] * d, tuple(range(order)))
     norm = scale / (math.factorial(order) * math.factorial(d - order)) / det
     if order == 1:
@@ -437,6 +436,4 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
                 values[f] = share
     else:
         values = [v * norm for v in acc]
-    out = np.empty(len(acc), dtype=object)
-    out[:] = values
-    return out.reshape((d,) * (r * order))
+    return dict(zip(itertools.product(range(d), repeat=r * order), values))

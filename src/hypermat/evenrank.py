@@ -1,69 +1,30 @@
-"""Even-rank layer: determinants, inverses, invariant sequences and the
-recurrence / Cayley-Hamilton checks for fourth-rank (and generically
-even-rank) completely symmetric tensors, plus the explicit two-dimensional
-polynomial identities."""
+"""Even-rank layer: the row-product determinant, the recurrence /
+Cayley-Hamilton checks for fourth-rank (and generically even-rank)
+completely symmetric tensors, and the explicit two-dimensional polynomial
+identities. Determinants, inverses and invariant sequences themselves are
+``engine.epsilon_determinant``, ``engine.epsilon_inverse`` and
+``invariants.invariant_values``."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import engine, invariants
-from .invariants import DiscriminantVector
 from .report import VerificationReport, check
 from .tensor import SymTensor, canonical_key, contract_full, contract_one_free, symmetrized_from
-
-
-@dataclass(frozen=True)
-class EvenInvariants:
-    """Invariant sequence of a tensor relative to an even-rank metric,
-    with both determinants."""
-
-    values: DiscriminantVector
-    det_a: Fraction
-    det_g: Fraction
-
-
-def det_even(a: SymTensor):
-    """Even-rank determinant: the all-copies signed contraction over d!."""
-    if a.rank % 2:
-        raise ValueError("odd rank: the signed contraction vanishes "
-                         "identically, lift to even rank instead")
-    return engine.epsilon_determinant(a)
 
 
 def cayley_det(a: SymTensor):
     """Row-product determinant: signed sum over (r-1)-tuples of
     permutations with the first index running over the diagonal.
 
-    Coincides with det_even for even rank; for odd rank it is generally
-    nonzero, unlike the fully signed contraction.
+    Coincides with engine.epsilon_determinant for even rank; for odd rank
+    it is generally nonzero, unlike the fully signed contraction.
     """
     d = a.dim
     acc, scale, _ = engine._signed_sum([a] * d, (), (tuple(range(d)),))
     return acc[0] * scale
-
-
-def inverse_even(a: SymTensor) -> SymTensor:
-    """Contravariant inverse: slot-freed gradient over (d-1)! det(a)."""
-    if a.rank % 2:
-        raise ValueError("odd rank has no signed-contraction inverse")
-    return engine.epsilon_inverse(a)
-
-
-def discriminants_even(a: SymTensor, g: SymTensor) -> EvenInvariants:
-    """Invariant sequence of orders 0..d with det(a) and det(g)."""
-    det_g = invariants.metric_determinant(g)
-    values = DiscriminantVector(invariants.invariant_values(a, g, det_g))
-    return EvenInvariants(values, det_even(a), det_g)
-
-
-def char_poly_even(a: SymTensor, g: SymTensor) -> tuple:
-    """Characteristic polynomial coefficients, highest power first."""
-    det_g = invariants.metric_determinant(g)
-    return invariants.characteristic_coefficients(
-        invariants.invariant_values(a, g, det_g))
 
 
 _RECURRENCE_FORMULAS = ("d(C_s)/dG + C_s*inv(G) == d(C_{s+1})/dA",
@@ -131,7 +92,7 @@ def quadratic_identity_residual(a: SymTensor, g: SymTensor) -> SymTensor:
     """
     if a.rank != 4 or g.rank != 4 or a.dim != 2 or g.dim != 2:
         raise ValueError("the quadratic identity is stated for rank 4, d = 2")
-    g_inv = inverse_even(g)
+    g_inv = engine.epsilon_inverse(g)
     c1 = contract_full(g_inv, a)
     c2 = invariants.invariant_of_order(a, g, 2)
     return (a * c1
@@ -167,7 +128,7 @@ def self_identity_residual(a: SymTensor) -> SymTensor:
     """
     if a.rank != 4 or a.dim != 2:
         raise ValueError("the self identity is stated for rank 4, d = 2")
-    a_inv = inverse_even(a)
+    a_inv = engine.epsilon_inverse(a)
     return (_two_two_split(a, a_inv)
             - a * (pair_cycle_trace(a, a_inv) / 2))
 

@@ -44,9 +44,10 @@ class DiscriminantVector:
 
 def _check_pair(a: SymTensor, g: SymTensor):
     if (a.rank, a.dim) != (g.rank, g.dim):
-        raise ValueError("tensor and metric do not share rank and dimension")
+        raise ValueError("tensor and metric must share rank and dimension")
     if a.rank % 2:
-        raise ValueError("metric-relative invariants need even rank")
+        raise ValueError("odd rank has no metric-relative invariants; "
+                         "lift to even rank first (see `lift`)")
 
 
 def metric_determinant(g: SymTensor):

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import engine, invariants
 from .errors import SingularTensorError
-from .evenrank import det_even
 from .rational import format_scalar
 from .report import VerificationReport, check
 from .tensor import (SymTensor, canonical_key, canonical_keys,
@@ -75,7 +74,7 @@ def lift(s: SymTensor) -> OddLiftResult:
     if s.rank != 3:
         raise ValueError("lift takes a rank-3 tensor")
     lifted = sym_outer(s, s)
-    det = det_even(lifted)
+    det = engine.epsilon_determinant(lifted)
     if s.dim != 2:
         return OddLiftResult(lifted, det)
     disc = cubic_discriminant(s)
@@ -168,7 +167,7 @@ def lift_gradient_candidate(s: SymTensor) -> SymTensor:
         raise ValueError("the candidate is built from a rank-3 tensor")
     d = s.dim
     lifted = sym_outer(s, s)
-    det = det_even(lifted)
+    det = engine.epsilon_determinant(lifted)
     if det == 0:
         raise SingularTensorError("lift determinant is zero; no candidate")
     grad = engine.epsilon_product_gradient([lifted] * d, 0).entries

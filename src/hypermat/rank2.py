@@ -132,19 +132,6 @@ def discriminants_trace(a: SymTensor, metric: MetricPair) -> DiscriminantVector:
     return DiscriminantVector(tuple(newton_elementary_from_power(q[1:])))
 
 
-def discriminants_epsilon(a: SymTensor, metric: MetricPair) -> DiscriminantVector:
-    """Invariant sequence built from signed permutation contractions."""
-    if a.rank != 2:
-        raise ValueError("rank-2 layer takes rank-2 tensors")
-    return DiscriminantVector(invariants.invariant_values(a, metric.g, metric.g_det))
-
-
-def char_poly2(a: SymTensor, metric: MetricPair) -> tuple:
-    """Characteristic polynomial coefficients, highest power first."""
-    return invariants.characteristic_coefficients(
-        tuple(discriminants_epsilon(a, metric)))
-
-
 def matrix_polynomial_residual(a: SymTensor) -> SymTensor:
     """Residual of the explicit matrix identity with the unit metric:
     sum_s (-1)^s c_s a^(d-s) = 0, with ordinary matrix powers."""
@@ -152,7 +139,7 @@ def matrix_polynomial_residual(a: SymTensor) -> SymTensor:
         raise ValueError("the matrix identity applies at rank 2")
     d = a.dim
     metric = unit_metric(d)
-    coeffs = discriminants_epsilon(a, metric)
+    coeffs = invariants.invariant_values(a, metric.g, metric.g_det)
     powers = [identity(d)]
     for _ in range(d):
         powers.append(g_product(powers[-1], a, metric))

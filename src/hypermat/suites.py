@@ -49,7 +49,7 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
             metric = rank2.metric_inverse(g)
 
             trace_route = tuple(rank2.discriminants_trace(a, metric))
-            epsilon_route = tuple(rank2.discriminants_epsilon(a, metric))
+            epsilon_route = invariants.invariant_values(a, metric.g, metric.g_det)
             bridge = max(abs(x - y) for x, y in zip(trace_route, epsilon_route))
             report.checks.append(check(
                 "trace_epsilon_bridge",
@@ -96,9 +96,8 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
                     sample_seed))
 
             lam = Fraction(3, 2)
-            scaled_a = tuple(rank2.discriminants_epsilon(a * lam, metric))
-            scaled_g = tuple(rank2.discriminants_epsilon(
-                a, rank2.metric_inverse(g * lam)))
+            scaled_a = invariants.invariant_values(a * lam, metric.g, metric.g_det)
+            scaled_g = invariants.invariant_values(a, g * lam)
             scale_residual = max(
                 max(abs(scaled_a[s] - lam ** s * epsilon_route[s])
                     for s in range(dim + 1)),
@@ -130,19 +129,20 @@ def rank4_suite(dim: int, seed: int, samples: int) -> VerificationReport:
             a = random_invertible(4, dim, sample_seed)
             g = random_invertible(4, dim, derive_seed(sample_seed, 101))
 
-            inv = evenrank.discriminants_even(a, g)
+            det_a = engine.epsilon_determinant(a)
+            values = invariants.invariant_values(a, g)
             report.checks.append(check(
                 "determinant_ratio", "C_d == det(A) / det(G)",
-                inv.values[dim] - inv.det_a / inv.det_g, sample_seed))
+                values[dim] - det_a / engine.epsilon_determinant(g), sample_seed))
 
-            self_values = evenrank.discriminants_even(a, a).values
+            self_values = invariants.invariant_values(a, a)
             binomial_residual = max(abs(self_values[s] - math.comb(dim, s))
                                     for s in range(dim + 1))
             report.checks.append(check(
                 "binomial_self_metric", "C_s of (A; A) == C(d, s)",
                 binomial_residual, sample_seed))
 
-            inverse = evenrank.inverse_even(a)
+            inverse = engine.epsilon_inverse(a)
             contraction = invariants.identity_residual(contract_one_free(inverse, a))
             if dim <= 2 or contraction == 0:
                 report.checks.append(check(
@@ -173,15 +173,15 @@ def rank4_suite(dim: int, seed: int, samples: int) -> VerificationReport:
                 report.checks.append(check(
                     "cayley_det_match",
                     "row-product determinant == signed-contraction determinant",
-                    evenrank.cayley_det(a) - inv.det_a, sample_seed))
+                    evenrank.cayley_det(a) - det_a, sample_seed))
 
             report.checks.append(check(
                 "order_above_dimension", "C_s == 0 for s > d",
                 invariants.invariant_of_order(a, g, dim + 1), sample_seed))
 
             lam = Fraction(5, 2)
-            scaled = evenrank.discriminants_even(a * lam, g).values
-            scale_residual = max(abs(scaled[s] - lam ** s * inv.values[s])
+            scaled = invariants.invariant_values(a * lam, g)
+            scale_residual = max(abs(scaled[s] - lam ** s * values[s])
                                  for s in range(dim + 1))
             report.checks.append(check(
                 "scaling", "C_s of t*A == t^s C_s(A)", scale_residual, sample_seed))

@@ -8,9 +8,8 @@ from fractions import Fraction
 
 from hypermat import (CUBIC_LIFT_RATIO, SymTensor, contract_one_free,
                       coset_restricted_product_counted, cubic_discriminant,
-                      derive_seed, det_even, discriminants_epsilon,
-                      discriminants_trace, epsilon_determinant,
-                      epsilon_inverse, epsilon_product, inverse_even,
+                      derive_seed, discriminants_trace, epsilon_determinant,
+                      epsilon_inverse, epsilon_product, invariant_values,
                       inverse_odd_d2, inverse_odd_d2_gradient, lift,
                       metric_inverse, multiplicity,
                       newton_elementary_from_power,
@@ -46,7 +45,7 @@ def test_criterion_01_fourth_rank_determinant_closed_form():
         closed = (a.component((0, 0, 0, 0)) * a.component((1, 1, 1, 1))
                   - 4 * a.component((0, 0, 0, 1)) * a.component((0, 1, 1, 1))
                   + 3 * a.component((0, 0, 1, 1)) ** 2)
-        assert det_even(a) == closed
+        assert epsilon_determinant(a) == closed
     _stamp(1, 1, started, "fourth-rank d=2 determinant closed form, 50 seeds")
 
 
@@ -54,15 +53,15 @@ def test_criterion_02_inverse_components_and_contraction():
     started = time.perf_counter()
     for seed in range(50):
         a = invertible(4, 2, derive_seed(2000, seed))
-        det = det_even(a)
-        inv = inverse_even(a)
+        det = epsilon_determinant(a)
+        inv = epsilon_inverse(a)
         assert inv.component((0, 0, 0, 0)) == a.component((1, 1, 1, 1)) / det
         assert inv.component((0, 0, 0, 1)) == -a.component((0, 1, 1, 1)) / det
         assert inv.component((0, 0, 1, 1)) == a.component((0, 0, 1, 1)) / det
         assert identity_residual(contract_one_free(inv, a)) == 0
     for seed in range(10):
         a = invertible(4, 3, derive_seed(2100, seed), 5)
-        inv = inverse_even(a)
+        inv = epsilon_inverse(a)
         assert identity_residual(contract_one_free(inv, a)) == 0
     _stamp(2, 30, started,
            "fourth-rank inverse closed forms (d=2, 50 seeds) and "
@@ -77,7 +76,7 @@ def test_criterion_03_trace_epsilon_bridge():
             g = invertible(2, dim, derive_seed(3500 + dim, seed))
             m = metric_inverse(g)
             trace_route = tuple(discriminants_trace(a, m))
-            epsilon_route = tuple(discriminants_epsilon(a, m))
+            epsilon_route = invariant_values(a, m.g)
             assert trace_route == epsilon_route
             assert epsilon_route[dim] * m.g_det == epsilon_determinant(a)
     _stamp(3, 10, started,

@@ -401,8 +401,8 @@ def test_unit_matrix_helper_matches_fixture():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is needed only by materialize_permutation_tensor, which imports
-    # it on call; a module-level import would cost every process its load
+    # the package uses the standard library alone; a stray numpy import
+    # would cost every process its load
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
@@ -410,3 +410,17 @@ def test_cli_import_leaves_numpy_unloaded():
          "import hypermat.cli, sys; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_package_runs_with_numpy_blocked():
+    # a None entry in sys.modules makes every numpy import fail
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from fractions import Fraction\n"
+            "from hypermat import identity, materialize_permutation_tensor\n"
+            "q = materialize_permutation_tensor(2, identity(2))\n"
+            "assert q[0, 1, 0, 1] == Fraction(1, 2)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

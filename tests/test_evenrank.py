@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from hypermat import (SingularTensorError, SymTensor, cayley_det,
-                      char_poly_even, contract_full, contract_one_free,
-                      derive_seed, det_even, discriminants_even,
-                      epsilon_determinant, from_matrix, inverse_even,
+                      characteristic_coefficients, contract_full,
+                      contract_one_free, derive_seed, epsilon_determinant,
+                      epsilon_inverse, from_matrix, invariant_values,
                       quadratic_identity_residual, random_symmetric,
                       self_identity_residual, verify_poly_identity_d2,
                       verify_recurrence_even)
@@ -44,27 +44,27 @@ def closed_form_det_d2(a):
 
 class TestDeterminant:
     def test_hand_example(self):
-        assert det_even(SAMPLE_A) == 4
+        assert epsilon_determinant(SAMPLE_A) == 4
 
     def test_diagonal_example(self):
-        assert det_even(DIAG_G) == 1
+        assert epsilon_determinant(DIAG_G) == 1
 
     def test_zero(self):
-        assert det_even(SymTensor.zero(4, 3)) == 0
+        assert epsilon_determinant(SymTensor.zero(4, 3)) == 0
 
     def test_odd_rank_rejected(self):
         with pytest.raises(ValueError, match="odd rank"):
-            det_even(random_symmetric(3, 2, 1, 5))
+            epsilon_determinant(random_symmetric(3, 2, 1, 5))
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_closed_form_d2(self, seed):
         a = random_symmetric(4, 2, seed, 9)
-        assert det_even(a) == closed_form_det_d2(a)
+        assert epsilon_determinant(a) == closed_form_det_d2(a)
 
     def test_degree_scaling(self):
         a = random_symmetric(4, 3, 6, 5)
         lam = Fraction(7, 4)
-        assert det_even(a * lam) == lam ** 3 * det_even(a)
+        assert epsilon_determinant(a * lam) == lam ** 3 * epsilon_determinant(a)
 
 
 class TestCayleyDet:
@@ -75,11 +75,11 @@ class TestCayleyDet:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_signed_contraction_at_rank4(self, dim):
         a = random_symmetric(4, dim, 8 + dim, 5)
-        assert cayley_det(a) == det_even(a)
+        assert cayley_det(a) == epsilon_determinant(a)
 
     def test_matches_signed_contraction_at_rank6(self):
         a = random_symmetric(6, 2, 10, 5)
-        assert cayley_det(a) == det_even(a)
+        assert cayley_det(a) == epsilon_determinant(a)
 
     def test_rank3_does_not_vanish(self):
         s = SymTensor.from_entries(3, 2, {(0, 0, 0): 1, (1, 1, 1): 1})
@@ -88,7 +88,7 @@ class TestCayleyDet:
 
 class TestInverse:
     def test_hand_components(self):
-        inv = inverse_even(SAMPLE_A)
+        inv = epsilon_inverse(SAMPLE_A)
         assert inv.component((0, 0, 0, 0)) == Fraction(1, 4)
         assert inv.component((0, 0, 0, 1)) == 0
         assert inv.component((0, 0, 1, 1)) == Fraction(1, 4)
@@ -96,8 +96,8 @@ class TestInverse:
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_form_components_d2(self, seed):
         a = random_invertible_4(2, 200 + seed)
-        det = det_even(a)
-        inv = inverse_even(a)
+        det = epsilon_determinant(a)
+        inv = epsilon_inverse(a)
         assert inv.component((0, 0, 0, 0)) == a.component((1, 1, 1, 1)) / det
         assert inv.component((0, 0, 0, 1)) == -a.component((0, 1, 1, 1)) / det
         assert inv.component((0, 0, 1, 1)) == a.component((0, 0, 1, 1)) / det
@@ -105,23 +105,23 @@ class TestInverse:
         assert inv.component((1, 1, 1, 1)) == a.component((0, 0, 0, 0)) / det
 
     def test_contraction_identity_d2(self):
-        assert identity_residual(contract_one_free(inverse_even(SAMPLE_A), SAMPLE_A)) == 0
+        assert identity_residual(contract_one_free(epsilon_inverse(SAMPLE_A), SAMPLE_A)) == 0
 
     def test_contraction_identity_d3(self):
         a = random_symmetric(4, 3, 13, 5)
-        assert det_even(a) != 0
-        assert identity_residual(contract_one_free(inverse_even(a), a)) == 0
+        assert epsilon_determinant(a) != 0
+        assert identity_residual(contract_one_free(epsilon_inverse(a), a)) == 0
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_contraction_trace_is_the_dimension(self, dim):
         a = random_invertible_4(dim, 220 + dim)
-        arr = contract_one_free(inverse_even(a), a)
+        arr = contract_one_free(epsilon_inverse(a), a)
         assert sum(arr[i, i] for i in range(dim)) == dim
 
     def test_singular(self):
         single = SymTensor.from_entries(4, 2, {(0, 0, 0, 0): 1})
         with pytest.raises(SingularTensorError):
-            inverse_even(single)
+            epsilon_inverse(single)
 
 
 class TestInvariantSequence:
@@ -129,20 +129,20 @@ class TestInvariantSequence:
     def test_determinant_ratio(self, dim):
         a = random_symmetric(4, dim, 30, 7)
         g = random_invertible_4(dim, 31)
-        result = discriminants_even(a, g)
-        assert result.values[dim] == result.det_a / result.det_g
+        assert (invariant_values(a, g)[dim]
+                == epsilon_determinant(a) / epsilon_determinant(g))
 
     def test_self_metric_binomials(self):
         g = random_invertible_4(2, 32)
-        assert tuple(discriminants_even(g, g).values) == (1, 2, 1)
+        assert invariant_values(g, g) == (1, 2, 1)
         g3 = random_invertible_4(3, 33)
-        assert tuple(discriminants_even(g3, g3).values) == (1, 3, 3, 1)
+        assert invariant_values(g3, g3) == (1, 3, 3, 1)
 
     def test_closed_form_second_invariant_d2(self):
         # quadratic form with the inverse metric: (c1^2 - 4*cycle + 3*pair)/2
         a = random_symmetric(4, 2, 34, 7)
         g = random_invertible_4(2, 35)
-        ginv = inverse_even(g)
+        ginv = epsilon_inverse(g)
         c1 = contract_full(ginv, a)
         cyc = Fraction(0)
         pair = Fraction(0)
@@ -156,7 +156,7 @@ class TestInvariantSequence:
             cyc += gv1 * a.component((j, k, l, m)) * gv2 * a.component((n, p, q, i))
             pair += gv1 * a.component((k, l, m, n)) * gv2 * a.component((p, q, i, j))
         closed = (c1 * c1 - 4 * cyc + 3 * pair) / 2
-        assert closed == discriminants_even(a, g).values[2]
+        assert closed == invariant_values(a, g)[2]
 
     def test_order_above_dimension(self):
         a = random_symmetric(4, 2, 36, 7)
@@ -168,15 +168,26 @@ class TestInvariantSequence:
         a = random_symmetric(4, 2, 38, 7)
         single = SymTensor.from_entries(4, 2, {(0, 0, 0, 0): 1})
         with pytest.raises(SingularTensorError):
-            discriminants_even(a, single)
+            invariant_values(a, single)
+
+    def test_odd_rank_pair_needs_a_lift(self):
+        s = random_symmetric(3, 2, 1, 5)
+        with pytest.raises(ValueError, match="lift"):
+            invariant_values(s, s)
+
+    def test_mismatched_pair_rejected(self):
+        with pytest.raises(ValueError, match="must share rank and dimension"):
+            invariant_values(SAMPLE_A, random_invertible_4(3, 33))
+        with pytest.raises(ValueError, match="must share rank and dimension"):
+            invariant_values(SAMPLE_A, from_matrix([[1, 0], [0, 1]]))
 
     def test_scaling_laws(self):
         a = random_symmetric(4, 2, 39, 7)
         g = random_invertible_4(2, 40)
         lam = Fraction(5, 3)
-        base = discriminants_even(a, g).values
-        scaled_tensor = discriminants_even(a * lam, g).values
-        scaled_metric = discriminants_even(a, g * lam).values
+        base = invariant_values(a, g)
+        scaled_tensor = invariant_values(a * lam, g)
+        scaled_metric = invariant_values(a, g * lam)
         for s in range(3):
             assert scaled_tensor[s] == lam ** s * base[s]
             assert scaled_metric[s] == lam ** -s * base[s]
@@ -193,9 +204,9 @@ class TestGradients:
         # d(C_d)/dA equals the determinant gradient over det(G)
         a = random_invertible_4(2, 43)
         g = random_invertible_4(2, 44)
-        det_g = det_even(g)
+        det_g = epsilon_determinant(g)
         via_invariant = invariants.grad_tensor(a, g, 2)
-        via_det = inverse_even(a) * (det_even(a) / det_g)
+        via_det = epsilon_inverse(a) * (epsilon_determinant(a) / det_g)
         assert via_invariant == via_det
 
     @pytest.mark.parametrize("dim", [2])
@@ -203,8 +214,8 @@ class TestGradients:
         from hypermat import multiplicity
         a = random_symmetric(4, dim, 45, 5)
         g = random_invertible_4(dim, 46)
-        det_g = det_even(g)
-        g_inv = inverse_even(g)
+        det_g = epsilon_determinant(g)
+        g_inv = epsilon_inverse(g)
         for s in range(dim + 1):
             grad_a = invariants.grad_tensor(a, g, s, det_g)
             grad_g = invariants.grad_metric(a, g, s, det_g, g_inv)
@@ -224,7 +235,7 @@ class TestGradients:
                 d_num = oracles.directional_derivative(
                     numerator, g, direction, max(dim - s, 1))
                 d_det = oracles.directional_derivative(
-                    det_even, g, direction, dim)
+                    epsilon_determinant, g, direction, dim)
                 quotient = (d_num * det_g - numerator(g) * d_det) / det_g ** 2
                 assert quotient == mu * grad_g.component(key)
 
@@ -274,7 +285,7 @@ class TestRecurrence:
         g = random_invertible_4(2, 125)
         report = verify_recurrence_even(g, g)
         assert report.all_pass
-        assert discriminants_even(g, g).values[2] == 1
+        assert invariant_values(g, g)[2] == 1
 
     def test_sixth_rank_rows_vanish(self):
         # the layer is rank-generic; sixth rank in two dimensions is cheap
@@ -288,8 +299,8 @@ class TestRecurrence:
         assert g is not None
         report = verify_recurrence_even(a, g, seed=27)
         assert report.all_pass
-        result = discriminants_even(a, g)
-        assert result.values[2] == result.det_a / result.det_g
+        assert (invariant_values(a, g)[2]
+                == epsilon_determinant(a) / epsilon_determinant(g))
 
     def test_recurrence_top_row_equals_cayley_hamilton(self):
         a = random_symmetric(4, 2, 126, 7)
@@ -306,8 +317,8 @@ class TestRecurrence:
         from hypermat.engine import coset_restricted_product
         a = random_symmetric(4, 2, 128, 5)
         g = random_invertible_4(2, 129)
-        det_g = det_even(g)
-        g_inv = inverse_even(g)
+        det_g = epsilon_determinant(g)
+        g_inv = epsilon_inverse(g)
         for s in range(3):
             value = invariants.invariant_of_order(a, g, s, det_g)
 
@@ -320,7 +331,7 @@ class TestRecurrence:
                 mu = multiplicity(key)
                 d_num = oracles.directional_derivative(
                     numerator, g, direction, max(2 - s, 1))
-                d_det = oracles.directional_derivative(det_even, g, direction, 2)
+                d_det = oracles.directional_derivative(epsilon_determinant, g, direction, 2)
                 d_metric = (d_num * det_g - numerator(g) * d_det) / det_g ** 2
                 lhs = d_metric / mu + value * g_inv.component(key)
                 if s == 2:
@@ -362,11 +373,11 @@ class TestPolynomialIdentities:
         # every index sum written out directly, no contraction shortcuts
         a = random_symmetric(4, 2, 136, 5)
         g = random_invertible_4(2, 137)
-        ginv = inverse_even(g)
+        ginv = epsilon_inverse(g)
         rng = range(2)
         c1 = sum(ginv.component(idx) * a.component(idx)
                  for idx in itertools.product(rng, repeat=4))
-        c2 = discriminants_even(a, g).values[2]
+        c2 = invariant_values(a, g)[2]
 
         def one_three(idx):
             i, j, k, l = idx
@@ -389,16 +400,16 @@ class TestPolynomialIdentities:
 
     def test_pair_cycle_trace_is_the_dimension(self):
         a = random_invertible_4(2, 138)
-        assert evenrank.pair_cycle_trace(a, inverse_even(a)) == 2
+        assert evenrank.pair_cycle_trace(a, epsilon_inverse(a)) == 2
 
 
 class TestCharPoly:
     def test_self_metric(self):
         g = random_invertible_4(2, 140)
-        assert char_poly_even(g, g) == (1, -2, 1)
+        assert characteristic_coefficients(invariant_values(g, g)) == (1, -2, 1)
 
     def test_constant_term_is_the_determinant_ratio(self):
-        coeffs = char_poly_even(SAMPLE_A, DIAG_G)
+        coeffs = characteristic_coefficients(invariant_values(SAMPLE_A, DIAG_G))
         assert coeffs[-1] == 4
 
     def test_evaluation_identity(self):

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from hypermat import (SingularTensorError, SymTensor, char_poly2,
-                      contract_one_free, discriminants_epsilon,
+from hypermat import (SingularTensorError, SymTensor,
+                      characteristic_coefficients, contract_one_free,
                       discriminants_trace, epsilon_determinant,
                       epsilon_inverse, from_matrix, g_product, g_trace,
-                      identity, metric_inverse, newton_elementary_from_power,
-                      power_sums, random_symmetric, unit_metric,
-                      verify_recurrence2)
+                      identity, invariant_values, metric_inverse,
+                      newton_elementary_from_power, power_sums,
+                      random_symmetric, unit_metric, verify_recurrence2)
 from hypermat import invariants, rank2
 from hypermat.invariants import identity_residual
 
@@ -213,22 +213,22 @@ class TestDiscriminants:
         g = random_invertible_2(3, 51)
         m = metric_inverse(g)
         assert tuple(discriminants_trace(g, m)) == (1, 3, 3, 1)
-        assert tuple(discriminants_epsilon(g, m)) == (1, 3, 3, 1)
+        assert invariant_values(g, m.g) == (1, 3, 3, 1)
 
     def test_zero_tensor(self):
         m = unit_metric(3)
         z = SymTensor.zero(2, 3)
         assert tuple(discriminants_trace(z, m)) == (1, 0, 0, 0)
-        assert tuple(discriminants_epsilon(z, m)) == (1, 0, 0, 0)
+        assert invariant_values(z, m.g) == (1, 0, 0, 0)
 
     def test_epsilon_route_hand(self):
-        values = tuple(discriminants_epsilon(A_HAND, unit_metric(2)))
+        values = invariant_values(A_HAND, identity(2))
         assert values == (1, 5, 5)
 
     def test_top_invariant_is_leibniz_under_unit_metric(self):
         for dim in (2, 3, 4):
             a = random_symmetric(2, dim, 52 + dim, 7)
-            values = discriminants_epsilon(a, unit_metric(dim))
+            values = invariant_values(a, identity(dim))
             assert values[dim] == oracles.leibniz_det(a)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -236,7 +236,7 @@ class TestDiscriminants:
         a = random_symmetric(2, dim, 61 + dim, 7)
         g = random_invertible_2(dim, 65 + dim)
         m = metric_inverse(g)
-        assert tuple(discriminants_trace(a, m)) == tuple(discriminants_epsilon(a, m))
+        assert tuple(discriminants_trace(a, m)) == invariant_values(a, m.g)
 
     def test_order_above_dimension_vanishes(self):
         a = random_symmetric(2, 3, 70, 7)
@@ -248,7 +248,7 @@ class TestDiscriminants:
         a = random_symmetric(2, 3, 72, 7)
         g = random_invertible_2(3, 73)
         m = metric_inverse(g)
-        assert discriminants_epsilon(a, m)[3] * m.g_det == epsilon_determinant(a)
+        assert invariant_values(a, m.g)[3] * m.g_det == epsilon_determinant(a)
 
 
 class TestDetInverse:
@@ -285,12 +285,14 @@ class TestDetInverse:
 
 class TestCharPoly:
     def test_hand(self):
-        assert char_poly2(A_HAND, unit_metric(2)) == (1, -5, 5)
+        assert characteristic_coefficients(
+            invariant_values(A_HAND, identity(2))) == (1, -5, 5)
 
     def test_self_metric_gives_binomial_signs(self):
         g = random_invertible_2(3, 77)
         m = metric_inverse(g)
-        assert char_poly2(g, m) == (-1, 3, -3, 1)
+        assert characteristic_coefficients(
+            invariant_values(g, m.g)) == (-1, 3, -3, 1)
 
     def test_evaluation_identity(self):
         a = random_symmetric(2, 3, 78, 7)
@@ -397,9 +399,9 @@ class TestRecurrence:
         g = random_invertible_2(3, 100)
         m = metric_inverse(g)
         lam = Fraction(4, 3)
-        base = tuple(discriminants_epsilon(a, m))
-        scaled_tensor = tuple(discriminants_epsilon(a * lam, m))
-        scaled_metric = tuple(discriminants_epsilon(a, metric_inverse(g * lam)))
+        base = invariant_values(a, m.g)
+        scaled_tensor = invariant_values(a * lam, m.g)
+        scaled_metric = invariant_values(a, g * lam)
         for s in range(4):
             assert scaled_tensor[s] == lam ** s * base[s]
             assert scaled_metric[s] == lam ** -s * base[s]

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from hypermat import (SymTensor, as_scalar, canonical_keys,
                       contract_full, contract_one_free, format_scalar,
-                      identity, inverse_even, multiplicity, random_symmetric,
-                      sym_outer)
+                      epsilon_inverse, identity, multiplicity,
+                      random_symmetric, sym_outer)
 
 import oracles
 
@@ -198,7 +198,7 @@ class TestContractions:
     def test_full_inverse_pairing_equals_dimension(self):
         a = SymTensor.from_entries(4, 2, {(0, 0, 0, 0): 1, (1, 1, 1, 1): 1,
                                           (0, 0, 1, 1): 1})
-        assert contract_full(inverse_even(a), a) == 2
+        assert contract_full(epsilon_inverse(a), a) == 2
 
     @pytest.mark.parametrize("rank,dim", [(6, 2), (3, 3), (2, 3), (4, 3)])
     def test_full_matches_brute_force(self, rank, dim):
