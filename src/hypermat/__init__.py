@@ -30,7 +30,6 @@ from .rational import Scalar, as_scalar, format_scalar
 from .report import IdentityCheck, VerificationReport
 from .tensor import (SymTensor, canonical_key, canonical_keys, contract_full,
                      contract_one_free, derive_seed, from_matrix, identity,
-                     multiplicity, random_symmetric, sym_outer,
-                     symmetrized_from)
+                     multiplicity, random_symmetric, sym_outer)
 
 __version__ = "0.1.0"

@@ -17,7 +17,10 @@ Every sum runs through one kernel, ``_signed_sum``:
   adds Python integers only, and the scales are divided out once at the
   end. If any factor in the product holds a value that is not an int or
   a Fraction (the ``allow_inexact`` float path), no factor is scaled and
-  the values keep their own arithmetic.
+  the values keep their own arithmetic. The builder,
+  ``tensor.integer_tables``, is shared with the tensor layer, whose
+  contractions run on the same tables, and a gradient's orbit sums are
+  normalized by ``tensor.orbit_means``, one Fraction per entry.
 - Lead-symbol restriction. Permuting the positions of identical factors
   (the same permutation applied to every sign symbol) leaves a term's
   factor product unchanged and multiplies its sign by sgn(pi)**r. For
@@ -87,7 +90,8 @@ from operator import add, itemgetter, methodcaller
 from typing import Sequence
 
 from .errors import SingularTensorError
-from .tensor import SymTensor
+from .tensor import (SymTensor, exact_values, integer_table, integer_tables,
+                     orbit_means)
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -114,15 +118,6 @@ def _uniform_shape(factors: Sequence[SymTensor]):
     if len(factors) != dim:
         raise ValueError(f"need exactly dim={dim} factors, got {len(factors)}")
     return rank, dim
-
-
-@lru_cache(maxsize=32)
-def _orbits(rank: int, dim: int):
-    # each canonical key with the flat ordered indices of its orderings
-    orbits: dict = {}
-    for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
-        orbits.setdefault(tuple(sorted(idx)), []).append(flat)
-    return tuple((key, tuple(flats)) for key, flats in orbits.items())
 
 
 @lru_cache(maxsize=64)
@@ -219,9 +214,8 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
     for f in factors:
         # held in the scope, f keeps its id from naming another tensor
         if id(f) not in contents:
-            exact = all(map(isinstance, f.entries.values(),
-                            itertools.repeat((int, Fraction))))
-            contents[id(f)] = f, frozenset(f.entries.items()) if exact else None
+            entry_set = frozenset(f.entries.items()) if exact_values(f) else None
+            contents[id(f)] = f, entry_set
     entry_sets = tuple(contents[id(f)][1] for f in factors)
     if None in entry_sets:
         return _enumerate(factors, free, classes)
@@ -253,25 +247,11 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
                 multiplier *= math.factorial(len(c))
     outer, last, size, terms = _plan(rank, dim, free, classes)
 
-    exact = all(all(map(isinstance, factors[group[0]].entries.values(),
-                        itertools.repeat((int, Fraction))))
-                for group in groups)
+    # a list, not a generator, for the reason given in integer_table
+    tables = integer_tables(*[factors[group[0]] for group in groups])
     table_at = {}
     denominator = 1
-    for group in groups:
-        entries = factors[group[0]].entries
-        scale = 1
-        if exact:
-            for v in entries.values():
-                scale = math.lcm(scale, v.denominator)
-        table = [0] * dim ** rank
-        for key, flats in _orbits(rank, dim):
-            v = entries.get(key)
-            if v is not None:
-                if exact:
-                    v = v.numerator * (scale // v.denominator)
-                for flat in flats:
-                    table[flat] = v
+    for group, (table, scale) in zip(groups, tables):
         for t in group:
             table_at[t] = table
         denominator *= scale ** len(group)
@@ -327,14 +307,9 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
     if not 0 <= position < dim:
         raise ValueError(f"position {position} out of range for {dim} slots")
     acc, scale, _ = _signed_sum(factors, (position,))
-    # Each orbit was accumulated over all its orderings; dividing by the
-    # orbit size leaves the per-component formal value.
-    entries = {}
-    for key, flats in _orbits(rank, dim):
-        formal = sum([acc[f] for f in flats]) * scale / len(flats)
-        if formal:
-            entries[key] = formal
-    return SymTensor(rank, dim, entries)
+    # Each orbit was accumulated over all its orderings; its mean is the
+    # per-component formal value.
+    return orbit_means(rank, dim, acc, scale)
 
 
 def coset_restricted_product(factors: Sequence[SymTensor], split: int):
@@ -428,12 +403,8 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
     norm = scale / (math.factorial(order) * math.factorial(d - order)) / det
     if order == 1:
         # a lone freed slot is exact per orbit only; the tensor is
-        # symmetric, so each ordering holds an equal share
-        values = [0] * len(acc)
-        for _, flats in _orbits(r, d):
-            share = sum([acc[f] for f in flats]) * norm / len(flats)
-            for f in flats:
-                values[f] = share
+        # symmetric, so each ordering holds the orbit's mean
+        values, _ = integer_table(orbit_means(r, d, acc, norm), False)
     else:
         values = [v * norm for v in acc]
     return dict(zip(itertools.product(range(d), repeat=r * order), values))

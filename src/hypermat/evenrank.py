@@ -7,12 +7,13 @@ identities. Determinants, inverses and invariant sequences themselves are
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from operator import mul
 
 from . import engine, invariants
 from .report import VerificationReport, check
-from .tensor import SymTensor, canonical_key, contract_full, contract_one_free, symmetrized_from
+from .tensor import (SymTensor, contract_full, integer_tables, orbit_means,
+                     table_ratio, table_rows)
 
 
 def cayley_det(a: SymTensor):
@@ -40,45 +41,33 @@ def verify_recurrence_even(a: SymTensor, g: SymTensor,
         _RECURRENCE_FORMULAS, seed))
 
 
+def _times_symmetric(x_rows: list, y_rows: list) -> list:
+    # X Y for a symmetric Y given by its rows: entry (a, b) is row a of X
+    # dotted with row b of Y
+    return [[sum(map(mul, xa, yb)) for yb in y_rows] for xa in x_rows]
+
+
 def _one_three_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:
-    # sym over (i,j,k,l) of A[i,m,n,p] G^[m,n,p,q] A[q,j,k,l]
+    # sym over (i,j,k,l) of A[i,m,n,p] G^[m,n,p,q] A[q,j,k,l], on the
+    # (d, d**3) flattenings: bridge = A G^T, then bridge A
     d = a.dim
-    bridge = contract_one_free(a, g_inv)
-
-    def component(idx):
-        i, rest = idx[0], idx[1:]
-        return sum(bridge[i, q] * a.entries.get(canonical_key((q,) + rest), Fraction(0))
-                   for q in range(d))
-
-    return symmetrized_from(4, d, component)
+    (ta, sa), (tg, sg) = integer_tables(a, g_inv)
+    rows_a = table_rows(ta, d)
+    bridge = _times_symmetric(rows_a, table_rows(tg, d))
+    columns = list(zip(*rows_a))
+    flat = [sum(map(mul, b_i, column)) for b_i in bridge for column in columns]
+    return orbit_means(4, d, flat, Fraction(1, sa * sa * sg))
 
 
 def _two_two_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:
-    # sym over (i,j,k,l) of A[i,j,m,n] G^[m,n,p,q] A[p,q,k,l]
+    # sym over (i,j,k,l) of A[i,j,m,n] G^[m,n,p,q] A[p,q,k,l]: the (d**2,
+    # d**2) flattenings of A and G^ are symmetric matrices, multiplied as A G A
     d = a.dim
-    pair = {}
-    for i in range(d):
-        for j in range(d):
-            for p in range(d):
-                for q in range(d):
-                    total = Fraction(0)
-                    for m in range(d):
-                        for n in range(d):
-                            av = a.entries.get(canonical_key((i, j, m, n)))
-                            if not av:
-                                continue
-                            gv = g_inv.entries.get(canonical_key((m, n, p, q)))
-                            if gv:
-                                total += av * gv
-                    pair[(i, j, p, q)] = total
-
-    def component(idx):
-        i, j, k, l = idx
-        return sum(pair[(i, j, p, q)]
-                   * a.entries.get(canonical_key((p, q, k, l)), Fraction(0))
-                   for p in range(d) for q in range(d))
-
-    return symmetrized_from(4, d, component)
+    (ta, sa), (tg, sg) = integer_tables(a, g_inv)
+    rows_a = table_rows(ta, d * d)
+    product = _times_symmetric(_times_symmetric(rows_a, table_rows(tg, d * d)), rows_a)
+    return orbit_means(4, d, [v for row in product for v in row],
+                       Fraction(1, sa * sa * sg))
 
 
 def quadratic_identity_residual(a: SymTensor, g: SymTensor) -> SymTensor:
@@ -102,23 +91,14 @@ def quadratic_identity_residual(a: SymTensor, g: SymTensor) -> SymTensor:
 
 
 def pair_cycle_trace(a: SymTensor, a_inv: SymTensor):
-    """inv[m,n,p,q] A[p,q,r,s] inv[r,s,t,u] A[t,u,m,n], all indices summed."""
+    """inv[m,n,p,q] A[p,q,r,s] inv[r,s,t,u] A[t,u,m,n], all indices summed:
+    the trace of (I A)**2 for the (d**2, d**2) flattenings I and A."""
     d = a.dim
-    total = Fraction(0)
-    for m, n, p, q, r, s, t, u in itertools.product(range(d), repeat=8):
-        v1 = a_inv.entries.get(canonical_key((m, n, p, q)))
-        if not v1:
-            continue
-        v2 = a.entries.get(canonical_key((p, q, r, s)))
-        if not v2:
-            continue
-        v3 = a_inv.entries.get(canonical_key((r, s, t, u)))
-        if not v3:
-            continue
-        v4 = a.entries.get(canonical_key((t, u, m, n)))
-        if v4:
-            total += v1 * v2 * v3 * v4
-    return total
+    (ta, sa), (ti, si) = integer_tables(a, a_inv)
+    product = _times_symmetric(table_rows(ti, d * d), table_rows(ta, d * d))
+    raw = sum([sum(map(mul, row, column))
+               for row, column in zip(product, zip(*product))])
+    return table_ratio(raw, (sa * si) ** 2)
 
 
 def self_identity_residual(a: SymTensor) -> SymTensor:

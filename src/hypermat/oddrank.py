@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import engine, invariants
 from .errors import SingularTensorError
 from .rational import format_scalar
 from .report import VerificationReport, check
-from .tensor import (SymTensor, canonical_key, canonical_keys,
-                     contract_one_free, derive_seed, multiplicity,
-                     random_symmetric, sym_outer)
+from .tensor import (SymTensor, contract_one_free, derive_seed, integer_tables,
+                     multiplicity, orbit_means, random_symmetric, sym_outer,
+                     table_rows)
 
 # det(lift(s)) / cubic_discriminant(s) for every binary cubic. Proved:
 # det(lift(s)) - 9/10 disc(s) has degree at most 4 in each of the four
@@ -170,16 +171,12 @@ def lift_gradient_candidate(s: SymTensor) -> SymTensor:
     det = engine.epsilon_determinant(lifted)
     if det == 0:
         raise SingularTensorError("lift determinant is zero; no candidate")
-    grad = engine.epsilon_product_gradient([lifted] * d, 0).entries
-    weighted = [(i, multiplicity(i) * v) for i, v in s.entries.items()]
-    norm = math.factorial(d - 1) * det
-    entries = {}
-    for key in canonical_keys(3, d):
-        total = sum(weight * grad.get(canonical_key(i + key), 0)
-                    for i, weight in weighted)
-        if total:
-            entries[key] = total / norm
-    return SymTensor(3, d, entries)
+    grad = engine.epsilon_product_gradient([lifted] * d, 0)
+    (tg, sg), (ts, ss) = integer_tables(grad, s)
+    # G is symmetric, so row k of its (d**3, d**3) flattening is its column
+    # k; the sum over ordered i covers each canonical i multiplicity times
+    flat = [sum(map(mul, row, ts)) for row in table_rows(tg, d ** 3)]
+    return orbit_means(3, d, flat, Fraction(1, math.factorial(d - 1) * sg * ss) / det)
 
 
 def verify_proportionality(samples: int, seed: int,

@@ -9,7 +9,6 @@ where only the contraction route survives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -18,7 +17,8 @@ from typing import Sequence
 from . import engine, invariants
 from .invariants import DiscriminantVector
 from .report import VerificationReport, check
-from .tensor import SymTensor, contract_full, identity
+from .tensor import (SymTensor, contract_full, identity, integer_tables,
+                     table_ratio, table_rows)
 
 
 @dataclass(frozen=True)
@@ -44,22 +44,6 @@ def unit_metric(dim: int) -> MetricPair:
     return MetricPair(eye, eye, Fraction(1))
 
 
-def _rows(t: SymTensor, exact: bool):
-    """Dense rows of a rank-2 tensor and their common scale: on the exact
-    path each row holds integers, the entries times the lcm of their
-    denominators; otherwise the entries themselves with scale 1."""
-    scale = 1
-    if exact:
-        for v in t.entries.values():
-            scale = math.lcm(scale, v.denominator)
-    rows = [[0] * t.dim for _ in range(t.dim)]
-    for (i, j), v in t.entries.items():
-        if exact:
-            v = v.numerator * (scale // v.denominator)
-        rows[i][j] = rows[j][i] = v
-    return rows, scale
-
-
 def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
     """Metric product c_ij = a_ik g^lk b_lj, symmetrized for storage.
 
@@ -72,10 +56,8 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
     d = a.dim
     if b.dim != d or metric.g.dim != d or a.rank != 2 or b.rank != 2:
         raise ValueError("metric product needs rank-2 operands of one dimension")
-    operands = (a, metric.g_inv, b)
-    exact = all(isinstance(v, (int, Fraction))
-                for t in operands for v in t.entries.values())
-    (ra, sa), (rg, sg), (rb, sb) = (_rows(t, exact) for t in operands)
+    (ta, sa), (tg, sg), (tb, sb) = integer_tables(a, metric.g_inv, b)
+    ra, rg, rb = (table_rows(t, d) for t in (ta, tg, tb))
     # all three are symmetric, so row j of b is its column j and
     # gb[j][k] = g^kl b_lj is column j of g^-1 b
     gb = [[sum(map(mul, rg_k, rb_j)) for rg_k in rg] for rb_j in rb]
@@ -86,7 +68,7 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
         for j in range(i, d):
             value = raw[i][j] + raw[j][i]
             if value:
-                entries[(i, j)] = Fraction(value, scale) if exact else value / scale
+                entries[(i, j)] = table_ratio(value, scale)
     return SymTensor(2, d, entries)
 
 

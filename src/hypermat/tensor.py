@@ -2,9 +2,20 @@
 
 Storage is sparse and canonical: an entry is kept once per sorted index
 tuple (the canonical key), and a lookup at any index ordering resolves
-through sorting. The number of distinct orderings of a key, its
-multiplicity, is what lets full contractions run over canonical storage
-instead of all d**r ordered tuples.
+through sorting. The number of distinct orderings of a key is its
+multiplicity.
+
+Exact contractions run on integer tables (``integer_table``): a tensor
+is expanded once into a dense list over its d**r ordered indices, each
+entry its value times the lcm of the tensor's denominators. A
+contraction is then integer sums over flattenings of those lists, rows
+of d**(r-1) or d**(r-2) entries multiplied in C by ``map(mul, ...)``,
+and each output entry becomes one Fraction, the integer sum over the
+product of the scales. A result that must be symmetric is read off by
+summing each orbit of ordered indices (``orbit_means``). The engine's
+kernel builds its tables with the same function. An operand holding a
+float (``allow_inexact``) makes the whole contraction run unscaled in
+the operands' own arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +25,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import lru_cache
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 from .rational import as_scalar
 
@@ -173,19 +186,93 @@ def from_matrix(rows: Sequence[Sequence]) -> SymTensor:
     return SymTensor(2, d, entries)
 
 
-def symmetrized_from(rank: int, dim: int, component: Callable) -> SymTensor:
-    """Symmetrize an arbitrary ordered-component function.
+# Integer tables. Every contraction below reads its operands as dense
+# lists over the d**r ordered indices, each entry an integer numerator
+# over one scale per tensor, and forms one Fraction per output entry.
 
-    The value at a canonical key is the mean of ``component`` over the
-    key's distinct orderings, which equals the mean over all rank!
-    permutations of the index tuple.
+
+@lru_cache(maxsize=32)
+def _orbits(rank: int, dim: int):
+    # each canonical key with the flat ordered indices of its orderings
+    orbits: dict = {}
+    for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
+        orbits.setdefault(tuple(sorted(idx)), []).append(flat)
+    return tuple((key, tuple(flats)) for key, flats in orbits.items())
+
+
+def _flat(idx: Sequence[int], dim: int) -> int:
+    # flat index of an ordered index tuple: sum_k i_k dim**(r-1-k)
+    flat = 0
+    for i in idx:
+        flat = flat * dim + i
+    return flat
+
+
+def exact_values(*tensors: SymTensor) -> bool:
+    """True when every stored value is an int or a Fraction, that is when
+    no tensor carries a float from the ``allow_inexact`` path."""
+    return all(isinstance(v, (int, Fraction))
+               for t in tensors for v in t.entries.values())
+
+
+def integer_table(tensor: SymTensor, exact: bool):
+    """Dense entries of a tensor over its d**r ordered indices (flat index
+    sum_k i_k d**(r-1-k)) and their common scale.
+
+    With ``exact`` every entry is an integer, the value times the lcm of
+    the tensor's denominators, and the scale is that lcm. Without it the
+    values are stored as they are and the scale is 1, so a float operand
+    keeps its own arithmetic; callers decide for all operands at once.
     """
+    entries = tensor.entries
+    # star-args from a list, not a generator: a generator's tuple is grown
+    # by resizing, which leaves tuples of many sizes on CPython's free
+    # lists and measurably raises peak RSS over many calls
+    scale = math.lcm(*[v.denominator for v in entries.values()]) if exact else 1
+    table = [0] * tensor.dim ** tensor.rank
+    for key, flats in _orbits(tensor.rank, tensor.dim):
+        v = entries.get(key)
+        if v is not None:
+            if exact:
+                v = v.numerator * (scale // v.denominator)
+            for f in flats:
+                table[f] = v
+    return table, scale
+
+
+def integer_tables(*tensors: SymTensor) -> list:
+    """``integer_table`` of each tensor, exact for all of them or for none."""
+    exact = exact_values(*tensors)
+    return [integer_table(t, exact) for t in tensors]
+
+
+def table_rows(table: list, count: int) -> list:
+    """A flat table cut into ``count`` rows of equal length: the d x d**(r-1)
+    flattening for count d, the d**2 x d**(r-2) one for count d*d."""
+    width = len(table) // count
+    return [table[k:k + width] for k in range(0, len(table), width)]
+
+
+def table_ratio(raw, den: int):
+    """``raw / den`` for a sum over tables: an integer sum becomes one
+    Fraction, a float or Fraction sum from the inexact path is divided in
+    its own arithmetic."""
+    return Fraction(raw, den) if isinstance(raw, int) else raw / den
+
+
+def orbit_means(rank: int, dim: int, flat: Sequence, scale) -> SymTensor:
+    """Symmetric tensor whose value at each canonical key is ``scale``
+    times the mean of ``flat`` over the key's orderings.
+
+    ``flat`` is indexed like an integer table. An integer orbit sum times
+    an int or Fraction scale gives one Fraction per entry.
+    """
+    num, den = scale.as_integer_ratio()
     entries = {}
-    for key in canonical_keys(rank, dim):
-        orderings = set(itertools.permutations(key))
-        total = sum(component(o) for o in orderings)
+    for key, flats in _orbits(rank, dim):
+        total = sum([flat[f] for f in flats])
         if total:
-            entries[key] = total / len(orderings)
+            entries[key] = table_ratio(total * num, den * len(flats))
     return SymTensor(rank, dim, entries)
 
 
@@ -200,51 +287,42 @@ def sym_outer(x: SymTensor, y: SymTensor) -> SymTensor:
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     p, q, d = x.rank, y.rank, x.dim
-    total_splits = math.comb(p + q, p)
+    (tx, sx), (ty, sy) = integer_tables(x, y)
+    den = math.comb(p + q, p) * sx * sy
     entries = {}
-    for key in canonical_keys(p + q, d):
-        counts = Counter(key)
-        values = sorted(counts)
-        acc = Fraction(0)
-        for taken in _block_splits(counts, values, p):
-            xkey = tuple(v for v in values for _ in range(taken[v]))
-            ykey = tuple(v for v in values for _ in range(counts[v] - taken[v]))
-            xv = x.entries.get(xkey)
-            if xv is None:
-                continue
-            yv = y.entries.get(ykey)
-            if yv is None:
-                continue
-            weight = 1
-            for v in values:
-                weight *= math.comb(counts[v], taken[v])
-            acc += weight * xv * yv
+    for key, splits in _outer_splits(p, q, d):
+        acc = sum([weight * tx[a] * ty[b] for weight, a, b in splits])
         if acc:
-            entries[key] = acc / total_splits
+            entries[key] = table_ratio(acc, den)
     return SymTensor(p + q, d, entries)
 
 
-def _block_splits(counts, values, size):
-    # every way to take `size` elements from the multiset, as value->count
-    ranges = [range(min(counts[v], size) + 1) for v in values]
-    for combo in itertools.product(*ranges):
-        if sum(combo) == size:
-            yield dict(zip(values, combo))
+@lru_cache(maxsize=16)
+def _outer_splits(p: int, q: int, dim: int):
+    # each canonical key of rank p+q with its (binomial weight, flat index
+    # of the x-block, flat index of the y-block) for every way to take p
+    # of its indices into the x-block
+    plan = []
+    for key in canonical_keys(p + q, dim):
+        counts = Counter(key)
+        values = sorted(counts)
+        splits = []
+        for taken in itertools.product(*(range(counts[v] + 1) for v in values)):
+            if sum(taken) != p:
+                continue
+            xkey = [v for v, n in zip(values, taken) for _ in range(n)]
+            ykey = [v for v, n in zip(values, taken) for _ in range(counts[v] - n)]
+            weight = math.prod(math.comb(counts[v], n) for v, n in zip(values, taken))
+            splits.append((weight, _flat(xkey, dim), _flat(ykey, dim)))
+        plan.append((key, tuple(splits)))
+    return tuple(plan)
 
 
 def contract_full(x: SymTensor, y: SymTensor):
-    """Sum over all d**r ordered tuples of x[idx] * y[idx].
-
-    Runs over canonical keys weighted by multiplicity, which is exactly
-    equivalent for completely symmetric operands.
-    """
+    """Sum over all d**r ordered tuples of x[idx] * y[idx]."""
     x._require_same_shape(y)
-    total = Fraction(0)
-    for key, xv in x.entries.items():
-        yv = y.entries.get(key)
-        if yv is not None:
-            total += multiplicity(key) * xv * yv
-    return total
+    (tx, sx), (ty, sy) = integer_tables(x, y)
+    return table_ratio(sum(map(mul, tx, ty)), sx * sy)
 
 
 def contract_one_free(x: SymTensor, y: SymTensor) -> dict:
@@ -257,18 +335,10 @@ def contract_one_free(x: SymTensor, y: SymTensor) -> dict:
     if x.rank < 2:
         raise ValueError("contraction with one free index needs rank >= 2")
     d = x.dim
-    out = {(i, j): Fraction(0) for i in range(d) for j in range(d)}
-    for key in canonical_keys(x.rank - 1, d):
-        mu = multiplicity(key)
-        for i in range(d):
-            xv = x.entries.get(canonical_key((i,) + key))
-            if not xv:
-                continue
-            for j in range(d):
-                yv = y.entries.get(canonical_key((j,) + key))
-                if yv:
-                    out[i, j] += mu * xv * yv
-    return out
+    (tx, sx), (ty, sy) = integer_tables(x, y)
+    xs, ys = table_rows(tx, d), table_rows(ty, d)
+    return {(i, j): table_ratio(sum(map(mul, xi, yj)), sx * sy)
+            for i, xi in enumerate(xs) for j, yj in enumerate(ys)}
 
 
 # Seeded generation uses a splitmix64 stream so fixtures are reproducible

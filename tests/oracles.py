@@ -3,8 +3,10 @@
 Everything here recomputes results through a different mechanism than the
 library: full index enumeration with an explicit antisymmetric symbol
 instead of permutation enumeration, Leibniz sums, Newton forward
-differences for exact polynomial derivatives, and plain dense matrix
-arithmetic. None of it imports the engine's internals.
+differences for exact polynomial derivatives, plain dense matrix
+arithmetic, and index sums written out over ``component`` lookups with
+one Fraction operation per term. None of it imports the engine's
+internals or the integer tables.
 """
 
 from __future__ import annotations
@@ -67,6 +69,63 @@ def brute_contract_full(x: SymTensor, y: SymTensor):
     total = Fraction(0)
     for idx in itertools.product(range(x.dim), repeat=x.rank):
         total += x.component(idx) * y.component(idx)
+    return total
+
+
+def symmetrized_from(rank: int, dim: int, component) -> SymTensor:
+    """Symmetrize an arbitrary ordered-component function.
+
+    The value at a canonical key is the mean of ``component`` over the
+    key's distinct orderings, which equals the mean over all rank!
+    permutations of the index tuple.
+    """
+    entries = {}
+    for key in canonical_keys(rank, dim):
+        orderings = set(itertools.permutations(key))
+        total = sum(component(o) for o in orderings)
+        if total:
+            entries[key] = total / len(orderings)
+    return SymTensor(rank, dim, entries)
+
+
+def brute_one_three_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:
+    """sym over (i,j,k,l) of A[i,m,n,p] G^[m,n,p,q] A[q,j,k,l]: the bridge
+    A[i,m,n,p] G^[q,m,n,p] summed by explicit loops, then one more sum."""
+    rng = range(a.dim)
+    bridge = {(i, q): sum(a.component((i, m, n, p)) * g_inv.component((q, m, n, p))
+                          for m, n, p in itertools.product(rng, repeat=3))
+              for i in rng for q in rng}
+
+    def component(idx):
+        i, rest = idx[0], idx[1:]
+        return sum(bridge[i, q] * a.component((q,) + rest) for q in rng)
+
+    return symmetrized_from(4, a.dim, component)
+
+
+def brute_two_two_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:
+    """sym over (i,j,k,l) of A[i,j,m,n] G^[m,n,p,q] A[p,q,k,l]: the pair
+    A[i,j,m,n] G^[m,n,p,q] summed by explicit loops, then one more sum."""
+    rng = range(a.dim)
+    pair = {(i, j, p, q): sum(a.component((i, j, m, n)) * g_inv.component((m, n, p, q))
+                              for m, n in itertools.product(rng, repeat=2))
+            for i, j, p, q in itertools.product(rng, repeat=4)}
+
+    def component(idx):
+        i, j, k, l = idx
+        return sum(pair[i, j, p, q] * a.component((p, q, k, l))
+                   for p, q in itertools.product(rng, repeat=2))
+
+    return symmetrized_from(4, a.dim, component)
+
+
+def brute_pair_cycle_trace(a: SymTensor, a_inv: SymTensor):
+    """inv[m,n,p,q] A[p,q,r,s] inv[r,s,t,u] A[t,u,m,n] over all d**8
+    index tuples."""
+    total = Fraction(0)
+    for m, n, p, q, r, s, t, u in itertools.product(range(a.dim), repeat=8):
+        total += (a_inv.component((m, n, p, q)) * a.component((p, q, r, s))
+                  * a_inv.component((r, s, t, u)) * a.component((t, u, m, n)))
     return total
 
 

@@ -18,7 +18,7 @@ from hypermat import (SingularTensorError, SymTensor, cayley_det,
 from hypermat import evenrank, invariants
 from hypermat.invariants import identity_residual
 from hypermat.report import residual_magnitude
-from hypermat.tensor import canonical_keys, symmetrized_from
+from hypermat.tensor import canonical_keys
 
 import oracles
 
@@ -392,8 +392,8 @@ class TestPolynomialIdentities:
                        for m, n, p, q in itertools.product(rng, repeat=4))
 
         expected = (a * c1
-                    - symmetrized_from(4, 2, one_three) * 4
-                    + symmetrized_from(4, 2, two_two) * 3
+                    - oracles.symmetrized_from(4, 2, one_three) * 4
+                    + oracles.symmetrized_from(4, 2, two_two) * 3
                     - g * c2)
         assert expected == quadratic_identity_residual(a, g)
         assert expected.is_zero()
@@ -401,6 +401,40 @@ class TestPolynomialIdentities:
     def test_pair_cycle_trace_is_the_dimension(self):
         a = random_invertible_4(2, 138)
         assert evenrank.pair_cycle_trace(a, epsilon_inverse(a)) == 2
+
+    @staticmethod
+    def assert_index_loops_agree(x, y):
+        assert evenrank._one_three_split(x, y) == oracles.brute_one_three_split(x, y)
+        assert evenrank._two_two_split(x, y) == oracles.brute_two_two_split(x, y)
+        assert evenrank.pair_cycle_trace(x, y) == oracles.brute_pair_cycle_trace(x, y)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [150, 152])
+    def test_contractions_match_index_loops(self, dim, seed):
+        # bound-7 denominators: each table's scale is the lcm of coprime
+        # denominators, larger than any one of them
+        a = random_symmetric(4, dim, seed, 7)
+        g_inv = random_symmetric(4, dim, seed + 1, 7)
+        for t in (a, g_inv):
+            denominators = [v.denominator for v in t.entries.values()]
+            assert math.lcm(*denominators) > max(denominators)
+        self.assert_index_loops_agree(a, g_inv)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_contractions_through_an_inverse_match_index_loops(self, dim):
+        a = random_invertible_4(dim, 154)
+        self.assert_index_loops_agree(a, epsilon_inverse(random_invertible_4(dim, 155)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_contractions_of_zero_operands(self, dim):
+        a = random_symmetric(4, dim, 156, 7)
+        zero = SymTensor.zero(4, dim)
+        for x, y in ((zero, a), (a, zero), (zero, zero)):
+            assert evenrank._one_three_split(x, y).is_zero()
+            assert evenrank._two_two_split(x, y).is_zero()
+            trace = evenrank.pair_cycle_trace(x, y)
+            assert trace == 0 and isinstance(trace, Fraction)
+            self.assert_index_loops_agree(x, y)
 
 
 class TestCharPoly:

@@ -13,6 +13,7 @@ from hypermat import (SymTensor, as_scalar, canonical_keys,
                       contract_full, contract_one_free, format_scalar,
                       epsilon_inverse, identity, multiplicity,
                       random_symmetric, sym_outer)
+from hypermat.tensor import integer_table, orbit_means
 
 import oracles
 
@@ -225,6 +226,52 @@ class TestContractions:
                     x.component((i,) + rest) * y.component((j,) + rest)
                     for rest in itertools.product(range(3), repeat=3))
                 assert arr[i, j] == expected
+
+
+class TestIntegerTables:
+    def test_entries_are_values_times_the_lcm(self):
+        x = random_symmetric(3, 3, 41, 7)
+        table, scale = integer_table(x, True)
+        assert scale == math.lcm(*(v.denominator for v in x.entries.values()))
+        # bound-7 denominators include coprime pairs, so the scale exceeds
+        # every single denominator
+        assert scale > max(v.denominator for v in x.entries.values())
+        assert all(isinstance(v, int) for v in table)
+        for flat, idx in enumerate(itertools.product(range(3), repeat=3)):
+            assert Fraction(table[flat], scale) == x.component(idx)
+
+    def test_inexact_table_keeps_the_values(self):
+        x = oracles.to_float(random_symmetric(2, 2, 42, 7))
+        table, scale = integer_table(x, False)
+        assert scale == 1
+        assert table == [x.component(idx)
+                         for idx in itertools.product(range(2), repeat=2)]
+
+    @pytest.mark.parametrize("rank,dim", [(4, 2), (4, 3), (3, 3)])
+    def test_orbit_means_against_symmetrization(self, rank, dim):
+        flat = [(7 * f) % 11 - 5 for f in range(dim ** rank)]
+        scale = Fraction(3, 4)
+        expected = oracles.symmetrized_from(
+            rank, dim, lambda idx: flat[sum(i * dim ** (rank - 1 - k)
+                                            for k, i in enumerate(idx))])
+        assert orbit_means(rank, dim, flat, scale) == expected * scale
+
+    def test_contractions_of_an_inexact_operand_stay_floats(self):
+        x = random_symmetric(3, 3, 43, 7)
+        y = random_symmetric(3, 3, 44, 7)
+        fx = oracles.to_float(x)
+        full = contract_full(fx, y)
+        assert isinstance(full, float)
+        assert full == pytest.approx(float(contract_full(x, y)))
+        exact, inexact = contract_one_free(x, y), contract_one_free(fx, y)
+        for key, value in exact.items():
+            assert isinstance(inexact[key], float) or value == 0
+            assert inexact[key] == pytest.approx(float(value))
+        exact, inexact = sym_outer(x, y), sym_outer(fx, y)
+        for key in canonical_keys(6, 3):
+            value = inexact.component(key)
+            assert isinstance(value, float) or exact.component(key) == 0
+            assert value == pytest.approx(float(exact.component(key)))
 
 
 class TestRandomSymmetric:
