@@ -26,7 +26,7 @@ from .oddrank import (CUBIC_LIFT_RATIO, OddLiftResult, cubic_discriminant,
 from .rank2 import (MetricPair, discriminants_trace, g_product, g_trace,
                     metric_inverse, newton_elementary_from_power, power_sums,
                     unit_metric, verify_recurrence2)
-from .rational import Scalar, as_scalar, format_scalar
+from .rational import as_scalar, format_scalar
 from .report import IdentityCheck, VerificationReport
 from .tensor import (SymTensor, canonical_key, canonical_keys, contract_full,
                      contract_one_free, derive_seed, from_matrix, identity,

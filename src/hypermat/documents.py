@@ -54,8 +54,3 @@ def load_tensor(path) -> SymTensor:
     with open(path, encoding="utf-8") as handle:
         return tensor_from_document(json.load(handle))
 
-
-def save_tensor(tensor: SymTensor, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(tensor_to_document(tensor), handle)
-        handle.write("\n")

@@ -12,15 +12,12 @@ Every sum runs through one kernel, ``_signed_sum``:
 
 - Integer tables. Each distinct factor is expanded once per call into a
   dense list over its d**r ordered indices (flat index sum_k i_k d**(r-1-k)),
-  so no index is sorted inside the loop. On the exact path a factor is
-  stored times the lcm of its denominators; the inner loop multiplies and
-  adds Python integers only, and the scales are divided out once at the
-  end. If any factor in the product holds a value that is not an int or
-  a Fraction (the ``allow_inexact`` float path), no factor is scaled and
-  the values keep their own arithmetic. The builder,
-  ``tensor.integer_tables``, is shared with the tensor layer, whose
-  contractions run on the same tables, and a gradient's orbit sums are
-  normalized by ``tensor.orbit_means``, one Fraction per entry.
+  so no index is sorted inside the loop. A factor is stored times the
+  lcm of its denominators; the inner loop multiplies and adds Python
+  integers only, and the scales are divided out once at the end. The
+  builder, ``tensor.integer_table``, is shared with the tensor layer,
+  whose contractions run on the same tables, and a gradient's orbit sums
+  are normalized by ``tensor.orbit_means``, one Fraction per entry.
 - Lead-symbol restriction. Permuting the positions of identical factors
   (the same permutation applied to every sign symbol) leaves a term's
   factor product unchanged and multiplies its sign by sgn(pi)**r. For
@@ -61,13 +58,10 @@ Every sum runs through one kernel, ``_signed_sum``:
   enumerated once: a request is keyed by (rank, dim, freed positions,
   classes, the frozenset of each factor's entries) and a repeat is
   served from a dict that lives only as long as the block. Results are
-  immutable (``acc`` is a tuple). A factor holding a value that is not
-  an int or a Fraction bypasses the dict: 1.0 == 1 == Fraction(1) with
-  equal hashes, so a float factor could otherwise be served an exact
-  result. The dict is scoped, not global: a sample reuses only its own
-  sums, so the cost of a call never depends on what ran before it, and
-  the memory goes when the block ends. Outside a block every request is
-  enumerated.
+  immutable (``acc`` is a tuple). The dict is scoped, not global: a
+  sample reuses only its own sums, so the cost of a call never depends
+  on what ran before it, and the memory goes when the block ends.
+  Outside a block every request is enumerated.
 
 Derivative convention used package-wide: gradients are formal, treating
 all d**r ordered components of a factor as independent. The derivative
@@ -90,8 +84,7 @@ from operator import add, itemgetter, methodcaller
 from typing import Sequence
 
 from .errors import SingularTensorError
-from .tensor import (SymTensor, exact_values, integer_table, integer_tables,
-                     orbit_means)
+from .tensor import SymTensor, integer_table, orbit_means
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -172,7 +165,7 @@ def _sorted_prefixes(rank: int, dim: int):
     return tuple(maps)
 
 
-# (sums by request key, (tensor, entry set or None if inexact) by id)
+# (sums by request key, (tensor, entry set) by id)
 _SHARED: ContextVar = ContextVar("hypermat_shared_sums", default=None)
 
 
@@ -214,11 +207,8 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
     for f in factors:
         # held in the scope, f keeps its id from naming another tensor
         if id(f) not in contents:
-            entry_set = frozenset(f.entries.items()) if exact_values(f) else None
-            contents[id(f)] = f, entry_set
+            contents[id(f)] = f, frozenset(f.entries.items())
     entry_sets = tuple(contents[id(f)][1] for f in factors)
-    if None in entry_sets:
-        return _enumerate(factors, free, classes)
     key = (factors[0].rank, factors[0].dim, free, classes, entry_sets)
     result = sums.get(key)
     if result is None:
@@ -247,11 +237,10 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
                 multiplier *= math.factorial(len(c))
     outer, last, size, terms = _plan(rank, dim, free, classes)
 
-    # a list, not a generator, for the reason given in integer_table
-    tables = integer_tables(*[factors[group[0]] for group in groups])
     table_at = {}
     denominator = 1
-    for group, (table, scale) in zip(groups, tables):
+    for group in groups:
+        table, scale = integer_table(factors[group[0]])
         for t in group:
             table_at[t] = table
         denominator *= scale ** len(group)
@@ -401,10 +390,10 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
             "metric determinant is zero; the coefficient tensor divides by it")
     acc, scale, _ = _signed_sum([metric] * d, tuple(range(order)))
     norm = scale / (math.factorial(order) * math.factorial(d - order)) / det
+    indices = itertools.product(range(d), repeat=r * order)
     if order == 1:
         # a lone freed slot is exact per orbit only; the tensor is
         # symmetric, so each ordering holds the orbit's mean
-        values, _ = integer_table(orbit_means(r, d, acc, norm), False)
-    else:
-        values = [v * norm for v in acc]
-    return dict(zip(itertools.product(range(d), repeat=r * order), values))
+        means = orbit_means(r, d, acc, norm)
+        return {idx: means.component(idx) for idx in indices}
+    return dict(zip(indices, [v * norm for v in acc]))

@@ -12,8 +12,8 @@ from operator import mul
 
 from . import engine, invariants
 from .report import VerificationReport, check
-from .tensor import (SymTensor, contract_full, integer_tables, orbit_means,
-                     table_ratio, table_rows)
+from .tensor import (SymTensor, contract_full, integer_table, orbit_means,
+                     table_rows)
 
 
 def cayley_det(a: SymTensor):
@@ -51,7 +51,7 @@ def _one_three_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:
     # sym over (i,j,k,l) of A[i,m,n,p] G^[m,n,p,q] A[q,j,k,l], on the
     # (d, d**3) flattenings: bridge = A G^T, then bridge A
     d = a.dim
-    (ta, sa), (tg, sg) = integer_tables(a, g_inv)
+    (ta, sa), (tg, sg) = integer_table(a), integer_table(g_inv)
     rows_a = table_rows(ta, d)
     bridge = _times_symmetric(rows_a, table_rows(tg, d))
     columns = list(zip(*rows_a))
@@ -63,7 +63,7 @@ def _two_two_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:
     # sym over (i,j,k,l) of A[i,j,m,n] G^[m,n,p,q] A[p,q,k,l]: the (d**2,
     # d**2) flattenings of A and G^ are symmetric matrices, multiplied as A G A
     d = a.dim
-    (ta, sa), (tg, sg) = integer_tables(a, g_inv)
+    (ta, sa), (tg, sg) = integer_table(a), integer_table(g_inv)
     rows_a = table_rows(ta, d * d)
     product = _times_symmetric(_times_symmetric(rows_a, table_rows(tg, d * d)), rows_a)
     return orbit_means(4, d, [v for row in product for v in row],
@@ -94,11 +94,11 @@ def pair_cycle_trace(a: SymTensor, a_inv: SymTensor):
     """inv[m,n,p,q] A[p,q,r,s] inv[r,s,t,u] A[t,u,m,n], all indices summed:
     the trace of (I A)**2 for the (d**2, d**2) flattenings I and A."""
     d = a.dim
-    (ta, sa), (ti, si) = integer_tables(a, a_inv)
+    (ta, sa), (ti, si) = integer_table(a), integer_table(a_inv)
     product = _times_symmetric(table_rows(ti, d * d), table_rows(ta, d * d))
     raw = sum([sum(map(mul, row, column))
                for row, column in zip(product, zip(*product))])
-    return table_ratio(raw, (sa * si) ** 2)
+    return Fraction(raw, (sa * si) ** 2)
 
 
 def self_identity_residual(a: SymTensor) -> SymTensor:

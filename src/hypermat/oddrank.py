@@ -19,7 +19,7 @@ from . import engine, invariants
 from .errors import SingularTensorError
 from .rational import format_scalar
 from .report import VerificationReport, check
-from .tensor import (SymTensor, contract_one_free, derive_seed, integer_tables,
+from .tensor import (SymTensor, contract_one_free, derive_seed, integer_table,
                      multiplicity, orbit_means, random_symmetric, sym_outer,
                      table_rows)
 
@@ -172,7 +172,7 @@ def lift_gradient_candidate(s: SymTensor) -> SymTensor:
     if det == 0:
         raise SingularTensorError("lift determinant is zero; no candidate")
     grad = engine.epsilon_product_gradient([lifted] * d, 0)
-    (tg, sg), (ts, ss) = integer_tables(grad, s)
+    (tg, sg), (ts, ss) = integer_table(grad), integer_table(s)
     # G is symmetric, so row k of its (d**3, d**3) flattening is its column
     # k; the sum over ordered i covers each canonical i multiplicity times
     flat = [sum(map(mul, row, ts)) for row in table_rows(tg, d ** 3)]

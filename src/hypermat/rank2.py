@@ -17,8 +17,8 @@ from typing import Sequence
 from . import engine, invariants
 from .invariants import DiscriminantVector
 from .report import VerificationReport, check
-from .tensor import (SymTensor, contract_full, identity, integer_tables,
-                     table_ratio, table_rows)
+from .tensor import (SymTensor, contract_full, identity, integer_table,
+                     table_rows)
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,14 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
     """Metric product c_ij = a_ik g^lk b_lj, symmetrized for storage.
 
     Powers of a single matrix are symmetric already (the products are
-    palindromes), so for them the symmetrization is a no-op. Exact
+    palindromes), so for them the symmetrization is a no-op. The
     operands are multiplied as integer rows, scaled as in the engine
-    kernel, and each entry becomes one Fraction at the end; if any operand
-    holds a float, nothing is scaled.
+    kernel, and each entry becomes one Fraction at the end.
     """
     d = a.dim
     if b.dim != d or metric.g.dim != d or a.rank != 2 or b.rank != 2:
         raise ValueError("metric product needs rank-2 operands of one dimension")
-    (ta, sa), (tg, sg), (tb, sb) = integer_tables(a, metric.g_inv, b)
+    (ta, sa), (tg, sg), (tb, sb) = map(integer_table, (a, metric.g_inv, b))
     ra, rg, rb = (table_rows(t, d) for t in (ta, tg, tb))
     # all three are symmetric, so row j of b is its column j and
     # gb[j][k] = g^kl b_lj is column j of g^-1 b
@@ -68,7 +67,7 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
         for j in range(i, d):
             value = raw[i][j] + raw[j][i]
             if value:
-                entries[(i, j)] = table_ratio(value, scale)
+                entries[(i, j)] = Fraction(value, scale)
     return SymTensor(2, d, entries)
 
 

@@ -4,16 +4,14 @@ Every invariant in this package is computed over arbitrary-precision
 rationals so that identity checks can demand residuals of exactly zero.
 ``fractions.Fraction`` already guarantees lowest terms and a positive
 denominator; this module adds the coercion and formatting conventions used
-everywhere else. Inexact (floating) values are rejected here and must be
-opted into explicitly where supported.
+everywhere else. Inexact (floating) values are rejected here; the package
+has no second, floating arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-Scalar = Fraction
 
 # ASCII digits only: the grammar of document values, not of Fraction(),
 # which also parses decimals, exponents and Unicode digits

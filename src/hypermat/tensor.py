@@ -13,9 +13,9 @@ of d**(r-1) or d**(r-2) entries multiplied in C by ``map(mul, ...)``,
 and each output entry becomes one Fraction, the integer sum over the
 product of the scales. A result that must be symmetric is read off by
 summing each orbit of ordered indices (``orbit_means``). The engine's
-kernel builds its tables with the same function. An operand holding a
-float (``allow_inexact``) makes the whole contraction run unscaled in
-the operands' own arithmetic.
+kernel builds its tables with the same function. There is no second
+arithmetic: constructors reject floats, so every stored value is a
+Fraction and every table entry an integer.
 """
 
 from __future__ import annotations
@@ -76,21 +76,20 @@ class SymTensor:
 
     @classmethod
     def from_entries(cls, rank: int, dim: int,
-                     entries: Mapping[Sequence[int], object] | Iterable,
-                     *, allow_inexact: bool = False) -> "SymTensor":
+                     entries: Mapping[Sequence[int], object] | Iterable
+                     ) -> "SymTensor":
         """Build from (index, value) pairs; indices may be in any order.
 
         Two distinct input indices that land on the same canonical key are
         an error rather than last-wins. Values are coerced to exact
-        rationals unless ``allow_inexact`` is set, in which case floats are
-        stored as given.
+        rationals by ``rational.as_scalar``, which rejects floats.
         """
         if not (_is_integer(rank) and _is_integer(dim)):
             raise ValueError("rank and dim must be integers")
         if rank < 1 or dim < 1:
             raise ValueError(f"invalid shape: rank {rank}, dim {dim}")
         pairs = entries.items() if isinstance(entries, Mapping) else entries
-        canonical: dict[MultiIndex, object] = {}
+        canonical: dict[MultiIndex, Fraction] = {}
         for idx, value in pairs:
             idx = tuple(idx)
             if len(idx) != rank:
@@ -100,10 +99,7 @@ class SymTensor:
             key = canonical_key(idx)
             if key in canonical:
                 raise ValueError(f"duplicate canonical index {key}")
-            if allow_inexact and isinstance(value, float):
-                canonical[key] = value
-            else:
-                canonical[key] = as_scalar(value)
+            canonical[key] = as_scalar(value)
         return cls(rank, dim, {k: v for k, v in canonical.items() if v})
 
     def component(self, idx: Sequence[int]):
@@ -208,42 +204,25 @@ def _flat(idx: Sequence[int], dim: int) -> int:
     return flat
 
 
-def exact_values(*tensors: SymTensor) -> bool:
-    """True when every stored value is an int or a Fraction, that is when
-    no tensor carries a float from the ``allow_inexact`` path."""
-    return all(isinstance(v, (int, Fraction))
-               for t in tensors for v in t.entries.values())
-
-
-def integer_table(tensor: SymTensor, exact: bool):
+def integer_table(tensor: SymTensor):
     """Dense entries of a tensor over its d**r ordered indices (flat index
-    sum_k i_k d**(r-1-k)) and their common scale.
-
-    With ``exact`` every entry is an integer, the value times the lcm of
-    the tensor's denominators, and the scale is that lcm. Without it the
-    values are stored as they are and the scale is 1, so a float operand
-    keeps its own arithmetic; callers decide for all operands at once.
+    sum_k i_k d**(r-1-k)) and their common scale: every entry is an
+    integer, the value times the lcm of the tensor's denominators, and the
+    scale is that lcm.
     """
     entries = tensor.entries
     # star-args from a list, not a generator: a generator's tuple is grown
     # by resizing, which leaves tuples of many sizes on CPython's free
     # lists and measurably raises peak RSS over many calls
-    scale = math.lcm(*[v.denominator for v in entries.values()]) if exact else 1
+    scale = math.lcm(*[v.denominator for v in entries.values()])
     table = [0] * tensor.dim ** tensor.rank
     for key, flats in _orbits(tensor.rank, tensor.dim):
         v = entries.get(key)
         if v is not None:
-            if exact:
-                v = v.numerator * (scale // v.denominator)
+            v = v.numerator * (scale // v.denominator)
             for f in flats:
                 table[f] = v
     return table, scale
-
-
-def integer_tables(*tensors: SymTensor) -> list:
-    """``integer_table`` of each tensor, exact for all of them or for none."""
-    exact = exact_values(*tensors)
-    return [integer_table(t, exact) for t in tensors]
 
 
 def table_rows(table: list, count: int) -> list:
@@ -251,13 +230,6 @@ def table_rows(table: list, count: int) -> list:
     flattening for count d, the d**2 x d**(r-2) one for count d*d."""
     width = len(table) // count
     return [table[k:k + width] for k in range(0, len(table), width)]
-
-
-def table_ratio(raw, den: int):
-    """``raw / den`` for a sum over tables: an integer sum becomes one
-    Fraction, a float or Fraction sum from the inexact path is divided in
-    its own arithmetic."""
-    return Fraction(raw, den) if isinstance(raw, int) else raw / den
 
 
 def orbit_means(rank: int, dim: int, flat: Sequence, scale) -> SymTensor:
@@ -272,7 +244,7 @@ def orbit_means(rank: int, dim: int, flat: Sequence, scale) -> SymTensor:
     for key, flats in _orbits(rank, dim):
         total = sum([flat[f] for f in flats])
         if total:
-            entries[key] = table_ratio(total * num, den * len(flats))
+            entries[key] = Fraction(total * num, den * len(flats))
     return SymTensor(rank, dim, entries)
 
 
@@ -287,13 +259,13 @@ def sym_outer(x: SymTensor, y: SymTensor) -> SymTensor:
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     p, q, d = x.rank, y.rank, x.dim
-    (tx, sx), (ty, sy) = integer_tables(x, y)
+    (tx, sx), (ty, sy) = integer_table(x), integer_table(y)
     den = math.comb(p + q, p) * sx * sy
     entries = {}
     for key, splits in _outer_splits(p, q, d):
         acc = sum([weight * tx[a] * ty[b] for weight, a, b in splits])
         if acc:
-            entries[key] = table_ratio(acc, den)
+            entries[key] = Fraction(acc, den)
     return SymTensor(p + q, d, entries)
 
 
@@ -321,8 +293,8 @@ def _outer_splits(p: int, q: int, dim: int):
 def contract_full(x: SymTensor, y: SymTensor):
     """Sum over all d**r ordered tuples of x[idx] * y[idx]."""
     x._require_same_shape(y)
-    (tx, sx), (ty, sy) = integer_tables(x, y)
-    return table_ratio(sum(map(mul, tx, ty)), sx * sy)
+    (tx, sx), (ty, sy) = integer_table(x), integer_table(y)
+    return Fraction(sum(map(mul, tx, ty)), sx * sy)
 
 
 def contract_one_free(x: SymTensor, y: SymTensor) -> dict:
@@ -335,9 +307,9 @@ def contract_one_free(x: SymTensor, y: SymTensor) -> dict:
     if x.rank < 2:
         raise ValueError("contraction with one free index needs rank >= 2")
     d = x.dim
-    (tx, sx), (ty, sy) = integer_tables(x, y)
+    (tx, sx), (ty, sy) = integer_table(x), integer_table(y)
     xs, ys = table_rows(tx, d), table_rows(ty, d)
-    return {(i, j): table_ratio(sum(map(mul, xi, yj)), sx * sy)
+    return {(i, j): Fraction(sum(map(mul, xi, yj)), sx * sy)
             for i, xi in enumerate(xs) for j, yj in enumerate(ys)}
 
 

@@ -156,28 +156,6 @@ def basis_direction(rank: int, dim: int, key) -> SymTensor:
     return SymTensor.from_entries(rank, dim, {tuple(key): 1})
 
 
-def to_float(tensor: SymTensor) -> SymTensor:
-    return SymTensor.from_entries(
-        tensor.rank, tensor.dim,
-        {k: float(v) for k, v in tensor.entries.items()}, allow_inexact=True)
-
-
-def float_shift(tensor: SymTensor, key, step: float) -> SymTensor:
-    """Float tensor with the canonical component at `key` moved by step."""
-    entries = {k: float(v) for k, v in tensor.entries.items()}
-    entries[tuple(key)] = entries.get(tuple(key), 0.0) + step
-    return SymTensor.from_entries(tensor.rank, tensor.dim, entries,
-                                  allow_inexact=True)
-
-
-def central_difference(f, tensor: SymTensor, key, step: float = 1e-6) -> float:
-    """Central finite difference of f with respect to the canonical
-    component at `key`, on the float path."""
-    upper = f(float_shift(tensor, key, step))
-    lower = f(float_shift(tensor, key, -step))
-    return (upper - lower) / (2 * step)
-
-
 def to_dense_matrix(tensor: SymTensor):
     d = tensor.dim
     return [[tensor.component((i, j)) for j in range(d)] for i in range(d)]

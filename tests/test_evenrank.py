@@ -239,22 +239,6 @@ class TestGradients:
                 quotient = (d_num * det_g - numerator(g) * d_det) / det_g ** 2
                 assert quotient == mu * grad_g.component(key)
 
-    def test_float_path_against_central_differences(self):
-        from hypermat import multiplicity
-        a_exact = random_symmetric(4, 2, 47, 5)
-        g_exact = random_invertible_4(2, 48)
-        g_float = oracles.to_float(g_exact)
-        det_g = epsilon_determinant(g_float)
-        for s in (1, 2):
-            grad_a = invariants.grad_tensor(oracles.to_float(a_exact), g_float, s, det_g)
-            for key in canonical_keys(4, 2):
-                difference = oracles.central_difference(
-                    lambda t: invariants.invariant_of_order(t, g_float, s, det_g),
-                    a_exact, key)
-                formal = difference / multiplicity(key)
-                analytic = float(grad_a.component(key))
-                assert abs(formal - analytic) <= 1e-5 * max(1.0, abs(analytic))
-
 
 class TestRecurrence:
     def test_d2_rows_vanish(self):

@@ -164,15 +164,6 @@ class TestIntegerMetricProduct:
         assert g_product(self.A, zero, metric).is_zero()
         assert g_product(zero, zero, metric).is_zero()
 
-    def test_float_operand_keeps_float_arithmetic(self):
-        metric = self.metric()
-        expected, _ = _symmetrized_oracle_product(self.A, metric.g_inv, self.B)
-        product = g_product(oracles.to_float(self.A), self.B, metric)
-        for (i, j), value in product.entries.items():
-            assert isinstance(value, float)
-            assert value == pytest.approx(float(expected[i][j]), rel=1e-12)
-        assert len(product.entries) == 10
-
     def test_power_sums_skips_the_product_it_would_not_trace(self, monkeypatch):
         calls = []
         product = rank2.g_product

@@ -99,11 +99,9 @@ class TestComponents:
         with pytest.raises(ValueError, match="duplicate"):
             SymTensor.from_entries(2, 2, [((0, 1), 1), ((1, 0), 2)])
 
-    def test_inexact_values_need_opt_in(self):
+    def test_float_values_are_rejected(self):
         with pytest.raises(TypeError):
             SymTensor.from_entries(2, 2, {(0, 1): 0.5})
-        t = SymTensor.from_entries(2, 2, {(0, 1): 0.5}, allow_inexact=True)
-        assert t.component((1, 0)) == 0.5
 
     def test_booleans_are_not_integers(self):
         with pytest.raises(ValueError, match="integers"):
@@ -231,7 +229,7 @@ class TestContractions:
 class TestIntegerTables:
     def test_entries_are_values_times_the_lcm(self):
         x = random_symmetric(3, 3, 41, 7)
-        table, scale = integer_table(x, True)
+        table, scale = integer_table(x)
         assert scale == math.lcm(*(v.denominator for v in x.entries.values()))
         # bound-7 denominators include coprime pairs, so the scale exceeds
         # every single denominator
@@ -239,13 +237,6 @@ class TestIntegerTables:
         assert all(isinstance(v, int) for v in table)
         for flat, idx in enumerate(itertools.product(range(3), repeat=3)):
             assert Fraction(table[flat], scale) == x.component(idx)
-
-    def test_inexact_table_keeps_the_values(self):
-        x = oracles.to_float(random_symmetric(2, 2, 42, 7))
-        table, scale = integer_table(x, False)
-        assert scale == 1
-        assert table == [x.component(idx)
-                         for idx in itertools.product(range(2), repeat=2)]
 
     @pytest.mark.parametrize("rank,dim", [(4, 2), (4, 3), (3, 3)])
     def test_orbit_means_against_symmetrization(self, rank, dim):
@@ -255,23 +246,6 @@ class TestIntegerTables:
             rank, dim, lambda idx: flat[sum(i * dim ** (rank - 1 - k)
                                             for k, i in enumerate(idx))])
         assert orbit_means(rank, dim, flat, scale) == expected * scale
-
-    def test_contractions_of_an_inexact_operand_stay_floats(self):
-        x = random_symmetric(3, 3, 43, 7)
-        y = random_symmetric(3, 3, 44, 7)
-        fx = oracles.to_float(x)
-        full = contract_full(fx, y)
-        assert isinstance(full, float)
-        assert full == pytest.approx(float(contract_full(x, y)))
-        exact, inexact = contract_one_free(x, y), contract_one_free(fx, y)
-        for key, value in exact.items():
-            assert isinstance(inexact[key], float) or value == 0
-            assert inexact[key] == pytest.approx(float(value))
-        exact, inexact = sym_outer(x, y), sym_outer(fx, y)
-        for key in canonical_keys(6, 3):
-            value = inexact.component(key)
-            assert isinstance(value, float) or exact.component(key) == 0
-            assert value == pytest.approx(float(exact.component(key)))
 
 
 class TestRandomSymmetric:
