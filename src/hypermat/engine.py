@@ -23,11 +23,13 @@ Every sum runs through one kernel, ``_signed_sum``:
   factor product unchanged and multiplies its sign by sgn(pi)**r. For
   even rank that is +1, so the sum is |H| times the sum with the first
   permutation increasing on each class of identical non-freed factors,
-  H being the product of the classes' symmetric groups. For odd rank the
-  terms of an orbit cancel in pairs instead, so every permutation is
-  enumerated. The coset restriction (two blocks, s!(d-s)!) and the
-  row-product determinant (first permutation fixed to the identity) are
-  the same restriction with explicitly given classes.
+  H being the product of the classes' symmetric groups. This is the
+  first-level case of the state identity under "Coalesced states"; for
+  odd rank no lead is restricted, and the states of a repeated factor
+  cancel after the first level instead. The coset restriction (two
+  blocks, s!(d-s)!) and the row-product determinant (first permutation
+  fixed to the identity) are the same restriction with explicitly given
+  classes.
 - Free positions. A gradient leaves one position out of the product and
   accumulates each term at the flat index of that position's r indices;
   a permutation coefficient tensor leaves several out. The position
@@ -43,14 +45,25 @@ Every sum runs through one kernel, ``_signed_sum``:
   level every prefix offset is mapped to the offset of its sorted prefix
   (one lookup list per prefix length, cached per (rank, dim)), equal
   states are merged with their signs summed into an integer
-  coefficient, and states whose coefficient is 0 are dropped. A one-index
-  prefix is already sorted, so nothing merges after the first level.
-  A lone freed slot has the table layout and is folded the same way, so
-  a gradient's sum is exact per orbit of ordered indices, which is all
-  a symmetric result needs; two or more freed slots keep their ordered
-  layout. Rank 2 places only one level before the last and is
-  enumerated as before. The terms a request covers, and the count
-  ``_plan`` reports for it, do not change.
+  coefficient, and states whose coefficient is 0 are dropped.
+  Identical factors merge positions as well: a permutation sigma of
+  held positions within one class, applied to a state's prefixes,
+  multiplies its continuation by sgn(sigma) per level still to place
+  (substitute p o sigma for each later permutation p). So after each
+  level's merge the prefix offsets are sorted within each class and the
+  coefficient takes the parity of that sort when an odd number of
+  levels remains; a state with two equal prefixes in one class is then
+  dropped, its continuation being its own negative. Classes need not be
+  adjacent ([a, g, a]), and the canonical forms are memoized per shape,
+  class layout and parity (``_canonical_forms``). A first level
+  restricted on the classes is sorted already and skips the step, so
+  rank 2 does no extra work. A lone freed slot has the table layout and
+  is folded like a prefix, so a gradient's sum is exact per orbit of
+  ordered indices, which is all a symmetric result needs; two or more
+  freed slots keep their ordered layout. A freed position is in no
+  class, so sorting within classes leaves the freed indices as they
+  are. The terms a request covers, and the count ``_plan`` reports for
+  it, do not change.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, so one identity sample asks for most of its
@@ -80,7 +93,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter, methodcaller
+from operator import add, eq, itemgetter, methodcaller
 from typing import Sequence
 
 from .errors import SingularTensorError
@@ -119,10 +132,13 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple):
 
     Every level (sign symbol) but the last is a list of (sign, table
     offsets of the non-freed positions, output offset) per permutation;
-    the first level holds only permutations increasing on each class. The
-    last level has stride one, so it is grouped by output offset into
-    getters that pick the sign and one entry per non-freed row from the
-    rows laid end to end behind a leading (1, -1).
+    the first level holds only permutations increasing on each class,
+    which leaves the states it reaches in the canonical form the later
+    levels sort into (see "Coalesced states"). The last level has stride
+    one, so it is grouped by output offset into getters that pick the
+    sign and one entry per non-freed row from the rows laid end to end
+    behind a leading (1, -1). ``terms`` counts the permutation tuples the
+    restricted sum covers, whatever the kernel merges on the way.
     """
     perms = signed_permutations(dim)
     leads = [(p, s) for p, s in perms
@@ -163,6 +179,37 @@ def _sorted_prefixes(rank: int, dim: int):
                 map(math.prod, zip(sorted(prefix), strides)))
         maps.append(sorted_at)
     return tuple(maps)
+
+
+def _canonical(base: tuple, layout: tuple, odd: int):
+    """(prefixes, sign) of the canonical state of ``base``: the prefix
+    offsets sorted within each class of ``layout``, and the sign the
+    continuation picks up, the parity of that sort when an odd number of
+    levels remains. The sign is 0 when two prefixes of one class are
+    equal at an odd count: the swap fixes the state and flips its
+    continuation, which is therefore 0."""
+    base = list(base)
+    sign = 1
+    for positions in layout:
+        values = [base[j] for j in positions]
+        ordered = sorted(values)
+        if odd:
+            if any(map(eq, ordered, ordered[1:])):
+                return None, 0
+            sign *= permutation_sign(values)
+        for j, v in zip(positions, ordered):
+            base[j] = v
+    return tuple(base), sign
+
+
+@lru_cache(maxsize=64)
+def _canonical_forms(rank: int, dim: int, layout: tuple) -> tuple:
+    """Memo of ``_canonical`` for one shape and class layout, one dict
+    per parity of the levels still to place, filled as the kernel meets
+    new prefixes: a state costs one lookup once its shape has run. Each
+    dict holds at most the prefixes that shape can reach, and at most 64
+    shapes are kept."""
+    return {}, {}
 
 
 # (sums by request key, (tensor, entry set) by id)
@@ -246,10 +293,18 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
         denominator *= scale ** len(group)
     rows = [table_at[t] for t in held]
 
+    # held positions of each class of identical factors, as indices into
+    # a state's prefixes; a first level restricted on ``classes`` leaves
+    # them sorted already, so rank 2 never needs them
+    layout = ()
+    if len(groups) < len(held) and (len(outer) > 1 or not classes):
+        layout = tuple(tuple(map(held.index, group))
+                       for group in groups if len(group) > 1)
+        forms = _canonical_forms(rank, dim, layout)
     # states map (held prefix offsets, output offset) to the summed sign
     # of the partial terms that reach them
     states = {((0,) * len(held), 0): 1}
-    for level, sorted_at in zip(outer, _sorted_prefixes(rank, dim)):
+    for k, (level, sorted_at) in enumerate(zip(outer, _sorted_prefixes(rank, dim))):
         fold = sorted_at.__getitem__
         # two or more freed slots keep their ordered layout (int is the
         # identity on offsets)
@@ -259,6 +314,19 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
             for s, offsets, o in level:
                 key = (tuple(map(fold, map(add, base, offsets))), fold_out(out + o))
                 merged[key] = merged.get(key, 0) + coeff * s
+        if layout and (k or not classes):
+            odd = (rank - 1 - k) % 2
+            memo = forms[odd]
+            canonical: dict = {}
+            for (base, out), coeff in merged.items():
+                form = memo.get(base)
+                if form is None:
+                    form = memo[base] = _canonical(base, layout, odd)
+                prefixes, sign = form
+                if sign:
+                    key = (prefixes, out)
+                    canonical[key] = canonical.get(key, 0) + coeff * sign
+            merged = canonical
         states = {key: coeff for key, coeff in merged.items() if coeff}
     acc = [0] * size
     for (base, out), coeff in states.items():

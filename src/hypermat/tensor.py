@@ -209,12 +209,22 @@ def integer_table(tensor: SymTensor):
     sum_k i_k d**(r-1-k)) and their common scale: every entry is an
     integer, the value times the lcm of the tensor's denominators, and the
     scale is that lcm.
+
+    Raises TypeError for a value without a denominator (a float), which
+    only the bare constructor lets in; ``from_entries`` rejects it up front.
     """
     entries = tensor.entries
     # star-args from a list, not a generator: a generator's tuple is grown
     # by resizing, which leaves tuples of many sizes on CPython's free
     # lists and measurably raises peak RSS over many calls
-    scale = math.lcm(*[v.denominator for v in entries.values()])
+    try:
+        scale = math.lcm(*[v.denominator for v in entries.values()])
+    except AttributeError:
+        value = next(v for v in entries.values() if not hasattr(v, "denominator"))
+        raise TypeError(
+            f"tensor value {value!r} is not an exact rational; build tensors "
+            "with SymTensor.from_entries, which converts and checks values"
+        ) from None
     table = [0] * tensor.dim ** tensor.rank
     for key, flats in _orbits(tensor.rank, tensor.dim):
         v = entries.get(key)

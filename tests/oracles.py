@@ -52,6 +52,24 @@ def brute_epsilon_product(factors):
     return total
 
 
+def brute_row_product_det(tensor: SymTensor):
+    """Row-product determinant: the first index of each factor runs over
+    the diagonal 0..d-1 and each of the r-1 other indices over a
+    permutation, every tuple of those permutations enumerated and signed
+    by inversion count."""
+    d = tensor.dim
+    total = Fraction(0)
+    for perms in itertools.product(itertools.permutations(range(d)),
+                                   repeat=tensor.rank - 1):
+        term = Fraction(1)
+        for perm in perms:
+            term *= sign_of(perm)
+        for i in range(d):
+            term *= tensor.component((i,) + tuple(perm[i] for perm in perms))
+        total += term
+    return total
+
+
 def leibniz_det(matrix: SymTensor):
     """Single permutation sum for a rank-2 tensor."""
     d = matrix.dim

@@ -307,9 +307,27 @@ def test_identical_factors_match_the_oracles(rank, dim):
                 assert derivative == multiplicity(key) * grad.component(key)
 
 
+def _assert_gradients_are_derivatives(factors, slots):
+    """Every canonical key of the gradient at each slot equals the exact
+    directional derivative of the product (linear in the slot)."""
+    rank, dim = factors[0].rank, factors[0].dim
+    for slot in slots:
+        grad = epsilon_product_gradient(factors, slot)
+        for key in canonical_keys(rank, dim):
+            def shifted(tensor):
+                replaced = list(factors)
+                replaced[slot] = tensor
+                return epsilon_product(replaced)
+
+            derivative = oracles.directional_derivative(
+                shifted, factors[slot], oracles.basis_direction(rank, dim, key), 1)
+            assert derivative == multiplicity(key) * grad.component(key)
+
+
 class TestCoalescedStates:
     """Shapes with a level past the first, where the kernel merges partial
-    terms whose held index prefixes agree once sorted."""
+    terms whose held index prefixes agree once sorted, and states that
+    differ only by a permutation of the positions of identical factors."""
 
     @pytest.mark.parametrize("pattern", ["azg", "aga"])
     def test_rank6_dim3_matches_the_oracle(self, pattern):
@@ -353,6 +371,55 @@ class TestCoalescedStates:
                 lambda t: epsilon_product([a, t, a]), b,
                 oracles.basis_direction(6, 3, key), 1)
             assert derivative == multiplicity(key) * grad.component(key)
+
+    def test_canonical_form_sorts_within_each_class(self):
+        two = ((0, 2), (1, 3))
+        # class (0, 2) holds 5, 1 (one swap), class (1, 3) holds 3, 9
+        assert engine._canonical((5, 3, 1, 9), two, 0) == ((1, 3, 5, 9), 1)
+        assert engine._canonical((5, 3, 1, 9), two, 1) == ((1, 3, 5, 9), -1)
+        # a cycle of three is even, a swap odd; a position in no class stays
+        assert engine._canonical((2, 0, 1), ((0, 1, 2),), 1) == ((0, 1, 2), 1)
+        assert engine._canonical((1, 0, 2), ((0, 1, 2),), 1) == ((0, 1, 2), -1)
+        assert engine._canonical((5, 0, 1), ((0, 2),), 1) == ((1, 0, 5), -1)
+        # equal prefixes: the continuation is 0 at an odd count only
+        assert engine._canonical((4, 7, 4, 7), two, 1)[1] == 0
+        assert engine._canonical((7, 7, 4, 4), two, 0) == ((4, 4, 7, 7), 1)
+
+    @pytest.mark.parametrize("rank", [3, 5])
+    def test_odd_rank_repeated_factors_cancel(self, rank):
+        # odd rank enumerates every lead; the states of a repeated factor
+        # cancel after the first level, and a gradient that frees one copy
+        # holds two distinct factors and does not vanish
+        a = _coprime_factor(rank, 3)
+        g = random_symmetric(rank, 3, 200 + rank, 5)
+        for factors in ([a, a, g], [a, g, a]):
+            assert epsilon_product(factors) == 0
+            assert oracles.brute_epsilon_product(factors) == 0
+            assert not epsilon_product_gradient(factors, factors.index(g)).entries
+            assert epsilon_product_gradient(factors, 0).entries
+            _assert_gradients_are_derivatives(factors, range(3))
+
+    @pytest.mark.parametrize("rank", [4, 6])
+    def test_a_freed_copy_and_non_adjacent_classes(self, rank):
+        # [a, a, g] freed at slot 1 holds a once: its copy is not in a
+        # class; [a, g, a] puts one class on positions 0 and 2
+        a = _coprime_factor(rank, 3)
+        g = random_symmetric(rank, 3, 210 + rank, 5)
+        if rank == 4:
+            for factors in ([a, a, g], [a, g, a]):
+                assert epsilon_product(factors) == oracles.brute_epsilon_product(factors)
+        _assert_gradients_are_derivatives([a, a, g], [1])
+        _assert_gradients_are_derivatives([a, g, a], range(3))
+        assert epsilon_product_gradient([a, a, g], 1).entries
+
+    def test_rank4_dim4_coset_matches_the_unrestricted_sum(self):
+        a, g = (random_symmetric(4, 4, 220 + t, 5) for t in (0, 1))
+        factors = [a, a, g, g]
+        acc, scale, terms = engine._signed_sum(factors, (), ())
+        assert terms == math.factorial(4) ** 4
+        value = coset_restricted_product(factors, 2)
+        assert value != 0
+        assert value == acc[0] * scale == epsilon_product([a, g, g, a])
 
 
 class TestSharedSums:

@@ -85,6 +85,16 @@ class TestCayleyDet:
         s = SymTensor.from_entries(3, 2, {(0, 0, 0): 1, (1, 1, 1): 1})
         assert cayley_det(s) == 1
 
+    @pytest.mark.parametrize("rank,dim", [(3, 2), (3, 3), (5, 2), (5, 3),
+                                          (4, 3), (6, 2)])
+    def test_matches_the_row_product_oracle(self, rank, dim):
+        # the lead is fixed, so the kernel's later levels merge states
+        # of the one class at both parities of the levels still to place
+        a = random_symmetric(rank, dim, 60 + 7 * rank + dim, 5)
+        value = cayley_det(a)
+        assert value == oracles.brute_row_product_det(a)
+        assert value != 0
+
 
 class TestInverse:
     def test_hand_components(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hypermat import (SymTensor, as_scalar, canonical_keys,
                       contract_full, contract_one_free, format_scalar,
-                      epsilon_inverse, identity, multiplicity,
+                      epsilon_determinant, epsilon_inverse, identity, multiplicity,
                       random_symmetric, sym_outer)
 from hypermat.tensor import integer_table, orbit_means
 
@@ -237,6 +237,15 @@ class TestIntegerTables:
         assert all(isinstance(v, int) for v in table)
         for flat, idx in enumerate(itertools.product(range(3), repeat=3)):
             assert Fraction(table[flat], scale) == x.component(idx)
+
+    def test_a_float_from_the_bare_constructor_is_a_type_error(self):
+        # the dataclass constructor checks nothing; the table every exact
+        # contraction reads names the value instead of failing inside it
+        x = SymTensor(2, 2, {(0, 0): 0.5, (1, 1): 2.0})
+        with pytest.raises(TypeError, match=r"0\.5.*from_entries"):
+            epsilon_determinant(x)
+        with pytest.raises(TypeError, match="from_entries"):
+            contract_full(x, x)
 
     @pytest.mark.parametrize("rank,dim", [(4, 2), (4, 3), (3, 3)])
     def test_orbit_means_against_symmetrization(self, rank, dim):
