@@ -10,14 +10,15 @@ this primitive or of its slot-freed gradients.
 
 Every sum runs through one kernel, ``_signed_sum``:
 
-- Integer tables. Each distinct factor is expanded once per call into a
+- Integer tables. Each distinct factor is read as its integer table, a
   dense list over its d**r ordered indices (flat index sum_k i_k d**(r-1-k)),
-  so no index is sorted inside the loop. A factor is stored times the
-  lcm of its denominators; the inner loop multiplies and adds Python
-  integers only, and the scales are divided out once at the end. The
-  builder, ``tensor.integer_table``, is shared with the tensor layer,
-  whose contractions run on the same tables, and a gradient's orbit sums
-  are normalized by ``tensor.orbit_means``, one Fraction per entry.
+  so no index is sorted inside the loop. A table holds the numerators of
+  the factor's form over its one scale; the inner loop multiplies and
+  adds Python integers only, and the scales are divided out once at the
+  end. ``tensor.integer_table`` builds a tensor's table once and caches
+  it on the tensor, and the tensor layer's contractions read the same
+  tables; a gradient's orbit sums become one form through
+  ``tensor.orbit_means``.
 - Lead-symbol restriction. Permuting the positions of identical factors
   (the same permutation applied to every sign symbol) leaves a term's
   factor product unchanged and multiplies its sign by sgn(pi)**r. For
@@ -69,12 +70,14 @@ Every sum runs through one kernel, ``_signed_sum``:
   d-s copies of a metric, so one identity sample asks for most of its
   sums several times. Inside a ``with shared_sums():`` block each sum is
   enumerated once: a request is keyed by (rank, dim, freed positions,
-  classes, the frozenset of each factor's entries) and a repeat is
-  served from a dict that lives only as long as the block. Results are
-  immutable (``acc`` is a tuple). The dict is scoped, not global: a
-  sample reuses only its own sums, so the cost of a call never depends
-  on what ran before it, and the memory goes when the block ends.
-  Outside a block every request is enumerated.
+  classes, each factor's ``form``) and a repeat is served from a dict
+  that lives only as long as the block. A form is the tensor's value in
+  lowest terms, so equal factors give equal keys whatever object holds
+  them, and the block keeps no tensor alive. Results are immutable
+  (``acc`` is a tuple). The dict is scoped, not global: a sample reuses
+  only its own sums, so the cost of a call never depends on what ran
+  before it, and the memory goes when the block ends. Outside a block
+  every request is enumerated.
 
 Derivative convention used package-wide: gradients are formal, treating
 all d**r ordered components of a factor as independent. The derivative
@@ -202,17 +205,22 @@ def _canonical(base: tuple, layout: tuple, odd: int):
     return tuple(base), sign
 
 
+# entries a shape's memo may hold after a call; the suites' shapes stay
+# far below (rank 6 d=3 reaches 94 + 195), a rank-6 d=4 gradient does not
+_CANONICAL_FORMS_LIMIT = 4096
+
+
 @lru_cache(maxsize=64)
 def _canonical_forms(rank: int, dim: int, layout: tuple) -> tuple:
     """Memo of ``_canonical`` for one shape and class layout, one dict
     per parity of the levels still to place, filled as the kernel meets
-    new prefixes: a state costs one lookup once its shape has run. Each
-    dict holds at most the prefixes that shape can reach, and at most 64
-    shapes are kept."""
+    new prefixes: a state costs one lookup once its shape has run. At
+    most 64 shapes are kept, and a call that leaves a shape's memo with
+    more than ``_CANONICAL_FORMS_LIMIT`` entries empties it."""
     return {}, {}
 
 
-# (sums by request key, (tensor, entry set) by id)
+# sums by request key
 _SHARED: ContextVar = ContextVar("hypermat_shared_sums", default=None)
 
 
@@ -220,12 +228,10 @@ _SHARED: ContextVar = ContextVar("hypermat_shared_sums", default=None)
 def shared_sums():
     """Enumerate each distinct signed sum once within the block.
 
-    The block also holds every tensor passed to the kernel, reading its
-    entries once; tensors are immutable values, so that read stays valid.
     A nested block starts empty and the enclosing one resumes when it
     ends.
     """
-    token = _SHARED.set(({}, {}))
+    token = _SHARED.set({})
     try:
         yield
     finally:
@@ -247,16 +253,11 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
     result is the full sum; given classes restrict it as stated and the
     result is the restricted sum itself.
     """
-    scope = _SHARED.get()
-    if scope is None:
+    sums = _SHARED.get()
+    if sums is None:
         return _enumerate(factors, free, classes)
-    sums, contents = scope
-    for f in factors:
-        # held in the scope, f keeps its id from naming another tensor
-        if id(f) not in contents:
-            contents[id(f)] = f, frozenset(f.entries.items())
-    entry_sets = tuple(contents[id(f)][1] for f in factors)
-    key = (factors[0].rank, factors[0].dim, free, classes, entry_sets)
+    key = (factors[0].rank, factors[0].dim, free, classes,
+           tuple([f.form for f in factors]))
     result = sums.get(key)
     if result is None:
         result = sums[key] = _enumerate(factors, free, classes)
@@ -328,6 +329,9 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
                     canonical[key] = canonical.get(key, 0) + coeff * sign
             merged = canonical
         states = {key: coeff for key, coeff in merged.items() if coeff}
+    if layout and len(forms[0]) + len(forms[1]) > _CANONICAL_FORMS_LIMIT:
+        forms[0].clear()
+        forms[1].clear()
     acc = [0] * size
     for (base, out), coeff in states.items():
         flat = [1, -1]

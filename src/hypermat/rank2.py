@@ -50,7 +50,7 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
     Powers of a single matrix are symmetric already (the products are
     palindromes), so for them the symmetrization is a no-op. The
     operands are multiplied as integer rows, scaled as in the engine
-    kernel, and each entry becomes one Fraction at the end.
+    kernel, and the result is one form over the product of the scales.
     """
     d = a.dim
     if b.dim != d or metric.g.dim != d or a.rank != 2 or b.rank != 2:
@@ -61,14 +61,9 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
     # gb[j][k] = g^kl b_lj is column j of g^-1 b
     gb = [[sum(map(mul, rg_k, rb_j)) for rg_k in rg] for rb_j in rb]
     raw = [[sum(map(mul, ra_i, gb_j)) for gb_j in gb] for ra_i in ra]
-    scale = 2 * sa * sg * sb
-    entries = {}
-    for i in range(d):
-        for j in range(i, d):
-            value = raw[i][j] + raw[j][i]
-            if value:
-                entries[(i, j)] = Fraction(value, scale)
-    return SymTensor(2, d, entries)
+    # canonical keys (i, j), i <= j, in ``canonical_keys`` order
+    return SymTensor.from_form(2, d, [raw[i][j] + raw[j][i] for i in range(d)
+                                      for j in range(i, d)], 2 * sa * sg * sb)
 
 
 def g_trace(a: SymTensor, metric: MetricPair):

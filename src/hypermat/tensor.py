@@ -1,21 +1,31 @@
 """Completely symmetric tensors over exact scalars.
 
-Storage is sparse and canonical: an entry is kept once per sorted index
-tuple (the canonical key), and a lookup at any index ordering resolves
-through sorting. The number of distinct orderings of a key is its
-multiplicity.
+A tensor is stored in one exact form, ``(numerators, scale)``: one
+integer per canonical key (a sorted index tuple), in ``canonical_keys``
+order, over one positive common denominator, in lowest terms. A lookup
+at any index ordering resolves through sorting, and the number of
+distinct orderings of a key is its multiplicity. Because the form is in
+lowest terms, two tensors are equal exactly when their forms are.
 
-Exact contractions run on integer tables (``integer_table``): a tensor
-is expanded once into a dense list over its d**r ordered indices, each
-entry its value times the lcm of the tensor's denominators. A
-contraction is then integer sums over flattenings of those lists, rows
-of d**(r-1) or d**(r-2) entries multiplied in C by ``map(mul, ...)``,
-and each output entry becomes one Fraction, the integer sum over the
-product of the scales. A result that must be symmetric is read off by
-summing each orbit of ordered indices (``orbit_means``). The engine's
-kernel builds its tables with the same function. There is no second
-arithmetic: constructors reject floats, so every stored value is a
-Fraction and every table entry an integer.
+Arithmetic runs on the numerators: ``+`` and ``-`` bring both operands
+to the lcm of their scales, ``* scalar`` multiplies numerators and
+scale by the scalar's numerator and denominator, and one ``math.gcd``
+pass reduces the result. ``max_abs`` and ``is_zero`` read the numerators,
+so checking a residual builds one Fraction. ``entries``, a dict from
+canonical key to nonzero Fraction, is a view built on first access; a
+tensor built from entries (the bare constructor or ``from_entries``)
+derives its form on first use instead.
+
+Exact contractions run on integer tables (``integer_table``): the form
+expanded once per tensor, and cached on it, into a dense list over the
+d**r ordered indices. A contraction is then integer sums over
+flattenings of those lists, rows of d**(r-1) or d**(r-2) entries
+multiplied in C by ``map(mul, ...)``, over the product of the scales. A
+result that must be symmetric is read off by summing each orbit of
+ordered indices (``orbit_means``), and the builders return forms
+directly. The engine's kernel reads the same tables. There is no second
+arithmetic: a float cannot enter a form, so every table entry is an
+integer.
 """
 
 from __future__ import annotations
@@ -23,10 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .rational import as_scalar
@@ -57,22 +66,79 @@ def canonical_keys(rank: int, dim: int):
     return itertools.combinations_with_replacement(range(dim), rank)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=32)
+def _layout(rank: int, dim: int):
+    """Per-shape index structure: the canonical keys in ``canonical_keys``
+    order, the position of each key in that order, and per key the flat
+    ordered indices of its orbit (flat index sum_k i_k dim**(r-1-k)) with
+    the weight rank!/(orbit size) that turns an orbit sum into rank!
+    times its mean."""
+    keys = tuple(canonical_keys(rank, dim))
+    position = {key: k for k, key in enumerate(keys)}
+    flats: list = [[] for _ in keys]
+    for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
+        flats[position[tuple(sorted(idx))]].append(flat)
+    orbits = tuple((tuple(fs), math.factorial(rank) // len(fs)) for fs in flats)
+    return keys, position, orbits
+
+
+_set = object.__setattr__
+
+
 class SymTensor:
     """Completely symmetric tensor of fixed rank and dimension.
 
-    ``entries`` maps canonical keys to nonzero values; an absent key is
-    zero. Instances are immutable values (all arithmetic returns new
-    tensors), so they are safe to share across threads.
+    ``form`` is ``(numerators, scale)`` as described in the module
+    docstring; ``entries`` maps canonical keys to nonzero Fractions, an
+    absent key being zero. Instances are immutable values (setting an
+    attribute raises, and all arithmetic returns new tensors), so they are
+    safe to share across threads; the views they build on first access
+    are derived from the value and never change it. Tensors are not
+    hashable; ``form`` is.
     """
 
-    rank: int
-    dim: int
-    entries: Mapping[MultiIndex, Fraction]
+    __slots__ = ("rank", "dim", "_form", "_entries", "_table")
+    __hash__ = None
+
+    def __init__(self, rank: int, dim: int, entries: Mapping[MultiIndex, Fraction]):
+        # entries as given, keyed by canonical keys; nothing is checked
+        # until the form is derived (``from_entries`` checks up front)
+        _set(self, "rank", rank)
+        _set(self, "dim", dim)
+        _set(self, "_form", None)
+        _set(self, "_entries", entries)
+        _set(self, "_table", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SymTensor is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SymTensor is immutable; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"SymTensor(rank={self.rank}, dim={self.dim}, entries={self.entries!r})"
 
     @classmethod
     def zero(cls, rank: int, dim: int) -> "SymTensor":
-        return cls(rank, dim, {})
+        return _from_reduced(rank, dim, (0,) * len(_layout(rank, dim)[0]), 1)
+
+    @classmethod
+    def from_form(cls, rank: int, dim: int, numerators: Iterable[int],
+                  scale: int = 1) -> "SymTensor":
+        """Tensor whose value at the k-th canonical key (``canonical_keys``
+        order) is ``numerators[k] / scale``, for integer numerators and a
+        positive integer scale; one gcd pass brings it to lowest terms."""
+        numerators = tuple(numerators)
+        if len(numerators) != len(_layout(rank, dim)[0]):
+            raise ValueError(f"{len(numerators)} numerators for the "
+                             f"canonical keys of rank {rank}, dim {dim}")
+        if scale < 1:
+            raise ValueError(f"scale {scale} is not positive")
+        g = math.gcd(scale, *numerators)
+        if g != 1:
+            numerators = tuple([n // g for n in numerators])
+            scale //= g
+        return _from_reduced(rank, dim, numerators, scale)
 
     @classmethod
     def from_entries(cls, rank: int, dim: int,
@@ -102,6 +168,65 @@ class SymTensor:
             canonical[key] = as_scalar(value)
         return cls(rank, dim, {k: v for k, v in canonical.items() if v})
 
+    @property
+    def form(self) -> tuple:
+        """``(numerators, scale)``: a tuple of integers over the canonical
+        keys in ``canonical_keys`` order and their positive common
+        denominator, in lowest terms.
+
+        Raises TypeError for a value without a denominator (a float), which
+        only the bare constructor lets in; ``from_entries`` rejects it up
+        front.
+        """
+        form = self._form
+        if form is None:
+            entries = self._entries
+            # star-args from a list, not a generator: a generator's tuple is
+            # grown by resizing, which leaves tuples of many sizes on
+            # CPython's free lists and measurably raises peak RSS over many
+            # calls
+            try:
+                scale = math.lcm(*[v.denominator for v in entries.values()])
+            except AttributeError:
+                value = next(v for v in entries.values()
+                             if not hasattr(v, "denominator"))
+                raise TypeError(
+                    f"tensor value {value!r} is not an exact rational; build "
+                    "tensors with SymTensor.from_entries, which converts and "
+                    "checks values") from None
+            # over the lcm of lowest-terms denominators the numerators share
+            # no factor with the scale, so the form is reduced already
+            _, position, _ = _layout(self.rank, self.dim)
+            numerators = [0] * len(position)
+            try:
+                for key, v in entries.items():
+                    numerators[position[key]] = v.numerator * (scale // v.denominator)
+            except KeyError as error:
+                raise ValueError(f"{error.args[0]} is not a canonical key of rank "
+                                 f"{self.rank}, dim {self.dim}") from None
+            form = tuple(numerators), scale
+            _set(self, "_form", form)
+        return form
+
+    @property
+    def entries(self) -> dict:
+        """Canonical key to nonzero Fraction, built from the form on first
+        access. Read-only by contract, like the tensor."""
+        entries = self._entries
+        if entries is None:
+            numerators, scale = self._form
+            keys = _layout(self.rank, self.dim)[0]
+            entries = {key: Fraction(n, scale)
+                       for key, n in zip(keys, numerators) if n}
+            _set(self, "_entries", entries)
+        return entries
+
+    def __eq__(self, other):
+        if not isinstance(other, SymTensor):
+            return NotImplemented
+        return self is other or (self.rank == other.rank and self.dim == other.dim
+                                 and self.form == other.form)
+
     def component(self, idx: Sequence[int]):
         """Value at any index ordering (zero when the key is absent)."""
         idx = tuple(idx)
@@ -120,11 +245,12 @@ class SymTensor:
         return sorted(self.entries.items())
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.form[0])
 
     def max_abs(self):
         """Largest absolute component; zero for the zero tensor."""
-        return max((abs(v) for v in self.entries.values()), default=Fraction(0))
+        numerators, scale = self.form
+        return Fraction(max(map(abs, numerators)), scale)
 
     def _require_same_shape(self, other: "SymTensor"):
         if (self.rank, self.dim) != (other.rank, other.dim):
@@ -132,38 +258,53 @@ class SymTensor:
                 f"shape mismatch: rank {self.rank} dim {self.dim} "
                 f"vs rank {other.rank} dim {other.dim}")
 
-    def __add__(self, other: "SymTensor") -> "SymTensor":
+    def _combine(self, other: "SymTensor", op) -> "SymTensor":
+        # op(self, other) entrywise, both brought to the lcm of the scales
         self._require_same_shape(other)
-        merged = dict(self.entries)
-        for key, value in other.entries.items():
-            total = merged.get(key, 0) + value
-            if total:
-                merged[key] = total
-            else:
-                merged.pop(key, None)
-        return SymTensor(self.rank, self.dim, merged)
+        (xn, xs), (yn, ys) = self.form, other.form
+        scale = math.lcm(xs, ys)
+        if xs != scale:
+            xn = [n * (scale // xs) for n in xn]
+        if ys != scale:
+            yn = [n * (scale // ys) for n in yn]
+        return SymTensor.from_form(self.rank, self.dim, list(map(op, xn, yn)), scale)
 
-    def __neg__(self) -> "SymTensor":
-        return SymTensor(self.rank, self.dim,
-                         {k: -v for k, v in self.entries.items()})
+    def __add__(self, other: "SymTensor") -> "SymTensor":
+        return self._combine(other, add)
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
-        return self + (-other)
+        return self._combine(other, sub)
+
+    def __neg__(self) -> "SymTensor":
+        numerators, scale = self.form
+        return _from_reduced(self.rank, self.dim, tuple([-n for n in numerators]), scale)
 
     def __mul__(self, scalar) -> "SymTensor":
         if isinstance(scalar, SymTensor):
             return NotImplemented
-        if not scalar:
-            return SymTensor.zero(self.rank, self.dim)
-        return SymTensor(self.rank, self.dim,
-                         {k: v * scalar for k, v in self.entries.items()})
+        try:
+            p, q = scalar.numerator, scalar.denominator
+        except AttributeError:
+            raise TypeError(f"scalar {scalar!r} is not an exact rational; "
+                            "tensors scale by ints and Fractions only") from None
+        numerators, scale = self.form
+        return SymTensor.from_form(self.rank, self.dim,
+                                   [n * p for n in numerators], scale * q)
 
     __rmul__ = __mul__
 
 
+def _from_reduced(rank: int, dim: int, numerators: tuple, scale: int) -> SymTensor:
+    # a tensor from a form known to be in lowest terms; its entries are
+    # built on first access
+    tensor = SymTensor(rank, dim, None)
+    _set(tensor, "_form", (numerators, scale))
+    return tensor
+
+
 def identity(dim: int) -> SymTensor:
     """Rank-2 unit matrix."""
-    return SymTensor(2, dim, {(i, i): Fraction(1) for i in range(dim)})
+    return _from_reduced(2, dim, tuple([int(i == j) for i, j in _layout(2, dim)[0]]), 1)
 
 
 def from_matrix(rows: Sequence[Sequence]) -> SymTensor:
@@ -184,16 +325,8 @@ def from_matrix(rows: Sequence[Sequence]) -> SymTensor:
 
 # Integer tables. Every contraction below reads its operands as dense
 # lists over the d**r ordered indices, each entry an integer numerator
-# over one scale per tensor, and forms one Fraction per output entry.
-
-
-@lru_cache(maxsize=32)
-def _orbits(rank: int, dim: int):
-    # each canonical key with the flat ordered indices of its orderings
-    orbits: dict = {}
-    for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
-        orbits.setdefault(tuple(sorted(idx)), []).append(flat)
-    return tuple((key, tuple(flats)) for key, flats in orbits.items())
+# over one scale per tensor, and forms one Fraction per output entry or
+# one form per output tensor.
 
 
 def _flat(idx: Sequence[int], dim: int) -> int:
@@ -205,34 +338,25 @@ def _flat(idx: Sequence[int], dim: int) -> int:
 
 
 def integer_table(tensor: SymTensor):
-    """Dense entries of a tensor over its d**r ordered indices (flat index
-    sum_k i_k d**(r-1-k)) and their common scale: every entry is an
-    integer, the value times the lcm of the tensor's denominators, and the
-    scale is that lcm.
+    """The tensor's form expanded over its d**r ordered indices (flat index
+    sum_k i_k d**(r-1-k)), with its scale: ``(table, scale)``, every
+    entry the integer numerator of its key.
 
-    Raises TypeError for a value without a denominator (a float), which
-    only the bare constructor lets in; ``from_entries`` rejects it up front.
+    Built once per tensor and cached on it, so every call returns the
+    same object; callers must not mutate the table. Raises TypeError as
+    ``SymTensor.form`` does.
     """
-    entries = tensor.entries
-    # star-args from a list, not a generator: a generator's tuple is grown
-    # by resizing, which leaves tuples of many sizes on CPython's free
-    # lists and measurably raises peak RSS over many calls
-    try:
-        scale = math.lcm(*[v.denominator for v in entries.values()])
-    except AttributeError:
-        value = next(v for v in entries.values() if not hasattr(v, "denominator"))
-        raise TypeError(
-            f"tensor value {value!r} is not an exact rational; build tensors "
-            "with SymTensor.from_entries, which converts and checks values"
-        ) from None
-    table = [0] * tensor.dim ** tensor.rank
-    for key, flats in _orbits(tensor.rank, tensor.dim):
-        v = entries.get(key)
-        if v is not None:
-            v = v.numerator * (scale // v.denominator)
-            for f in flats:
-                table[f] = v
-    return table, scale
+    cached = tensor._table
+    if cached is None:
+        numerators, scale = tensor.form
+        table = [0] * tensor.dim ** tensor.rank
+        for n, (flats, _) in zip(numerators, _layout(tensor.rank, tensor.dim)[2]):
+            if n:
+                for f in flats:
+                    table[f] = n
+        cached = table, scale
+        _set(tensor, "_table", cached)
+    return cached
 
 
 def table_rows(table: list, count: int) -> list:
@@ -246,16 +370,15 @@ def orbit_means(rank: int, dim: int, flat: Sequence, scale) -> SymTensor:
     """Symmetric tensor whose value at each canonical key is ``scale``
     times the mean of ``flat`` over the key's orderings.
 
-    ``flat`` is indexed like an integer table. An integer orbit sum times
-    an int or Fraction scale gives one Fraction per entry.
+    ``flat`` is indexed like an integer table and holds integers; with an
+    int or Fraction scale the result is one form, over rank! times the
+    scale's denominator before reduction.
     """
     num, den = scale.as_integer_ratio()
-    entries = {}
-    for key, flats in _orbits(rank, dim):
-        total = sum([flat[f] for f in flats])
-        if total:
-            entries[key] = Fraction(total * num, den * len(flats))
-    return SymTensor(rank, dim, entries)
+    return SymTensor.from_form(
+        rank, dim, [num * weight * sum([flat[f] for f in flats])
+                    for flats, weight in _layout(rank, dim)[2]],
+        den * math.factorial(rank))
 
 
 def sym_outer(x: SymTensor, y: SymTensor) -> SymTensor:
@@ -270,20 +393,17 @@ def sym_outer(x: SymTensor, y: SymTensor) -> SymTensor:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     p, q, d = x.rank, y.rank, x.dim
     (tx, sx), (ty, sy) = integer_table(x), integer_table(y)
-    den = math.comb(p + q, p) * sx * sy
-    entries = {}
-    for key, splits in _outer_splits(p, q, d):
-        acc = sum([weight * tx[a] * ty[b] for weight, a, b in splits])
-        if acc:
-            entries[key] = Fraction(acc, den)
-    return SymTensor(p + q, d, entries)
+    return SymTensor.from_form(
+        p + q, d, [sum([weight * tx[a] * ty[b] for weight, a, b in splits])
+                   for splits in _outer_splits(p, q, d)],
+        math.comb(p + q, p) * sx * sy)
 
 
 @lru_cache(maxsize=16)
 def _outer_splits(p: int, q: int, dim: int):
-    # each canonical key of rank p+q with its (binomial weight, flat index
-    # of the x-block, flat index of the y-block) for every way to take p
-    # of its indices into the x-block
+    # for each canonical key of rank p+q in order, its (binomial weight,
+    # flat index of the x-block, flat index of the y-block) for every way
+    # to take p of its indices into the x-block
     plan = []
     for key in canonical_keys(p + q, dim):
         counts = Counter(key)
@@ -296,7 +416,7 @@ def _outer_splits(p: int, q: int, dim: int):
             ykey = [v for v, n in zip(values, taken) for _ in range(counts[v] - n)]
             weight = math.prod(math.comb(counts[v], n) for v, n in zip(values, taken))
             splits.append((weight, _flat(xkey, dim), _flat(ykey, dim)))
-        plan.append((key, tuple(splits)))
+        plan.append(tuple(splits))
     return tuple(plan)
 
 

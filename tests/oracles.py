@@ -102,8 +102,21 @@ def symmetrized_from(rank: int, dim: int, component) -> SymTensor:
         orderings = set(itertools.permutations(key))
         total = sum(component(o) for o in orderings)
         if total:
-            entries[key] = total / len(orderings)
+            entries[key] = Fraction(total, len(orderings))
     return SymTensor(rank, dim, entries)
+
+
+def entrywise(op, rank: int, dim: int, *operands) -> dict:
+    """Reference for tensor arithmetic: ``op`` applied per canonical key
+    to the operands' components (a tensor's ``component``, a scalar as
+    is), one Fraction operation per entry, zero results left out."""
+    out = {}
+    for key in canonical_keys(rank, dim):
+        value = op(*(t.component(key) if isinstance(t, SymTensor) else t
+                     for t in operands))
+        if value:
+            out[key] = value
+    return out
 
 
 def brute_one_three_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:

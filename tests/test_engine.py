@@ -18,7 +18,7 @@ from hypermat import (SingularTensorError, SymTensor,
                       multiplicity, permutation_sign, random_symmetric,
                       signed_permutations)
 from hypermat import engine, suites
-from hypermat.tensor import canonical_keys, contract_full
+from hypermat.tensor import canonical_keys, contract_full, sym_outer
 
 import oracles
 
@@ -495,3 +495,25 @@ class TestSharedSums:
                 epsilon_determinant(SAMPLE_A)
             epsilon_determinant(SAMPLE_A)
         assert len(enumerated) == 2
+
+
+class TestCanonicalFormsMemo:
+    def test_a_shape_past_the_limit_leaves_no_memo(self):
+        # one rank-6 d=4 lift gradient meets about 18,000 canonical states
+        s = random_symmetric(3, 4, 5, 5)
+        lifted = sym_outer(s, s)
+        engine._canonical_forms.cache_clear()
+        engine.epsilon_product_gradient([lifted] * 4, 0)
+        assert engine._canonical_forms.cache_info().currsize == 1
+        # held positions 1..3 form one class
+        odd, even = engine._canonical_forms(6, 4, ((0, 1, 2),))
+        assert engine._canonical_forms.cache_info().hits == 1
+        assert not odd and not even
+
+    def test_a_suite_shape_keeps_its_memo(self):
+        a = random_symmetric(4, 3, 7, 5)
+        engine._canonical_forms.cache_clear()
+        engine.epsilon_product_gradient([a] * 3, 0)
+        odd, even = engine._canonical_forms(4, 3, ((0, 1),))
+        assert engine._canonical_forms.cache_info().hits == 1
+        assert 0 < len(odd) + len(even) <= engine._CANONICAL_FORMS_LIMIT

@@ -4,6 +4,7 @@ and the seeded generator."""
 import itertools
 import math
 from fractions import Fraction
+from operator import add, mul, neg, sub
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from hypermat import (SymTensor, as_scalar, canonical_keys,
                       contract_full, contract_one_free, format_scalar,
-                      epsilon_determinant, epsilon_inverse, identity, multiplicity,
+                      epsilon_determinant, epsilon_inverse,
+                      epsilon_product_gradient, identity, multiplicity,
                       random_symmetric, sym_outer)
 from hypermat.tensor import integer_table, orbit_means
 
@@ -139,6 +141,114 @@ class TestArithmetic:
         t = SymTensor.from_entries(2, 2, {(0, 0): "-7/2", (0, 1): 2})
         assert t.max_abs() == Fraction(7, 2)
         assert SymTensor.zero(2, 2).max_abs() == 0
+
+
+    def test_float_scalars_are_rejected(self):
+        a = random_symmetric(3, 2, 1, 5)
+        for scalar in (0.5, 2.0, float("nan")):
+            with pytest.raises(TypeError, match="exact rational"):
+                a * scalar
+            with pytest.raises(TypeError, match="exact rational"):
+                scalar * a
+
+
+SEEDS = st.integers(0, 2 ** 32)
+RANKS = st.integers(2, 4)
+DIMS = st.integers(2, 3)
+
+
+class TestForm:
+    """The stored form: integer numerators over one positive scale in
+    lowest terms, with entries and integer tables derived from it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sx=SEEDS, sy=SEEDS, rank=RANKS, dim=DIMS,
+           scalar=st.fractions(max_denominator=12))
+    def test_arithmetic_matches_per_entry_oracle(self, sx, sy, rank, dim, scalar):
+        x = random_symmetric(rank, dim, sx, 7)
+        y = random_symmetric(rank, dim, sy, 7)
+        for result, op, operands in [
+                (x + y, add, (x, y)), (x - y, sub, (x, y)), (-x, neg, (x,)),
+                (x * scalar, mul, (x, scalar)), (scalar * x, mul, (x, scalar))]:
+            assert result.entries == oracles.entrywise(op, rank, dim, *operands)
+            assert result == SymTensor.from_entries(rank, dim, result.entries)
+            numerators, scale = result.form
+            assert scale >= 1 and math.gcd(scale, *numerators) == 1
+            assert len(numerators) == math.comb(dim + rank - 1, rank)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, rank=RANKS, dim=DIMS)
+    def test_equal_tensors_have_equal_forms(self, seed, rank, dim):
+        t = random_symmetric(rank, dim, seed, 7)
+        numerators, scale = t.form
+        table, table_scale = integer_table(t)
+        reordered = {tuple(reversed(key)): v for key, v in t.entries.items()}
+        paths = [SymTensor(rank, dim, dict(t.entries)),
+                 SymTensor.from_entries(rank, dim, reordered),
+                 SymTensor.from_form(rank, dim, [3 * n for n in numerators], 3 * scale),
+                 (t * Fraction(7, 3)) * Fraction(3, 7),
+                 t + SymTensor.zero(rank, dim),
+                 (t + t) - t,
+                 -(-t),
+                 orbit_means(rank, dim, table, Fraction(1, table_scale))]
+        for other in paths:
+            assert other.form == t.form
+            assert other == t
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS, rank=RANKS, dim=DIMS)
+    def test_integer_table_is_cached_and_left_unchanged(self, seed, rank, dim):
+        t = random_symmetric(rank, dim, seed, 7)
+        cached = integer_table(t)
+        table, scale = cached
+        before = list(table)
+        contract_one_free(t, t)
+        sym_outer(t, t)
+        epsilon_product_gradient([t] * dim, 0)
+        assert integer_table(t) is cached
+        assert table == before and cached[1] == scale
+
+    def test_entries_is_a_dict(self):
+        x = random_symmetric(3, 2, 1, 5)
+        y = random_symmetric(3, 2, 2, 5)
+        for t in (x, x + y, -x, x * Fraction(1, 2), sym_outer(x, y),
+                  SymTensor.zero(3, 2), identity(3)):
+            assert isinstance(t.entries, dict)
+
+    def test_immutable_and_unhashable(self):
+        t = random_symmetric(2, 2, 1, 5)
+        for name, value in [("rank", 3), ("dim", 3), ("entries", {}),
+                            ("form", ((0, 0, 0), 1)), ("extra", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(t, name, value)
+        with pytest.raises(AttributeError):
+            del t.rank
+        with pytest.raises(TypeError):
+            hash(t)
+        assert t == random_symmetric(2, 2, 1, 5)
+
+    def test_from_form_reduces_and_checks(self):
+        assert SymTensor.from_form(2, 2, [2, 4, -6], 4).form == ((1, 2, -3), 2)
+        assert SymTensor.from_form(2, 2, [0, 0, 0], 5).form == ((0, 0, 0), 1)
+        assert SymTensor.from_form(2, 2, [1, 0, 3], 2).entries == {
+            (0, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}
+        with pytest.raises(ValueError):
+            SymTensor.from_form(2, 2, [1, 2], 1)
+        with pytest.raises(ValueError):
+            SymTensor.from_form(2, 2, [1, 2, 3], 0)
+        with pytest.raises(TypeError):
+            SymTensor.from_form(2, 2, [1, 2, 0.5], 1)
+
+    def test_a_float_from_the_bare_constructor_fails_in_the_form(self):
+        x = SymTensor(2, 2, {(0, 0): 0.5})
+        with pytest.raises(TypeError, match="from_entries"):
+            x + x
+        with pytest.raises(TypeError, match="from_entries"):
+            x.max_abs()
+
+    def test_a_key_that_is_not_canonical_is_named(self):
+        with pytest.raises(ValueError, match="canonical"):
+            SymTensor(2, 2, {(1, 0): Fraction(1)}).form
 
 
 class TestSymOuter:
