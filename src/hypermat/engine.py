@@ -55,16 +55,19 @@ Every sum runs through one kernel, ``_signed_sum``:
   coefficient takes the parity of that sort when an odd number of
   levels remains; a state with two equal prefixes in one class is then
   dropped, its continuation being its own negative. Classes need not be
-  adjacent ([a, g, a]), and the canonical forms are memoized per shape,
-  class layout and parity (``_canonical_forms``). A first level
-  restricted on the classes is sorted already and skips the step, so
-  rank 2 does no extra work. A lone freed slot has the table layout and
-  is folded like a prefix, so a gradient's sum is exact per orbit of
-  ordered indices, which is all a symmetric result needs; two or more
-  freed slots keep their ordered layout. A freed position is in no
-  class, so sorting within classes leaves the freed indices as they
-  are. The terms a request covers, and the count ``_plan`` reports for
-  it, do not change.
+  adjacent ([a, g, a]). A first level restricted on the classes is
+  sorted already and skips the step, so rank 2 does no extra work. A
+  lone freed slot has the table layout and is folded like a prefix, so
+  a gradient's sum is exact per orbit of ordered indices, which is all
+  a symmetric result needs; two or more freed slots keep their ordered
+  layout. A freed position is in no class, so sorting within classes
+  leaves the freed indices as they are. No level but the last reads a
+  factor: the states that reach the last level depend on the shape
+  alone (rank, dimension, freed positions, classes and the class
+  layout), so they are built once with the shape's plan (``_plan``),
+  and a call reads its tables into the last level only. The terms a
+  request covers, and the count ``_plan`` reports for it, do not
+  change.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, so one identity sample asks for most of its
@@ -130,18 +133,22 @@ def _uniform_shape(factors: Sequence[SymTensor]):
 
 
 @lru_cache(maxsize=64)
-def _plan(rank: int, dim: int, free: tuple, classes: tuple):
+def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
     """Per-shape enumeration structure of the kernel.
 
-    Every level (sign symbol) but the last is a list of (sign, table
-    offsets of the non-freed positions, output offset) per permutation;
-    the first level holds only permutations increasing on each class,
-    which leaves the states it reaches in the canonical form the later
-    levels sort into (see "Coalesced states"). The last level has stride
-    one, so it is grouped by output offset into getters that pick the
-    sign and one entry per non-freed row from the rows laid end to end
-    behind a leading (1, -1). ``terms`` counts the permutation tuples the
-    restricted sum covers, whatever the kernel merges on the way.
+    Every level (sign symbol) but the last reads only offsets and signs,
+    never a table, so the states that reach the last level depend on the
+    shape alone and are built here, once per shape: a tuple of
+    ((held prefix offsets, output offset), coefficient), after the merge
+    and the sort within each class of ``layout`` (see "Coalesced
+    states"). The first level holds only permutations increasing on each
+    class, which leaves the states it reaches in that canonical form
+    already. ``widths`` counts the states after each of those levels.
+    The last level has stride one, so it is grouped by output offset into
+    getters that pick the sign and one entry per non-freed row from the
+    rows laid end to end behind a leading (1, -1). ``terms`` counts the
+    permutation tuples the restricted sum covers, whatever the kernel
+    merges on the way.
     """
     perms = signed_permutations(dim)
     leads = [(p, s) for p, s in perms
@@ -156,6 +163,31 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple):
              sum(p[u] * dim ** (m * (rank - 1 - k) + m - 1 - j)
                  for j, u in enumerate(free)))
             for p, s in (leads if k == 0 else perms)])
+    # states map (held prefix offsets, output offset) to the summed sign
+    # of the partial terms that reach them
+    states = {((0,) * len(held), 0): 1}
+    widths = []
+    for k, (level, sorted_at) in enumerate(zip(levels[:-1], _sorted_prefixes(rank, dim))):
+        fold = sorted_at.__getitem__
+        # two or more freed slots keep their ordered layout (int is the
+        # identity on offsets)
+        fold_out = fold if m == 1 else int
+        merged: dict = {}
+        for (base, out), coeff in states.items():
+            for s, offsets, o in level:
+                key = (tuple(map(fold, map(add, base, offsets))), fold_out(out + o))
+                merged[key] = merged.get(key, 0) + coeff * s
+        if layout and (k or not classes):
+            odd = (rank - 1 - k) % 2
+            canonical: dict = {}
+            for (base, out), coeff in merged.items():
+                prefixes, sign = _canonical(base, layout, odd)
+                if sign:
+                    key = (prefixes, out)
+                    canonical[key] = canonical.get(key, 0) + coeff * sign
+            merged = canonical
+        states = {key: coeff for key, coeff in merged.items() if coeff}
+        widths.append(len(states))
     groups: dict = {}
     for s, offsets, out in levels[-1]:
         # the sign is picked from the leading (1, -1) of the rows; a second
@@ -165,7 +197,7 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple):
         groups.setdefault(out, []).append(picks)
     last = tuple((out, tuple(picks)) for out, picks in groups.items())
     terms = len(leads) * len(perms) ** (rank - 1)
-    return levels[:-1], last, dim ** (rank * m), terms
+    return tuple(states.items()), last, dim ** (rank * m), terms, tuple(widths)
 
 
 @lru_cache(maxsize=32)
@@ -203,21 +235,6 @@ def _canonical(base: tuple, layout: tuple, odd: int):
         for j, v in zip(positions, ordered):
             base[j] = v
     return tuple(base), sign
-
-
-# entries a shape's memo may hold after a call; the suites' shapes stay
-# far below (rank 6 d=3 reaches 94 + 195), a rank-6 d=4 gradient does not
-_CANONICAL_FORMS_LIMIT = 4096
-
-
-@lru_cache(maxsize=64)
-def _canonical_forms(rank: int, dim: int, layout: tuple) -> tuple:
-    """Memo of ``_canonical`` for one shape and class layout, one dict
-    per parity of the levels still to place, filled as the kernel meets
-    new prefixes: a state costs one lookup once its shape has run. At
-    most 64 shapes are kept, and a call that leaves a shape's memo with
-    more than ``_CANONICAL_FORMS_LIMIT`` entries empties it."""
-    return {}, {}
 
 
 # sums by request key
@@ -265,7 +282,9 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
 
 
 def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None):
-    """The one enumeration behind ``_signed_sum``, never memoized."""
+    """The one enumeration behind ``_signed_sum``: the factors' tables
+    are read into the last level of their shape's plan, whose states are
+    built on the shape's first call."""
     rank, dim = factors[0].rank, factors[0].dim
     held = [t for t in range(dim) if t not in free]
     groups: list = []  # positions of identical non-freed factors
@@ -283,7 +302,14 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
             classes = tuple(tuple(group) for group in groups if len(group) > 1)
             for c in classes:
                 multiplier *= math.factorial(len(c))
-    outer, last, size, terms = _plan(rank, dim, free, classes)
+    # held positions of each class of identical factors, as indices into
+    # a state's prefixes; a first level restricted on ``classes`` leaves
+    # them sorted already, so rank 2 never needs them
+    layout = ()
+    if len(groups) < len(held) and (rank > 2 or not classes):
+        layout = tuple(tuple(map(held.index, group))
+                       for group in groups if len(group) > 1)
+    states, last, size, terms, _ = _plan(rank, dim, free, classes, layout)
 
     table_at = {}
     denominator = 1
@@ -294,46 +320,8 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
         denominator *= scale ** len(group)
     rows = [table_at[t] for t in held]
 
-    # held positions of each class of identical factors, as indices into
-    # a state's prefixes; a first level restricted on ``classes`` leaves
-    # them sorted already, so rank 2 never needs them
-    layout = ()
-    if len(groups) < len(held) and (len(outer) > 1 or not classes):
-        layout = tuple(tuple(map(held.index, group))
-                       for group in groups if len(group) > 1)
-        forms = _canonical_forms(rank, dim, layout)
-    # states map (held prefix offsets, output offset) to the summed sign
-    # of the partial terms that reach them
-    states = {((0,) * len(held), 0): 1}
-    for k, (level, sorted_at) in enumerate(zip(outer, _sorted_prefixes(rank, dim))):
-        fold = sorted_at.__getitem__
-        # two or more freed slots keep their ordered layout (int is the
-        # identity on offsets)
-        fold_out = fold if len(free) == 1 else int
-        merged: dict = {}
-        for (base, out), coeff in states.items():
-            for s, offsets, o in level:
-                key = (tuple(map(fold, map(add, base, offsets))), fold_out(out + o))
-                merged[key] = merged.get(key, 0) + coeff * s
-        if layout and (k or not classes):
-            odd = (rank - 1 - k) % 2
-            memo = forms[odd]
-            canonical: dict = {}
-            for (base, out), coeff in merged.items():
-                form = memo.get(base)
-                if form is None:
-                    form = memo[base] = _canonical(base, layout, odd)
-                prefixes, sign = form
-                if sign:
-                    key = (prefixes, out)
-                    canonical[key] = canonical.get(key, 0) + coeff * sign
-            merged = canonical
-        states = {key: coeff for key, coeff in merged.items() if coeff}
-    if layout and len(forms[0]) + len(forms[1]) > _CANONICAL_FORMS_LIMIT:
-        forms[0].clear()
-        forms[1].clear()
     acc = [0] * size
-    for (base, out), coeff in states.items():
+    for (base, out), coeff in states:
         flat = [1, -1]
         for table, b in zip(rows, base):
             flat += table[b:b + dim]

@@ -497,23 +497,63 @@ class TestSharedSums:
         assert len(enumerated) == 2
 
 
-class TestCanonicalFormsMemo:
-    def test_a_shape_past_the_limit_leaves_no_memo(self):
-        # one rank-6 d=4 lift gradient meets about 18,000 canonical states
+class TestPlans:
+    """The states that reach the last level depend on the shape alone and
+    are built once per shape by ``engine._plan``; cache activity and state
+    counts are asserted, times are not."""
+
+    def test_a_repeated_shape_builds_its_plan_once(self):
         s = random_symmetric(3, 4, 5, 5)
         lifted = sym_outer(s, s)
-        engine._canonical_forms.cache_clear()
-        engine.epsilon_product_gradient([lifted] * 4, 0)
-        assert engine._canonical_forms.cache_info().currsize == 1
-        # held positions 1..3 form one class
-        odd, even = engine._canonical_forms(6, 4, ((0, 1, 2),))
-        assert engine._canonical_forms.cache_info().hits == 1
-        assert not odd and not even
+        engine._plan.cache_clear()
+        first = engine.epsilon_product_gradient([lifted] * 4, 0)
+        assert engine._plan.cache_info().misses == 1
+        assert engine.epsilon_product_gradient([lifted] * 4, 0) == first
+        assert engine._plan.cache_info().misses == 1
 
-    def test_a_suite_shape_keeps_its_memo(self):
-        a = random_symmetric(4, 3, 7, 5)
-        engine._canonical_forms.cache_clear()
-        engine.epsilon_product_gradient([a] * 3, 0)
-        odd, even = engine._canonical_forms(4, 3, ((0, 1),))
-        assert engine._canonical_forms.cache_info().hits == 1
-        assert 0 < len(odd) + len(even) <= engine._CANONICAL_FORMS_LIMIT
+    def test_the_even_top_shape_mix_fits_the_cache(self):
+        engine._plan.cache_clear()
+        for suite, dim in (("rank2", 4), ("rank4", 3)):
+            assert suites.run_suite(suite, dim, 1, 1).all_pass
+        shapes = engine._plan.cache_info()
+        assert shapes.currsize == shapes.misses < shapes.maxsize
+        for suite, dim in (("rank2", 4), ("rank4", 3)):
+            assert suites.run_suite(suite, dim, 2, 1).all_pass
+        assert engine._plan.cache_info().misses == shapes.misses
+
+    @pytest.mark.parametrize("rank,dim,free,widths", [
+        (6, 3, None, (1, 5, 9, 23, 37)),
+        (6, 3, 0, (3, 12, 27, 63, 111)),
+        (4, 4, None, (1, 17, 77)),
+    ])
+    def test_states_per_level(self, monkeypatch, rank, dim, free, widths):
+        # a determinant, or the gradient at one slot of all copies
+        seen = []
+        plan = engine._plan
+
+        def recorded(*shape):
+            result = plan(*shape)
+            seen.append(result[4])
+            return result
+
+        monkeypatch.setattr(engine, "_plan", recorded)
+        t = random_symmetric(rank, dim, 230 + rank, 5)
+        if free is None:
+            epsilon_determinant(t)
+        else:
+            epsilon_product_gradient([t] * dim, free)
+        assert seen == [widths]
+
+    def test_shapes_that_differ_only_in_layout(self):
+        # each request shares rank, dimension, freed slots and classes with
+        # the one before and reuses no plan of it
+        a, b, c = (_coprime_factor(3, 3), _sparse_factor(3, 3, 240),
+                   random_symmetric(3, 3, 241, 5))
+        engine._plan.cache_clear()
+        for factors in ([a, a, b], [a, b, c], [a, b, a]):
+            assert epsilon_product(factors) == oracles.brute_epsilon_product(factors)
+        a, g = _coprime_factor(4, 3), random_symmetric(4, 3, 242, 5)
+        for factors in ([a, a, a], [g, a, a]):
+            assert (coset_restricted_product(factors, 1)
+                    == oracles.brute_epsilon_product(factors))
+        _assert_gradients_are_derivatives([a, g, a], [1])
