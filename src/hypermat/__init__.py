@@ -17,8 +17,7 @@ from .errors import SingularTensorError
 from .evenrank import (cayley_det, quadratic_identity_residual,
                        self_identity_residual, verify_poly_identity_d2,
                        verify_recurrence_even)
-from .invariants import (DiscriminantVector, characteristic_coefficients,
-                         invariant_values)
+from .invariants import characteristic_coefficients, invariant_values
 from .oddrank import (CUBIC_LIFT_RATIO, OddLiftResult, cubic_discriminant,
                       inverse_odd_d2, inverse_odd_d2_gradient, lift,
                       lift_gradient_candidate, verify_inverse_d2,

@@ -408,7 +408,20 @@ def epsilon_determinant(tensor: SymTensor):
 
 def epsilon_inverse(tensor: SymTensor) -> SymTensor:
     """Contravariant inverse: the slot-freed gradient over (d-1)! times the
-    determinant. Satisfies inv[(i,)+k] * T[(j,)+k] summed over k = delta."""
+    determinant. Satisfies inv[(i,)+k] * T[(j,)+k] summed over k = delta,
+    for every even rank and every d.
+
+    Proof, by GL(d) invariance. Let a d x d matrix M act on every slot,
+    (M.T)[i1..ir] = sum M[i1,j1]..M[ir,jr] T[j1..jr]. Each of the r sign
+    symbols absorbs one det(M), so eps((M.T)^d) = det(M)^r eps(T^d), that
+    is det(M.T) = det(M)^r det(T). Differentiate at M = I + t E_ij, t = 0:
+    the right side gives r delta_ij det(T). On the left, with D[k] the
+    formal derivative of det(T) in the ordered component T[k], each slot
+    contributes sum_k D[(i,)+k] T[(j,)+k], the same for all r slots because
+    D and T are symmetric. Hence sum_k D[(i,)+k] T[(j,)+k] = delta_ij det(T).
+    The d factors of eps(T^d) enter alike, so D = d * gradient / d! =
+    gradient / (d-1)!, and the inverse is D / det(T).
+    """
     det = epsilon_determinant(tensor)
     if det == 0:
         raise SingularTensorError("tensor determinant is zero; no inverse")

@@ -11,7 +11,6 @@ layers both build on the functions here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -19,27 +18,6 @@ from . import engine
 from .errors import SingularTensorError
 from .report import IdentityCheck, check
 from .tensor import SymTensor
-
-
-@dataclass(frozen=True)
-class DiscriminantVector:
-    """Invariant sequence c_0..c_d of a tensor relative to a metric."""
-
-    values: tuple
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
-            raise ValueError("an invariant sequence starts with 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, s: int):
-        return self.values[s]
 
 
 def _check_pair(a: SymTensor, g: SymTensor):

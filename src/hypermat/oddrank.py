@@ -121,7 +121,7 @@ def inverse_odd_d2(s: SymTensor) -> SymTensor:
         (0, 1, 1): (2 * a * c * c - d * b * a - c * b * b) / disc,
         (1, 1, 1): (d * a * a + 2 * b ** 3 - 3 * c * b * a) / disc,
     }
-    return SymTensor(3, 2, {k: v for k, v in entries.items() if v})
+    return SymTensor.from_entries(3, 2, entries)
 
 
 def inverse_odd_d2_gradient(s: SymTensor) -> SymTensor:
@@ -137,12 +137,9 @@ def inverse_odd_d2_gradient(s: SymTensor) -> SymTensor:
     disc = cubic_discriminant(s)
     if disc == 0:
         raise SingularTensorError("cubic discriminant is zero; no inverse")
-    entries = {}
-    for key, partial in discriminant_partials(s).items():
-        value = partial / multiplicity(key) / (2 * disc)
-        if value:
-            entries[key] = value
-    return SymTensor(3, 2, entries)
+    return SymTensor.from_entries(3, 2, {
+        key: partial / multiplicity(key) / (2 * disc)
+        for key, partial in discriminant_partials(s).items()})
 
 
 def lift_gradient_candidate(s: SymTensor) -> SymTensor:

@@ -15,7 +15,6 @@ from operator import mul
 from typing import Sequence
 
 from . import engine, invariants
-from .invariants import DiscriminantVector
 from .report import VerificationReport, check
 from .tensor import (SymTensor, contract_full, identity, integer_table,
                      table_rows)
@@ -62,8 +61,8 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
     gb = [[sum(map(mul, rg_k, rb_j)) for rg_k in rg] for rb_j in rb]
     raw = [[sum(map(mul, ra_i, gb_j)) for gb_j in gb] for ra_i in ra]
     # canonical keys (i, j), i <= j, in ``canonical_keys`` order
-    return SymTensor.from_form(2, d, [raw[i][j] + raw[j][i] for i in range(d)
-                                      for j in range(i, d)], 2 * sa * sg * sb)
+    return SymTensor(2, d, [raw[i][j] + raw[j][i] for i in range(d)
+                            for j in range(i, d)], 2 * sa * sg * sb)
 
 
 def g_trace(a: SymTensor, metric: MetricPair):
@@ -101,11 +100,11 @@ def newton_elementary_from_power(power: Sequence) -> list:
     return p
 
 
-def discriminants_trace(a: SymTensor, metric: MetricPair) -> DiscriminantVector:
-    """Invariant sequence built from traces of powers via the Newton
-    recursion."""
+def discriminants_trace(a: SymTensor, metric: MetricPair) -> tuple:
+    """Invariant sequence c_0..c_d built from traces of powers via the
+    Newton recursion."""
     q = power_sums(a, metric, a.dim)
-    return DiscriminantVector(tuple(newton_elementary_from_power(q[1:])))
+    return tuple(newton_elementary_from_power(q[1:]))
 
 
 def matrix_polynomial_residual(a: SymTensor) -> SymTensor:

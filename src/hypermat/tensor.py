@@ -1,20 +1,22 @@
 """Completely symmetric tensors over exact scalars.
 
-A tensor is stored in one exact form, ``(numerators, scale)``: one
-integer per canonical key (a sorted index tuple), in ``canonical_keys``
-order, over one positive common denominator, in lowest terms. A lookup
-at any index ordering resolves through sorting, and the number of
-distinct orderings of a key is its multiplicity. Because the form is in
-lowest terms, two tensors are equal exactly when their forms are.
+A tensor is its form, ``(numerators, scale)``: one integer per canonical
+key (a sorted index tuple), in ``canonical_keys`` order, over one
+positive common denominator, in lowest terms. The form is what a tensor
+stores, and ``SymTensor(rank, dim, numerators, scale)`` is its one
+constructor; ``from_entries`` turns keyed values into numerators over
+the lcm of their denominators and calls it. A lookup at any index
+ordering resolves through sorting, and the number of distinct orderings
+of a key is its multiplicity. Because the form is in lowest terms, two
+tensors are equal exactly when their forms are.
 
 Arithmetic runs on the numerators: ``+`` and ``-`` bring both operands
 to the lcm of their scales, ``* scalar`` multiplies numerators and
-scale by the scalar's numerator and denominator, and one ``math.gcd``
-pass reduces the result. ``max_abs`` and ``is_zero`` read the numerators,
-so checking a residual builds one Fraction. ``entries``, a dict from
-canonical key to nonzero Fraction, is a view built on first access; a
-tensor built from entries (the bare constructor or ``from_entries``)
-derives its form on first use instead.
+scale by the scalar's numerator and denominator, and the constructor's
+one ``math.gcd`` pass reduces the result. ``max_abs`` and ``is_zero``
+read the numerators, so checking a residual builds one Fraction.
+``entries``, a dict from canonical key to nonzero Fraction, is a view
+built from the form on first access.
 
 Exact contractions run on integer tables (``integer_table``): the form
 expanded once per tensor, and cached on it, into a dense list over the
@@ -24,8 +26,8 @@ multiplied in C by ``map(mul, ...)``, over the product of the scales. A
 result that must be symmetric is read off by summing each orbit of
 ordered indices (``orbit_means``), and the builders return forms
 directly. The engine's kernel reads the same tables. There is no second
-arithmetic: a float cannot enter a form, so every table entry is an
-integer.
+arithmetic: the constructor's gcd pass takes integers only, so a float
+fails when the tensor is built and every table entry is an integer.
 """
 
 from __future__ import annotations
@@ -88,25 +90,38 @@ _set = object.__setattr__
 class SymTensor:
     """Completely symmetric tensor of fixed rank and dimension.
 
-    ``form`` is ``(numerators, scale)`` as described in the module
-    docstring; ``entries`` maps canonical keys to nonzero Fractions, an
-    absent key being zero. Instances are immutable values (setting an
+    ``SymTensor(rank, dim, numerators, scale=1)`` is the one constructor:
+    the value at the k-th canonical key (``canonical_keys`` order) is
+    ``numerators[k] / scale``, for integer numerators and a positive
+    integer scale, and one gcd pass stores it as ``form`` in lowest terms.
+    ``from_entries`` builds the numerators from keyed values. ``entries``,
+    canonical key to nonzero Fraction with an absent key being zero, is a
+    view built on first access. Instances are immutable values (setting an
     attribute raises, and all arithmetic returns new tensors), so they are
     safe to share across threads; the views they build on first access
-    are derived from the value and never change it. Tensors are not
+    are derived from the form and never change it. Tensors are not
     hashable; ``form`` is.
     """
 
-    __slots__ = ("rank", "dim", "_form", "_entries", "_table")
+    __slots__ = ("rank", "dim", "form", "_entries", "_table")
     __hash__ = None
 
-    def __init__(self, rank: int, dim: int, entries: Mapping[MultiIndex, Fraction]):
-        # entries as given, keyed by canonical keys; nothing is checked
-        # until the form is derived (``from_entries`` checks up front)
+    def __init__(self, rank: int, dim: int, numerators: Iterable[int], scale: int = 1):
+        numerators = tuple(numerators)
+        if len(numerators) != len(_layout(rank, dim)[0]):
+            raise ValueError(f"{len(numerators)} numerators for the "
+                             f"canonical keys of rank {rank}, dim {dim}")
+        if scale < 1:
+            raise ValueError(f"scale {scale} is not positive")
+        # math.gcd takes integers only, so a float or Fraction fails here
+        g = math.gcd(scale, *numerators)
+        if g != 1:
+            numerators = tuple([n // g for n in numerators])
+            scale //= g
         _set(self, "rank", rank)
         _set(self, "dim", dim)
-        _set(self, "_form", None)
-        _set(self, "_entries", entries)
+        _set(self, "form", (numerators, scale))
+        _set(self, "_entries", None)
         _set(self, "_table", None)
 
     def __setattr__(self, name, value):
@@ -120,25 +135,7 @@ class SymTensor:
 
     @classmethod
     def zero(cls, rank: int, dim: int) -> "SymTensor":
-        return _from_reduced(rank, dim, (0,) * len(_layout(rank, dim)[0]), 1)
-
-    @classmethod
-    def from_form(cls, rank: int, dim: int, numerators: Iterable[int],
-                  scale: int = 1) -> "SymTensor":
-        """Tensor whose value at the k-th canonical key (``canonical_keys``
-        order) is ``numerators[k] / scale``, for integer numerators and a
-        positive integer scale; one gcd pass brings it to lowest terms."""
-        numerators = tuple(numerators)
-        if len(numerators) != len(_layout(rank, dim)[0]):
-            raise ValueError(f"{len(numerators)} numerators for the "
-                             f"canonical keys of rank {rank}, dim {dim}")
-        if scale < 1:
-            raise ValueError(f"scale {scale} is not positive")
-        g = math.gcd(scale, *numerators)
-        if g != 1:
-            numerators = tuple([n // g for n in numerators])
-            scale //= g
-        return _from_reduced(rank, dim, numerators, scale)
+        return cls(rank, dim, (0,) * len(_layout(rank, dim)[0]))
 
     @classmethod
     def from_entries(cls, rank: int, dim: int,
@@ -148,7 +145,8 @@ class SymTensor:
 
         Two distinct input indices that land on the same canonical key are
         an error rather than last-wins. Values are coerced to exact
-        rationals by ``rational.as_scalar``, which rejects floats.
+        rationals by ``rational.as_scalar``, which rejects floats, and the
+        numerators are taken over the lcm of their denominators.
         """
         if not (_is_integer(rank) and _is_integer(dim)):
             raise ValueError("rank and dim must be integers")
@@ -166,47 +164,12 @@ class SymTensor:
             if key in canonical:
                 raise ValueError(f"duplicate canonical index {key}")
             canonical[key] = as_scalar(value)
-        return cls(rank, dim, {k: v for k, v in canonical.items() if v})
-
-    @property
-    def form(self) -> tuple:
-        """``(numerators, scale)``: a tuple of integers over the canonical
-        keys in ``canonical_keys`` order and their positive common
-        denominator, in lowest terms.
-
-        Raises TypeError for a value without a denominator (a float), which
-        only the bare constructor lets in; ``from_entries`` rejects it up
-        front.
-        """
-        form = self._form
-        if form is None:
-            entries = self._entries
-            # star-args from a list, not a generator: a generator's tuple is
-            # grown by resizing, which leaves tuples of many sizes on
-            # CPython's free lists and measurably raises peak RSS over many
-            # calls
-            try:
-                scale = math.lcm(*[v.denominator for v in entries.values()])
-            except AttributeError:
-                value = next(v for v in entries.values()
-                             if not hasattr(v, "denominator"))
-                raise TypeError(
-                    f"tensor value {value!r} is not an exact rational; build "
-                    "tensors with SymTensor.from_entries, which converts and "
-                    "checks values") from None
-            # over the lcm of lowest-terms denominators the numerators share
-            # no factor with the scale, so the form is reduced already
-            _, position, _ = _layout(self.rank, self.dim)
-            numerators = [0] * len(position)
-            try:
-                for key, v in entries.items():
-                    numerators[position[key]] = v.numerator * (scale // v.denominator)
-            except KeyError as error:
-                raise ValueError(f"{error.args[0]} is not a canonical key of rank "
-                                 f"{self.rank}, dim {self.dim}") from None
-            form = tuple(numerators), scale
-            _set(self, "_form", form)
-        return form
+        _, position, _ = _layout(rank, dim)
+        scale = math.lcm(*[v.denominator for v in canonical.values()])
+        numerators = [0] * len(position)
+        for key, v in canonical.items():
+            numerators[position[key]] = v.numerator * (scale // v.denominator)
+        return cls(rank, dim, numerators, scale)
 
     @property
     def entries(self) -> dict:
@@ -214,7 +177,7 @@ class SymTensor:
         access. Read-only by contract, like the tensor."""
         entries = self._entries
         if entries is None:
-            numerators, scale = self._form
+            numerators, scale = self.form
             keys = _layout(self.rank, self.dim)[0]
             entries = {key: Fraction(n, scale)
                        for key, n in zip(keys, numerators) if n}
@@ -267,7 +230,7 @@ class SymTensor:
             xn = [n * (scale // xs) for n in xn]
         if ys != scale:
             yn = [n * (scale // ys) for n in yn]
-        return SymTensor.from_form(self.rank, self.dim, list(map(op, xn, yn)), scale)
+        return SymTensor(self.rank, self.dim, list(map(op, xn, yn)), scale)
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
         return self._combine(other, add)
@@ -277,7 +240,7 @@ class SymTensor:
 
     def __neg__(self) -> "SymTensor":
         numerators, scale = self.form
-        return _from_reduced(self.rank, self.dim, tuple([-n for n in numerators]), scale)
+        return SymTensor(self.rank, self.dim, [-n for n in numerators], scale)
 
     def __mul__(self, scalar) -> "SymTensor":
         if isinstance(scalar, SymTensor):
@@ -288,23 +251,14 @@ class SymTensor:
             raise TypeError(f"scalar {scalar!r} is not an exact rational; "
                             "tensors scale by ints and Fractions only") from None
         numerators, scale = self.form
-        return SymTensor.from_form(self.rank, self.dim,
-                                   [n * p for n in numerators], scale * q)
+        return SymTensor(self.rank, self.dim, [n * p for n in numerators], scale * q)
 
     __rmul__ = __mul__
 
 
-def _from_reduced(rank: int, dim: int, numerators: tuple, scale: int) -> SymTensor:
-    # a tensor from a form known to be in lowest terms; its entries are
-    # built on first access
-    tensor = SymTensor(rank, dim, None)
-    _set(tensor, "_form", (numerators, scale))
-    return tensor
-
-
 def identity(dim: int) -> SymTensor:
     """Rank-2 unit matrix."""
-    return _from_reduced(2, dim, tuple([int(i == j) for i, j in _layout(2, dim)[0]]), 1)
+    return SymTensor(2, dim, [int(i == j) for i, j in _layout(2, dim)[0]])
 
 
 def from_matrix(rows: Sequence[Sequence]) -> SymTensor:
@@ -317,10 +271,8 @@ def from_matrix(rows: Sequence[Sequence]) -> SymTensor:
         for j in range(i, d):
             if as_scalar(rows[i][j]) != as_scalar(rows[j][i]):
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-            value = as_scalar(rows[i][j])
-            if value:
-                entries[(i, j)] = value
-    return SymTensor(2, d, entries)
+            entries[(i, j)] = rows[i][j]
+    return SymTensor.from_entries(2, d, entries)
 
 
 # Integer tables. Every contraction below reads its operands as dense
@@ -343,8 +295,7 @@ def integer_table(tensor: SymTensor):
     entry the integer numerator of its key.
 
     Built once per tensor and cached on it, so every call returns the
-    same object; callers must not mutate the table. Raises TypeError as
-    ``SymTensor.form`` does.
+    same object; callers must not mutate the table.
     """
     cached = tensor._table
     if cached is None:
@@ -375,7 +326,7 @@ def orbit_means(rank: int, dim: int, flat: Sequence, scale) -> SymTensor:
     scale's denominator before reduction.
     """
     num, den = scale.as_integer_ratio()
-    return SymTensor.from_form(
+    return SymTensor(
         rank, dim, [num * weight * sum([flat[f] for f in flats])
                     for flats, weight in _layout(rank, dim)[2]],
         den * math.factorial(rank))
@@ -393,7 +344,7 @@ def sym_outer(x: SymTensor, y: SymTensor) -> SymTensor:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     p, q, d = x.rank, y.rank, x.dim
     (tx, sx), (ty, sy) = integer_table(x), integer_table(y)
-    return SymTensor.from_form(
+    return SymTensor(
         p + q, d, [sum([weight * tx[a] * ty[b] for weight, a, b in splits])
                    for splits in _outer_splits(p, q, d)],
         math.comb(p + q, p) * sx * sy)
@@ -475,14 +426,16 @@ def random_symmetric(rank: int, dim: int, seed: int, bound: int = 9) -> SymTenso
     One (numerator, denominator) pair is drawn per canonical key in
     lexicographic order; numerators fall in [-bound, bound] and denominators
     in [1, bound], so the same seed reproduces the same tensor anywhere.
+    The form takes the numerators over the lcm of the drawn denominators.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     stream = _stream(seed)
-    entries = {}
-    for key in canonical_keys(rank, dim):
-        num = next(stream) % (2 * bound + 1) - bound
-        den = next(stream) % bound + 1
-        if num:
-            entries[key] = Fraction(num, den)
-    return SymTensor(rank, dim, entries)
+    # num is drawn before den, as the tuple evaluates left to right
+    draws = [(next(stream) % (2 * bound + 1) - bound, next(stream) % bound + 1)
+             for _ in canonical_keys(rank, dim)]
+    # star-args from a list, not a generator: a generator's tuple is grown
+    # by resizing, which leaves tuples of many sizes on CPython's free lists
+    # and measurably raises peak RSS over many calls
+    scale = math.lcm(*[den for _, den in draws])
+    return SymTensor(rank, dim, [num * (scale // den) for num, den in draws], scale)

@@ -103,7 +103,7 @@ def symmetrized_from(rank: int, dim: int, component) -> SymTensor:
         total = sum(component(o) for o in orderings)
         if total:
             entries[key] = Fraction(total, len(orderings))
-    return SymTensor(rank, dim, entries)
+    return SymTensor.from_entries(rank, dim, entries)
 
 
 def entrywise(op, rank: int, dim: int, *operands) -> dict:
@@ -180,6 +180,28 @@ def directional_derivative(f, x: SymTensor, direction: SymTensor, degree: int):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         result += Fraction((-1) ** (k - 1), k) * diffs[0]
     return result
+
+
+def splitmix64_draws(rank: int, dim: int, seed: int, bound: int):
+    """The draw ``random_symmetric`` documents (README "Seeding"), written
+    out: a splitmix64 stream whose 64-bit state starts at the seed and
+    advances by 0x9E3779B97F4A7C15 before each output, and per canonical
+    key in lexicographic order one output for the numerator (its residue
+    mod 2*bound+1, shifted down by bound) and then one for the denominator
+    (its residue mod bound, plus one). Returns ``(key, numerator,
+    denominator)`` triples, zero numerators included."""
+    mask = 2 ** 64 - 1
+    state = seed & mask
+    outputs = []
+    for _ in range(2 * len(all_canonical(rank, dim))):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        outputs.append(z ^ (z >> 31))
+    return [(key, outputs[2 * k] % (2 * bound + 1) - bound,
+             outputs[2 * k + 1] % bound + 1)
+            for k, key in enumerate(all_canonical(rank, dim))]
 
 
 def basis_direction(rank: int, dim: int, key) -> SymTensor:

@@ -317,6 +317,16 @@ class TestVerify:
         assert out == ""
         assert "(d!)^r" in err
 
+    def test_dimension_below_the_supported_ones(self, capsys):
+        # no budget is exceeded below the smallest dimension, so the
+        # message names the supported dimensions only
+        code, out, err = run(capsys, "verify", "--suite", "rank2",
+                             "--dim", "1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "(2, 3, 4), not 1" in err
+        assert "budget" not in err
+
     def test_sample_guard(self, capsys):
         # rejected before any sample runs, so this returns at once
         code, out, err = run(capsys, "verify", "--suite", "rank4", "--dim", "3",

@@ -262,7 +262,7 @@ def test_gradient_recontraction_property(seed, dim):
 def _coprime_factor(rank, dim):
     # denominators 7, 11 and 13 in turn, so no two neighbouring entries
     # share a scale
-    return SymTensor(rank, dim, {
+    return SymTensor.from_entries(rank, dim, {
         key: Fraction((-1) ** n * (n + 2), (7, 11, 13)[n % 3])
         for n, key in enumerate(canonical_keys(rank, dim))})
 
@@ -271,7 +271,7 @@ def _sparse_factor(rank, dim, seed):
     # every other stored entry of a random tensor set to zero
     full = random_symmetric(rank, dim, seed, 5)
     keys = sorted(full.entries)
-    return SymTensor(rank, dim, {k: full.entries[k] for k in keys[::2]})
+    return SymTensor.from_entries(rank, dim, {k: full.entries[k] for k in keys[::2]})
 
 
 REPEATED_PATTERNS = {2: ("aa", "zz"),

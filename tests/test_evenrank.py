@@ -117,8 +117,12 @@ class TestInverse:
     def test_contraction_identity_d2(self):
         assert identity_residual(contract_one_free(epsilon_inverse(SAMPLE_A), SAMPLE_A)) == 0
 
-    def test_contraction_identity_d3(self):
-        a = random_symmetric(4, 3, 13, 5)
+    # delta at every even rank and d, by GL(d) invariance (the proof is in
+    # epsilon_inverse's docstring)
+    @pytest.mark.parametrize("rank,dim", [(4, 3), (4, 4), (6, 3)],
+                             ids=["rank4-d3", "rank4-d4", "rank6-d3"])
+    def test_contraction_identity_beyond_d2(self, rank, dim):
+        a = random_symmetric(rank, dim, 13, 5)
         assert epsilon_determinant(a) != 0
         assert identity_residual(contract_one_free(epsilon_inverse(a), a)) == 0
 

@@ -171,13 +171,13 @@ class TestInverse:
             1, math.factorial(d - 1))
         entries = {}
         for key in canonical_keys(3, d):
-            direction = SymTensor(3, d, {key: Fraction(1)})
+            direction = SymTensor.from_entries(3, d, {key: Fraction(1)})
             derivative = oracles.brute_contract_full(
                 det_grad, sym_outer(s, direction) * 2)
             value = derivative / multiplicity(key) / (2 * det)
             if value:
                 entries[key] = value
-        assert lift_gradient_candidate(s) == SymTensor(3, d, entries)
+        assert lift_gradient_candidate(s) == SymTensor.from_entries(3, d, entries)
         cubic = random_symmetric(3, 2, seed, 9)
         assert lift_gradient_candidate(cubic) == inverse_odd_d2(cubic)
 
@@ -208,8 +208,8 @@ class TestProportionality:
         # Lemma 2.1), so the 625 evaluations prove the identity.
         keys = list(canonical_keys(3, 2))
         for values in itertools.product(range(-2, 3), repeat=4):
-            s = SymTensor(3, 2, {k: Fraction(v)
-                                 for k, v in zip(keys, values) if v})
+            s = SymTensor.from_entries(3, 2, {k: Fraction(v)
+                                              for k, v in zip(keys, values) if v})
             lifted = sym_outer(s, s)
             assert (engine.epsilon_determinant(lifted)
                     == CUBIC_LIFT_RATIO * cubic_discriminant(s))

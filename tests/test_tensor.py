@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hypermat import (SymTensor, as_scalar, canonical_keys,
                       contract_full, contract_one_free, format_scalar,
-                      epsilon_determinant, epsilon_inverse,
+                      epsilon_inverse,
                       epsilon_product_gradient, identity, multiplicity,
                       random_symmetric, sym_outer)
 from hypermat.tensor import integer_table, orbit_means
@@ -183,9 +183,9 @@ class TestForm:
         numerators, scale = t.form
         table, table_scale = integer_table(t)
         reordered = {tuple(reversed(key)): v for key, v in t.entries.items()}
-        paths = [SymTensor(rank, dim, dict(t.entries)),
+        paths = [SymTensor.from_entries(rank, dim, dict(t.entries)),
                  SymTensor.from_entries(rank, dim, reordered),
-                 SymTensor.from_form(rank, dim, [3 * n for n in numerators], 3 * scale),
+                 SymTensor(rank, dim, [3 * n for n in numerators], 3 * scale),
                  (t * Fraction(7, 3)) * Fraction(3, 7),
                  t + SymTensor.zero(rank, dim),
                  (t + t) - t,
@@ -227,28 +227,27 @@ class TestForm:
             hash(t)
         assert t == random_symmetric(2, 2, 1, 5)
 
-    def test_from_form_reduces_and_checks(self):
-        assert SymTensor.from_form(2, 2, [2, 4, -6], 4).form == ((1, 2, -3), 2)
-        assert SymTensor.from_form(2, 2, [0, 0, 0], 5).form == ((0, 0, 0), 1)
-        assert SymTensor.from_form(2, 2, [1, 0, 3], 2).entries == {
+    def test_constructor_reduces_and_checks(self):
+        assert SymTensor(2, 2, [2, 4, -6], 4).form == ((1, 2, -3), 2)
+        assert SymTensor(2, 2, [0, 0, 0], 5).form == ((0, 0, 0), 1)
+        assert SymTensor(2, 2, [1, 0, 3], 2).entries == {
             (0, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}
         with pytest.raises(ValueError):
-            SymTensor.from_form(2, 2, [1, 2], 1)
+            SymTensor(2, 2, [1, 2], 1)
         with pytest.raises(ValueError):
-            SymTensor.from_form(2, 2, [1, 2, 3], 0)
+            SymTensor(2, 2, [1, 2, 3], 0)
         with pytest.raises(TypeError):
-            SymTensor.from_form(2, 2, [1, 2, 0.5], 1)
+            SymTensor(2, 2, [1, 2, 0.5], 1)
 
-    def test_a_float_from_the_bare_constructor_fails_in_the_form(self):
-        x = SymTensor(2, 2, {(0, 0): 0.5})
-        with pytest.raises(TypeError, match="from_entries"):
-            x + x
-        with pytest.raises(TypeError, match="from_entries"):
-            x.max_abs()
-
-    def test_a_key_that_is_not_canonical_is_named(self):
-        with pytest.raises(ValueError, match="canonical"):
-            SymTensor(2, 2, {(1, 0): Fraction(1)}).form
+    def test_only_integer_numerators_are_constructed(self):
+        # keyed values go through from_entries; the constructor takes one
+        # integer numerator per canonical key and fails at once otherwise
+        with pytest.raises(ValueError, match="numerators"):
+            SymTensor(2, 2, {(0, 0): 0.5})
+        with pytest.raises(TypeError):
+            SymTensor(2, 2, [1, 0.5, 2])
+        with pytest.raises(TypeError):
+            SymTensor(2, 2, [1, Fraction(1, 2), 2])
 
 
 class TestSymOuter:
@@ -348,15 +347,6 @@ class TestIntegerTables:
         for flat, idx in enumerate(itertools.product(range(3), repeat=3)):
             assert Fraction(table[flat], scale) == x.component(idx)
 
-    def test_a_float_from_the_bare_constructor_is_a_type_error(self):
-        # the dataclass constructor checks nothing; the table every exact
-        # contraction reads names the value instead of failing inside it
-        x = SymTensor(2, 2, {(0, 0): 0.5, (1, 1): 2.0})
-        with pytest.raises(TypeError, match=r"0\.5.*from_entries"):
-            epsilon_determinant(x)
-        with pytest.raises(TypeError, match="from_entries"):
-            contract_full(x, x)
-
     @pytest.mark.parametrize("rank,dim", [(4, 2), (4, 3), (3, 3)])
     def test_orbit_means_against_symmetrization(self, rank, dim):
         flat = [(7 * f) % 11 - 5 for f in range(dim ** rank)]
@@ -384,6 +374,19 @@ class TestRandomSymmetric:
     def test_key_budget(self):
         t = random_symmetric(3, 2, 2, 5)
         assert len(t.entries) <= 4  # C(2+3-1, 3)
+
+    def test_matches_the_documented_stream(self):
+        zero_numerators = 0
+        for rank, dim in [(1, 3), (2, 2), (3, 3), (4, 2), (4, 3)]:
+            for seed in (0, 1, 7, 2 ** 64 + 5):
+                for bound in (1, 9):
+                    draws = oracles.splitmix64_draws(rank, dim, seed, bound)
+                    zero_numerators += sum(num == 0 for _, num, _ in draws)
+                    values = {key: Fraction(num, den) for key, num, den in draws}
+                    t = random_symmetric(rank, dim, seed, bound)
+                    assert t == SymTensor.from_entries(rank, dim, values)
+                    assert t.entries == {k: v for k, v in values.items() if v}
+        assert zero_numerators
 
     def test_bound_precondition(self):
         with pytest.raises(ValueError):
