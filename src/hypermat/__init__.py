@@ -22,9 +22,8 @@ from .oddrank import (CUBIC_LIFT_RATIO, OddLiftResult, cubic_discriminant,
                       inverse_odd_d2, inverse_odd_d2_gradient, lift,
                       lift_gradient_candidate, verify_inverse_d2,
                       verify_odd_rank_vanishing, verify_proportionality)
-from .rank2 import (MetricPair, discriminants_trace, g_product, g_trace,
-                    metric_inverse, newton_elementary_from_power, power_sums,
-                    unit_metric, verify_recurrence2)
+from .rank2 import (discriminants_trace, g_product, newton_elementary_from_power,
+                    power_sums, verify_recurrence2)
 from .rational import as_scalar, format_scalar
 from .report import IdentityCheck, VerificationReport
 from .tensor import (SymTensor, canonical_key, canonical_keys, contract_full,

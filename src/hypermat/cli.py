@@ -144,7 +144,10 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors, matching our contract
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        # one scope per command: each determinant, inverse and signed sum
+        # is computed once
+        with engine.shared_sums():
+            return _HANDLERS[args.command](args)
     except SingularTensorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

@@ -11,7 +11,9 @@ last-wins. Values are rational strings, with "/1" optional for integers
 (``rational.as_scalar`` gives the exact grammar; decimals, exponents and
 zero denominators are rejected); bare JSON integers are accepted on
 input. Output documents always carry sorted canonical indices in
-lexicographic order and omit zero entries.
+lexicographic order and omit zero entries. A document of rank above
+MAX_RANK, or with more than ``tensor.MAX_ENTRIES`` ordered indices
+(dim ** rank), is rejected before any index is enumerated.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import json
 
 from .rational import as_scalar, format_scalar
-from .tensor import SymTensor
+from .tensor import MAX_ENTRIES, SymTensor
+
+MAX_RANK = 64
 
 
 def tensor_from_document(doc) -> SymTensor:
@@ -31,6 +35,11 @@ def tensor_from_document(doc) -> SymTensor:
     rank, dim, raw_entries = doc["rank"], doc["dim"], doc["entries"]
     if any(not isinstance(n, int) or isinstance(n, bool) for n in (rank, dim)):
         raise ValueError("rank and dim must be integers")
+    # the rank first, so that dim ** rank is never formed for a huge rank
+    if rank > MAX_RANK or rank > 0 and dim ** rank > MAX_ENTRIES:
+        raise ValueError(
+            f"rank {rank}, dim {dim} is over the size bound: at most rank "
+            f"{MAX_RANK} and {MAX_ENTRIES} ordered indices (dim ** rank)")
     if not isinstance(raw_entries, list):
         raise ValueError("entries must be a list")
     pairs = []

@@ -76,11 +76,15 @@ Every sum runs through one kernel, ``_signed_sum``:
   classes, each factor's ``form``) and a repeat is served from a dict
   that lives only as long as the block. A form is the tensor's value in
   lowest terms, so equal factors give equal keys whatever object holds
-  them, and the block keeps no tensor alive. Results are immutable
-  (``acc`` is a tuple). The dict is scoped, not global: a sample reuses
-  only its own sums, so the cost of a call never depends on what ran
-  before it, and the memory goes when the block ends. Outside a block
-  every request is enumerated.
+  them, and no key holds a tensor. Determinants and inverses are served
+  the same way, keyed by (function, rank, dim, ``form``), so the
+  metric's det(g) and inv(g), which every invariant and recurrence row
+  reads, are computed once per block and passed by no caller; a raised
+  ``SingularTensorError`` is never stored. Results are immutable (``acc``
+  is a tuple, a tensor is a value). The dict is scoped, not
+  global: a sample reuses only its own results, so the cost of a call
+  never depends on what ran before it, and the memory goes when the
+  block ends. Outside a block every call computes.
 
 Derivative convention used package-wide: gradients are formal, treating
 all d**r ordered components of a factor as independent. The derivative
@@ -103,7 +107,7 @@ from operator import add, eq, itemgetter, methodcaller
 from typing import Sequence
 
 from .errors import SingularTensorError
-from .tensor import SymTensor, integer_table, orbit_means
+from .tensor import MAX_ENTRIES, SymTensor, integer_table, orbit_means
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -237,13 +241,14 @@ def _canonical(base: tuple, layout: tuple, odd: int):
     return tuple(base), sign
 
 
-# sums by request key
+# results by request key
 _SHARED: ContextVar = ContextVar("hypermat_shared_sums", default=None)
 
 
 @contextmanager
 def shared_sums():
-    """Enumerate each distinct signed sum once within the block.
+    """Compute each distinct signed sum, determinant and inverse once
+    within the block.
 
     A nested block starts empty and the enclosing one resumes when it
     ends.
@@ -253,6 +258,19 @@ def shared_sums():
         yield
     finally:
         _SHARED.reset(token)
+
+
+def _shared(key: tuple, compute):
+    """``compute()``, served from the enclosing ``shared_sums`` block when
+    an equal key was computed there before. Nothing is stored when
+    ``compute`` raises, and outside a block every call computes."""
+    memo = _SHARED.get()
+    if memo is None:
+        return compute()
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = compute()
+    return result
 
 
 def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
@@ -270,15 +288,9 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
     result is the full sum; given classes restrict it as stated and the
     result is the restricted sum itself.
     """
-    sums = _SHARED.get()
-    if sums is None:
-        return _enumerate(factors, free, classes)
-    key = (factors[0].rank, factors[0].dim, free, classes,
+    key = ("sum", factors[0].rank, factors[0].dim, free, classes,
            tuple([f.form for f in factors]))
-    result = sums.get(key)
-    if result is None:
-        result = sums[key] = _enumerate(factors, free, classes)
-    return result
+    return _shared(key, lambda: _enumerate(factors, free, classes))
 
 
 def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None):
@@ -403,7 +415,8 @@ def epsilon_determinant(tensor: SymTensor):
         raise ValueError("odd rank: the signed contraction vanishes "
                          "identically, lift to even rank instead")
     d = tensor.dim
-    return coset_restricted_product([tensor] * d, d) / math.factorial(d)
+    return _shared(("determinant", tensor.rank, d, tensor.form),
+                   lambda: coset_restricted_product([tensor] * d, d) / math.factorial(d))
 
 
 def epsilon_inverse(tensor: SymTensor) -> SymTensor:
@@ -422,16 +435,17 @@ def epsilon_inverse(tensor: SymTensor) -> SymTensor:
     The d factors of eps(T^d) enter alike, so D = d * gradient / d! =
     gradient / (d-1)!, and the inverse is D / det(T).
     """
-    det = epsilon_determinant(tensor)
-    if det == 0:
-        raise SingularTensorError("tensor determinant is zero; no inverse")
-    d = tensor.dim
-    grad = epsilon_product_gradient([tensor] * d, 0)
-    return grad * (Fraction(1, math.factorial(d - 1)) / det)
+    def inverse():
+        det = epsilon_determinant(tensor)
+        if det == 0:
+            raise SingularTensorError("tensor determinant is zero; no inverse")
+        d = tensor.dim
+        grad = epsilon_product_gradient([tensor] * d, 0)
+        return grad * (Fraction(1, math.factorial(d - 1)) / det)
+    return _shared(("inverse", tensor.rank, tensor.dim, tensor.form), inverse)
 
 
-def materialize_permutation_tensor(order: int, metric: SymTensor,
-                                   cap: int = 10 ** 6):
+def materialize_permutation_tensor(order: int, metric: SymTensor):
     """Dense coefficient tensor that contracts `order` copies of a rank-r
     tensor into its order-s invariant relative to ``metric``.
 
@@ -442,7 +456,7 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
 
     Rejects order > d, where every entry vanishes because a sign symbol
     cannot take `order` distinct values in fewer slots, and results with
-    more than ``cap`` entries.
+    more than ``tensor.MAX_ENTRIES`` entries.
 
     Returns a dict keyed by every index tuple of length r*order, zeros
     included, as ``tensor.contract_one_free`` does.
@@ -454,9 +468,9 @@ def materialize_permutation_tensor(order: int, metric: SymTensor,
         raise ValueError(
             f"order {order} exceeds dimension {d}: the coefficient tensor "
             "is identically zero there and is not materialized")
-    if d ** (r * order) > cap:
-        raise ValueError(
-            f"result would hold {d ** (r * order)} entries, over the cap {cap}")
+    if d ** (r * order) > MAX_ENTRIES:
+        raise ValueError(f"result would hold {d ** (r * order)} entries, "
+                         f"over the cap {MAX_ENTRIES}")
     det = epsilon_determinant(metric)
     if det == 0:
         raise SingularTensorError(

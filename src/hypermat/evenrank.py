@@ -37,8 +37,7 @@ def verify_recurrence_even(a: SymTensor, g: SymTensor,
     """Recurrence residuals for every order; the order-d row is the
     Cayley-Hamilton statement."""
     return VerificationReport("even-rank-recurrence", invariants.recurrence_checks(
-        a, g, invariants.metric_determinant(g), engine.epsilon_inverse(g),
-        _RECURRENCE_FORMULAS, seed))
+        a, g, _RECURRENCE_FORMULAS, seed))
 
 
 def _times_symmetric(x_rows: list, y_rows: list) -> list:

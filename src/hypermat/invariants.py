@@ -36,7 +36,7 @@ def metric_determinant(g: SymTensor):
     return det
 
 
-def invariant_of_order(a: SymTensor, g: SymTensor, s: int, g_det=None):
+def invariant_of_order(a: SymTensor, g: SymTensor, s: int):
     """Order-s invariant; exactly zero for s > d by construction."""
     _check_pair(a, g)
     d = a.dim
@@ -44,21 +44,17 @@ def invariant_of_order(a: SymTensor, g: SymTensor, s: int, g_det=None):
         raise ValueError("order must be non-negative")
     if s > d:
         return Fraction(0)
-    if g_det is None:
-        g_det = metric_determinant(g)
+    g_det = metric_determinant(g)
     numerator = engine.coset_restricted_product([a] * s + [g] * (d - s), s)
     return numerator / (math.factorial(s) * math.factorial(d - s)) / g_det
 
 
-def invariant_values(a: SymTensor, g: SymTensor, g_det=None) -> tuple:
+def invariant_values(a: SymTensor, g: SymTensor) -> tuple:
     """The full sequence of orders 0..d."""
-    _check_pair(a, g)
-    if g_det is None:
-        g_det = metric_determinant(g)
-    return tuple(invariant_of_order(a, g, s, g_det) for s in range(a.dim + 1))
+    return tuple(invariant_of_order(a, g, s) for s in range(a.dim + 1))
 
 
-def grad_tensor(a: SymTensor, g: SymTensor, s: int, g_det=None) -> SymTensor:
+def grad_tensor(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
     """Formal derivative of the order-s invariant with respect to ``a``.
 
     The s tensor slots contribute identical slot-freed gradients, so the
@@ -66,27 +62,23 @@ def grad_tensor(a: SymTensor, g: SymTensor, s: int, g_det=None) -> SymTensor:
     """
     _check_pair(a, g)
     d = a.dim
-    if g_det is None:
-        g_det = metric_determinant(g)
+    g_det = metric_determinant(g)
     if s == 0 or s > d:
         return SymTensor.zero(a.rank, d)
     freed = engine.epsilon_product_gradient([a] * s + [g] * (d - s), 0)
     return freed * (Fraction(s, math.factorial(s) * math.factorial(d - s)) / g_det)
 
 
-def grad_metric(a: SymTensor, g: SymTensor, s: int, g_det=None,
-                g_inv: SymTensor | None = None) -> SymTensor:
+def grad_metric(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
     """Formal derivative of the order-s invariant with respect to ``g``,
     including the term from the 1/det(g) prefactor."""
     _check_pair(a, g)
     d = a.dim
-    if g_det is None:
-        g_det = metric_determinant(g)
-    if g_inv is None:
-        g_inv = engine.epsilon_inverse(g)
+    g_det = metric_determinant(g)
+    g_inv = engine.epsilon_inverse(g)
     if s > d:
         return SymTensor.zero(a.rank, d)
-    value = invariant_of_order(a, g, s, g_det)
+    value = invariant_of_order(a, g, s)
     prefactor_term = g_inv * (-value)
     if s == d:
         return prefactor_term
@@ -96,23 +88,18 @@ def grad_metric(a: SymTensor, g: SymTensor, s: int, g_det=None,
     return slot_term + prefactor_term
 
 
-def recurrence_residual(a: SymTensor, g: SymTensor, s: int, g_det=None,
-                        g_inv: SymTensor | None = None) -> SymTensor:
+def recurrence_residual(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
     """Residual of: d(c_s)/dg + c_s * inv(g) - d(c_{s+1})/da.
 
     Identically zero for 0 <= s <= d (the s = d case, where c_{d+1} is
     zero, is the Cayley-Hamilton statement).
     """
-    if g_det is None:
-        g_det = metric_determinant(g)
-    if g_inv is None:
-        g_inv = engine.epsilon_inverse(g)
-    lhs = grad_metric(a, g, s, g_det, g_inv) + g_inv * invariant_of_order(a, g, s, g_det)
-    return lhs - grad_tensor(a, g, s + 1, g_det)
+    lhs = grad_metric(a, g, s) + engine.epsilon_inverse(g) * invariant_of_order(a, g, s)
+    return lhs - grad_tensor(a, g, s + 1)
 
 
-def recurrence_checks(a: SymTensor, g: SymTensor, g_det, g_inv: SymTensor,
-                      formulas: tuple, seed: int | None) -> list[IdentityCheck]:
+def recurrence_checks(a: SymTensor, g: SymTensor, formulas: tuple,
+                      seed: int | None) -> list[IdentityCheck]:
     """One check row per order 0..d of the recurrence; the order-d row is
     the Cayley-Hamilton statement. ``formulas`` holds the printed forms of
     the general row and of the order-d row."""
@@ -120,7 +107,7 @@ def recurrence_checks(a: SymTensor, g: SymTensor, g_det, g_inv: SymTensor,
     d = a.dim
     return [check("cayley_hamilton" if s == d else f"recurrence_order_{s}",
                   cayley_hamilton if s == d else recurrence,
-                  recurrence_residual(a, g, s, g_det, g_inv), seed)
+                  recurrence_residual(a, g, s), seed)
             for s in range(d + 1)]
 
 
@@ -157,10 +144,9 @@ def evaluate_polynomial(coefficients: Sequence, point):
 def characteristic_residual_at(a: SymTensor, g: SymTensor, point) -> Fraction:
     """Difference between the order-d invariant of a - t*g and the
     characteristic polynomial evaluated at t; exactly zero."""
-    g_det = metric_determinant(g)
     shifted = a + g * (-point)
-    direct = engine.epsilon_determinant(shifted) / g_det
-    coeffs = characteristic_coefficients(invariant_values(a, g, g_det))
+    direct = engine.epsilon_determinant(shifted) / metric_determinant(g)
+    coeffs = characteristic_coefficients(invariant_values(a, g))
     return direct - evaluate_polynomial(coeffs, point)
 
 

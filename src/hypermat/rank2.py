@@ -9,7 +9,6 @@ where only the contraction route survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -20,31 +19,9 @@ from .tensor import (SymTensor, contract_full, identity, integer_table,
                      table_rows)
 
 
-@dataclass(frozen=True)
-class MetricPair:
-    """A rank-2 metric with its inverse and determinant precomputed."""
-
-    g: SymTensor
-    g_inv: SymTensor
-    g_det: Fraction
-
-
-def metric_inverse(g: SymTensor) -> MetricPair:
-    """Bundle a metric with its inverse and determinant; singular metrics
-    are rejected."""
-    if g.rank != 2:
-        raise ValueError("a metric is a rank-2 tensor")
-    det = invariants.metric_determinant(g)
-    return MetricPair(g, engine.epsilon_inverse(g), det)
-
-
-def unit_metric(dim: int) -> MetricPair:
-    eye = identity(dim)
-    return MetricPair(eye, eye, Fraction(1))
-
-
-def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
-    """Metric product c_ij = a_ik g^lk b_lj, symmetrized for storage.
+def g_product(a: SymTensor, b: SymTensor, g: SymTensor) -> SymTensor:
+    """Metric product c_ij = a_ik g^lk b_lj, symmetrized for storage, with
+    g^ the inverse of the metric ``g``; a singular metric is rejected.
 
     Powers of a single matrix are symmetric already (the products are
     palindromes), so for them the symmetrization is a no-op. The
@@ -52,9 +29,10 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
     kernel, and the result is one form over the product of the scales.
     """
     d = a.dim
-    if b.dim != d or metric.g.dim != d or a.rank != 2 or b.rank != 2:
+    if b.dim != d or g.dim != d or a.rank != 2 or b.rank != 2 or g.rank != 2:
         raise ValueError("metric product needs rank-2 operands of one dimension")
-    (ta, sa), (tg, sg), (tb, sb) = map(integer_table, (a, metric.g_inv, b))
+    g_inv = engine.epsilon_inverse(g)
+    (ta, sa), (tg, sg), (tb, sb) = map(integer_table, (a, g_inv, b))
     ra, rg, rb = (table_rows(t, d) for t in (ta, tg, tb))
     # all three are symmetric, so row j of b is its column j and
     # gb[j][k] = g^kl b_lj is column j of g^-1 b
@@ -65,23 +43,20 @@ def g_product(a: SymTensor, b: SymTensor, metric: MetricPair) -> SymTensor:
                             for j in range(i, d)], 2 * sa * sg * sb)
 
 
-def g_trace(a: SymTensor, metric: MetricPair):
-    """Metric trace g^ij a_ij."""
-    return contract_full(metric.g_inv, a)
-
-
-def power_sums(a: SymTensor, metric: MetricPair, max_order: int) -> list:
-    """Traces of metric powers: [d, tr(a), tr(a^2), ..., tr(a^max_order)].
+def power_sums(a: SymTensor, g: SymTensor, max_order: int) -> list:
+    """Traces g^ij x_ij of metric powers: [d, tr(a), tr(a^2), ...,
+    tr(a^max_order)].
 
     The zeroth entry is the dimension, the trace of the unit element.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    sums = [Fraction(a.dim), g_trace(a, metric)]
+    g_inv = engine.epsilon_inverse(g)
+    sums = [Fraction(a.dim), contract_full(g_inv, a)]
     current = a
     for _ in range(max_order - 1):
-        current = g_product(current, a, metric)
-        sums.append(g_trace(current, metric))
+        current = g_product(current, a, g)
+        sums.append(contract_full(g_inv, current))
     return sums
 
 
@@ -100,10 +75,10 @@ def newton_elementary_from_power(power: Sequence) -> list:
     return p
 
 
-def discriminants_trace(a: SymTensor, metric: MetricPair) -> tuple:
+def discriminants_trace(a: SymTensor, g: SymTensor) -> tuple:
     """Invariant sequence c_0..c_d built from traces of powers via the
     Newton recursion."""
-    q = power_sums(a, metric, a.dim)
+    q = power_sums(a, g, a.dim)
     return tuple(newton_elementary_from_power(q[1:]))
 
 
@@ -113,11 +88,11 @@ def matrix_polynomial_residual(a: SymTensor) -> SymTensor:
     if a.rank != 2:
         raise ValueError("the matrix identity applies at rank 2")
     d = a.dim
-    metric = unit_metric(d)
-    coeffs = invariants.invariant_values(a, metric.g, metric.g_det)
-    powers = [identity(d)]
+    unit = identity(d)
+    coeffs = invariants.invariant_values(a, unit)
+    powers = [unit]
     for _ in range(d):
-        powers.append(g_product(powers[-1], a, metric))
+        powers.append(g_product(powers[-1], a, unit))
     residual = SymTensor.zero(2, d)
     for s in range(d + 1):
         residual = residual + powers[d - s] * ((-1) ** s * coeffs[s])
@@ -129,12 +104,12 @@ _RECURRENCE_FORMULAS = ("d(c_s)/dg + c_s*inv(g) == d(c_{s+1})/da",
 _MATRIX_FORMULA = "sum_s (-1)^s c_s a^(d-s) == 0 with the unit metric"
 
 
-def verify_recurrence2(a: SymTensor, metric: MetricPair,
+def verify_recurrence2(a: SymTensor, g: SymTensor,
                        seed: int | None = None) -> VerificationReport:
     """Recurrence residuals for every order, the Cayley-Hamilton case
     included, plus the explicit unit-metric matrix identity for d <= 4."""
     report = VerificationReport("rank2-recurrence", invariants.recurrence_checks(
-        a, metric.g, metric.g_det, metric.g_inv, _RECURRENCE_FORMULAS, seed))
+        a, g, _RECURRENCE_FORMULAS, seed))
     if a.dim <= 4:
         report.checks.append(check(
             "matrix_polynomial_unit_metric", _MATRIX_FORMULA,

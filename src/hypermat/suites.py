@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import engine, evenrank, invariants, oddrank, rank2
 from .report import VerificationReport, check
-from .tensor import (SymTensor, contract_one_free, derive_seed,
+from .tensor import (SymTensor, contract_one_free, derive_seed, identity,
                      random_symmetric)
 
 BOUND = 7
@@ -25,12 +25,12 @@ MAX_SAMPLES = 1000
 MAX_ATTEMPTS = 64
 
 
-def random_invertible(rank: int, dim: int, seed: int, bound: int = BOUND) -> SymTensor:
+def random_invertible(rank: int, dim: int, seed: int) -> SymTensor:
     """First tensor with nonzero determinant along a seed-derived chain of
     at most MAX_ATTEMPTS draws."""
     for attempt in range(MAX_ATTEMPTS):
         tensor = random_symmetric(
-            rank, dim, seed if attempt == 0 else derive_seed(seed, attempt), bound)
+            rank, dim, seed if attempt == 0 else derive_seed(seed, attempt), BOUND)
         if engine.epsilon_determinant(tensor) != 0:
             return tensor
     raise ValueError(
@@ -40,16 +40,15 @@ def random_invertible(rank: int, dim: int, seed: int, bound: int = BOUND) -> Sym
 
 def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
     report = VerificationReport(f"rank2 d={dim}")
-    unit = rank2.unit_metric(dim)
+    unit = identity(dim)
     for k in range(samples):
         with engine.shared_sums():
             sample_seed = derive_seed(seed, k)
             a = random_invertible(2, dim, sample_seed)
             g = random_invertible(2, dim, derive_seed(sample_seed, 101))
-            metric = rank2.metric_inverse(g)
 
-            trace_route = tuple(rank2.discriminants_trace(a, metric))
-            epsilon_route = invariants.invariant_values(a, metric.g, metric.g_det)
+            trace_route = rank2.discriminants_trace(a, g)
+            epsilon_route = invariants.invariant_values(a, g)
             bridge = max(abs(x - y) for x, y in zip(trace_route, epsilon_route))
             report.checks.append(check(
                 "trace_epsilon_bridge",
@@ -58,7 +57,8 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
 
             report.checks.append(check(
                 "determinant_ratio", "c_d * det(g) == det(a)",
-                epsilon_route[dim] * metric.g_det - engine.epsilon_determinant(a),
+                epsilon_route[dim] * engine.epsilon_determinant(g)
+                - engine.epsilon_determinant(a),
                 sample_seed))
 
             inverse = engine.epsilon_inverse(a)
@@ -69,14 +69,14 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
                 sample_seed))
 
             det_route = inverse
-            grad_route = invariants.grad_tensor(a, metric.g, dim, metric.g_det) * (
+            grad_route = invariants.grad_tensor(a, g, dim) * (
                 Fraction(1) / epsilon_route[dim])
             report.checks.append(check(
                 "inverse_two_routes",
                 "determinant-gradient inverse == invariant-gradient inverse",
                 det_route - grad_route, sample_seed))
 
-            report.extend(rank2.verify_recurrence2(a, metric, sample_seed))
+            report.extend(rank2.verify_recurrence2(a, g, sample_seed))
             for row in rank2.verify_recurrence2(a, unit, sample_seed).checks:
                 row.identity += "_unit_metric"
                 report.checks.append(row)
@@ -85,18 +85,18 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
                 report.checks.append(check(
                     f"metric_derivative_bridge_order_{s}",
                     "d(det(g) c_s)/dg == d(det(g) c_{s+1})/da",
-                    invariants.metric_derivative_bridge_residual(a, metric.g, s),
+                    invariants.metric_derivative_bridge_residual(a, g, s),
                     sample_seed))
 
             for point in (Fraction(2), Fraction(-1), Fraction(7, 3)):
                 report.checks.append(check(
                     "char_poly_evaluation",
                     "c_d of (a - t*g) == characteristic polynomial at t",
-                    invariants.characteristic_residual_at(a, metric.g, point),
+                    invariants.characteristic_residual_at(a, g, point),
                     sample_seed))
 
             lam = Fraction(3, 2)
-            scaled_a = invariants.invariant_values(a * lam, metric.g, metric.g_det)
+            scaled_a = invariants.invariant_values(a * lam, g)
             scaled_g = invariants.invariant_values(a, g * lam)
             scale_residual = max(
                 max(abs(scaled_a[s] - lam ** s * epsilon_route[s])
@@ -107,8 +107,7 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
                 "scaling", "c_s of t*a == t^s c_s; c_s against t*g == t^-s c_s",
                 scale_residual, sample_seed))
 
-            self_metric = rank2.metric_inverse(a)
-            collapse = rank2.verify_recurrence2(a, self_metric, sample_seed)
+            collapse = rank2.verify_recurrence2(a, a, sample_seed)
             report.checks.append(check(
                 "self_metric_collapse",
                 "with g == a every recurrence row reduces to 0 == 0",
@@ -116,7 +115,7 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
 
             report.checks.append(check(
                 "order_above_dimension", "c_s == 0 for s > d",
-                invariants.invariant_of_order(a, metric.g, dim + 1, metric.g_det),
+                invariants.invariant_of_order(a, g, dim + 1),
                 sample_seed))
     return report
 

@@ -44,6 +44,11 @@ from .rational import as_scalar
 
 MultiIndex = tuple
 
+# the most ordered indices (d**r) of a tensor read from a document or of
+# a materialized coefficient tensor: the layout and the integer table
+# are lists that long
+MAX_ENTRIES = 10 ** 6
+
 
 def canonical_key(idx: Sequence[int]) -> MultiIndex:
     """Non-decreasing reordering of an index tuple."""

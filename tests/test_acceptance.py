@@ -7,14 +7,15 @@ import time
 from fractions import Fraction
 
 from hypermat import (CUBIC_LIFT_RATIO, SymTensor, contract_one_free,
+                      coset_restricted_product,
                       coset_restricted_product_counted, cubic_discriminant,
                       derive_seed, discriminants_trace, epsilon_determinant,
-                      epsilon_inverse, epsilon_product, invariant_values,
-                      inverse_odd_d2, inverse_odd_d2_gradient, lift,
-                      metric_inverse, multiplicity,
+                      epsilon_inverse, epsilon_product, identity,
+                      invariant_values, inverse_odd_d2,
+                      inverse_odd_d2_gradient, lift, multiplicity,
                       newton_elementary_from_power,
                       quadratic_identity_residual, random_symmetric,
-                      self_identity_residual, sym_outer, unit_metric,
+                      self_identity_residual, sym_outer,
                       verify_recurrence_even, verify_recurrence2)
 from hypermat import invariants, oddrank
 from hypermat.invariants import identity_residual
@@ -74,11 +75,10 @@ def test_criterion_03_trace_epsilon_bridge():
         for seed in range(25):
             a = random_symmetric(2, dim, derive_seed(3000 + dim, seed), 7)
             g = invertible(2, dim, derive_seed(3500 + dim, seed))
-            m = metric_inverse(g)
-            trace_route = tuple(discriminants_trace(a, m))
-            epsilon_route = invariant_values(a, m.g)
+            trace_route = tuple(discriminants_trace(a, g))
+            epsilon_route = invariant_values(a, g)
             assert trace_route == epsilon_route
-            assert epsilon_route[dim] * m.g_det == epsilon_determinant(a)
+            assert epsilon_route[dim] * epsilon_determinant(g) == epsilon_determinant(a)
     _stamp(3, 10, started,
            "trace and contraction invariants agree, d in {2,3,4}, 25 seeds each")
 
@@ -97,11 +97,11 @@ def test_criterion_04_newton_closed_forms():
 def test_criterion_05_rank2_recurrence_and_cayley_hamilton():
     started = time.perf_counter()
     for dim in (2, 3, 4):
-        unit = unit_metric(dim)
+        unit = identity(dim)
         for seed in range(25):
             a = random_symmetric(2, dim, derive_seed(5000 + dim, seed), 7)
             g = invertible(2, dim, derive_seed(5500 + dim, seed))
-            for metric in (unit, metric_inverse(g)):
+            for metric in (unit, g):
                 report = verify_recurrence2(a, metric)
                 assert report.all_pass
                 assert all(c.residual == "0" for c in report.checks)
@@ -202,20 +202,20 @@ def test_criterion_11_floating_gradient_oracle():
         a = random_symmetric(rank, dim, derive_seed(seed_base, 0), 5)
         g = invertible(rank, dim, derive_seed(seed_base, 1), 5)
         det_g = epsilon_determinant(g)
-        g_inv = epsilon_inverse(g)
         for s in range(1, dim + 1):
-            grad_a = invariants.grad_tensor(a, g, s, det_g)
-            grad_g = invariants.grad_metric(a, g, s, det_g, g_inv)
+            grad_a = invariants.grad_tensor(a, g, s)
+            grad_g = invariants.grad_metric(a, g, s)
 
             def numerator(metric):
                 # the invariant times det(metric): a polynomial of degree d-s
-                return invariants.invariant_of_order(a, metric, s, 1)
+                value = coset_restricted_product([a] * s + [metric] * (dim - s), s)
+                return value / (math.factorial(s) * math.factorial(dim - s))
 
             for key in canonical_keys(rank, dim):
                 direction = oracles.basis_direction(rank, dim, key)
                 mu = multiplicity(key)
                 d_tensor = oracles.directional_derivative(
-                    lambda t: invariants.invariant_of_order(t, g, s, det_g),
+                    lambda t: invariants.invariant_of_order(t, g, s),
                     a, direction, s)
                 assert d_tensor == mu * grad_a.component(key)
                 # the invariant is rational in the metric: quotient rule

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hypermat import cli, contract_one_free
+from hypermat import cli, contract_one_free, engine, suites, tensor
 from hypermat.documents import tensor_from_document, tensor_to_document
 from hypermat.invariants import identity_residual
 from hypermat.tensor import SymTensor, from_matrix
@@ -180,6 +181,27 @@ class TestDet:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("doc", [
+        {"rank": 12, "dim": 10, "entries": [{"index": [0] * 12, "value": "1"}]},
+        {"rank": 2, "dim": 100000, "entries": []},
+        {"rank": 65, "dim": 1, "entries": []},
+        # the rank is tested first, so 10 ** (10 ** 18) is never formed
+        {"rank": 10 ** 18, "dim": 10, "entries": []},
+    ])
+    def test_oversized_document_exits_2_at_once(self, doc, tmp_path, capsys,
+                                                 monkeypatch):
+        def layout(*args):
+            raise AssertionError("indices enumerated for an oversized document")
+
+        monkeypatch.setattr(tensor, "_layout", layout)
+        path = write_doc(tmp_path, "big.json", doc)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "det", path)
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "size bound" in err
+
 
 class TestInvariants:
     def test_hand_matrix(self, tmp_path, capsys):
@@ -238,6 +260,27 @@ class TestInvariants:
         code, out, _ = run(capsys, "invariants", a, "--metric", g, "--pretty")
         assert code == 0
         assert out.splitlines() == ["c_0 = 1", "c_1 = 5", "c_2 = 5"]
+
+    def test_the_metric_determinant_is_enumerated_once(
+            self, tmp_path, capsys, monkeypatch):
+        # one coset sum per order 0..3 and one for det(G), whose repeats
+        # are served from the command's shared-sums block
+        docs = [tensor_to_document(suites.random_invertible(4, 3, seed))
+                for seed in (3, 4)]
+        assert docs[0] != docs[1]
+        a, g = (write_doc(tmp_path, f"{name}.json", doc)
+                for name, doc in zip("ag", docs))
+        enumerated = []
+        enumerate_sum = engine._enumerate
+
+        def enumeration(*args):
+            enumerated.append(args)
+            return enumerate_sum(*args)
+
+        monkeypatch.setattr(engine, "_enumerate", enumeration)
+        code, out, _ = run(capsys, "invariants", a, "--metric", g)
+        assert code == 0 and len(json.loads(out)) == 4
+        assert len(enumerated) == 5
 
 
 class TestInverse:

@@ -218,9 +218,14 @@ class TestPermutationTensors:
         with pytest.raises(ValueError, match="exceeds dimension"):
             materialize_permutation_tensor(3, identity(2))
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        # 10**14 entries: rejected before any sum is enumerated
+        def enumeration(*args):
+            raise AssertionError("enumerated past the size cap")
+
+        monkeypatch.setattr(engine, "_enumerate", enumeration)
         with pytest.raises(ValueError, match="cap"):
-            materialize_permutation_tensor(2, identity(2), cap=10)
+            materialize_permutation_tensor(7, identity(10))
 
     def test_singular_metric(self):
         g = from_matrix([[1, 1], [1, 1]])
@@ -495,6 +500,34 @@ class TestSharedSums:
                 epsilon_determinant(SAMPLE_A)
             epsilon_determinant(SAMPLE_A)
         assert len(enumerated) == 2
+
+    def test_equal_tensors_share_one_determinant_and_inverse(self):
+        copy = SymTensor(SAMPLE_A.rank, SAMPLE_A.dim, *SAMPLE_A.form)
+        assert copy is not SAMPLE_A and copy == SAMPLE_A
+        with engine.shared_sums():
+            assert epsilon_inverse(copy) is epsilon_inverse(SAMPLE_A)
+            assert epsilon_determinant(copy) is epsilon_determinant(SAMPLE_A)
+        outside = epsilon_inverse(SAMPLE_A)
+        assert epsilon_inverse(copy) == outside
+        assert epsilon_inverse(copy) is not outside
+
+    def test_the_key_holds_the_shape(self):
+        # 15 numerators each: a rank-4 d=3 form read as a rank-2 d=5 one
+        square = random_symmetric(4, 3, 17, 5)
+        matrix = SymTensor(2, 5, *square.form)
+        expected = [epsilon_determinant(square), epsilon_determinant(matrix)]
+        assert expected[0] != expected[1]
+        with engine.shared_sums():
+            assert [epsilon_determinant(square), epsilon_determinant(matrix)] == expected
+        with engine.shared_sums():
+            assert [epsilon_determinant(matrix), epsilon_determinant(square)] == expected[::-1]
+
+    def test_a_singular_inverse_raises_every_time(self):
+        singular = from_matrix([[1, 1], [1, 1]])
+        with engine.shared_sums():
+            for _ in range(2):
+                with pytest.raises(SingularTensorError):
+                    epsilon_inverse(singular)
 
 
 class TestPlans:

@@ -229,10 +229,9 @@ class TestGradients:
         a = random_symmetric(4, dim, 45, 5)
         g = random_invertible_4(dim, 46)
         det_g = epsilon_determinant(g)
-        g_inv = epsilon_inverse(g)
         for s in range(dim + 1):
-            grad_a = invariants.grad_tensor(a, g, s, det_g)
-            grad_g = invariants.grad_metric(a, g, s, det_g, g_inv)
+            grad_a = invariants.grad_tensor(a, g, s)
+            grad_g = invariants.grad_metric(a, g, s)
 
             def numerator(metric):
                 from hypermat.engine import coset_restricted_product
@@ -243,7 +242,7 @@ class TestGradients:
                 direction = oracles.basis_direction(4, dim, key)
                 mu = multiplicity(key)
                 d_tensor = oracles.directional_derivative(
-                    lambda t: invariants.invariant_of_order(t, g, s, det_g),
+                    lambda t: invariants.invariant_of_order(t, g, s),
                     a, direction, max(s, 1))
                 assert d_tensor == mu * grad_a.component(key)
                 d_num = oracles.directional_derivative(
@@ -318,7 +317,7 @@ class TestRecurrence:
         det_g = epsilon_determinant(g)
         g_inv = epsilon_inverse(g)
         for s in range(3):
-            value = invariants.invariant_of_order(a, g, s, det_g)
+            value = invariants.invariant_of_order(a, g, s)
 
             def numerator(metric):
                 raw = coset_restricted_product([a] * s + [metric] * (2 - s), s)
@@ -336,7 +335,7 @@ class TestRecurrence:
                     rhs = Fraction(0)
                 else:
                     rhs = oracles.directional_derivative(
-                        lambda t: invariants.invariant_of_order(t, g, s + 1, det_g),
+                        lambda t: invariants.invariant_of_order(t, g, s + 1),
                         a, direction, s + 1) / mu
                 assert lhs == rhs
 

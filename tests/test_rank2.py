@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from hypermat import (SingularTensorError, SymTensor,
-                      characteristic_coefficients, contract_one_free,
-                      discriminants_trace, epsilon_determinant,
-                      epsilon_inverse, from_matrix, g_product, g_trace,
-                      identity, invariant_values, metric_inverse,
+                      characteristic_coefficients, contract_full,
+                      contract_one_free, discriminants_trace,
+                      epsilon_determinant, epsilon_inverse, from_matrix,
+                      g_product, identity, invariant_values,
                       newton_elementary_from_power, power_sums,
-                      random_symmetric, unit_metric, verify_recurrence2)
+                      random_symmetric, verify_recurrence2)
 from hypermat import invariants, rank2
-from hypermat.invariants import identity_residual
+from hypermat.invariants import identity_residual, metric_determinant
 
 import oracles
 
@@ -34,76 +34,77 @@ def random_invertible_2(dim, seed, bound=7):
 
 class TestMetricInverse:
     def test_unit(self):
-        m = metric_inverse(identity(3))
-        assert m.g_inv == identity(3)
-        assert m.g_det == 1
+        assert epsilon_inverse(identity(3)) == identity(3)
+        assert metric_determinant(identity(3)) == 1
 
     def test_hand_adjugate(self):
-        m = metric_inverse(A_HAND)
-        assert m.g_det == 5
-        assert m.g_inv == from_matrix([["3/5", "-1/5"], ["-1/5", "2/5"]])
+        assert metric_determinant(A_HAND) == 5
+        assert epsilon_inverse(A_HAND) == from_matrix(
+            [["3/5", "-1/5"], ["-1/5", "2/5"]])
 
     def test_singular(self):
+        singular = from_matrix([[1, 1], [1, 1]])
         with pytest.raises(SingularTensorError):
-            metric_inverse(from_matrix([[1, 1], [1, 1]]))
+            epsilon_inverse(singular)
+        with pytest.raises(SingularTensorError):
+            metric_determinant(singular)
 
     def test_inverse_contracts_to_delta(self):
         g = random_invertible_2(3, 17)
-        m = metric_inverse(g)
-        assert identity_residual(contract_one_free(m.g_inv, g)) == 0
+        assert identity_residual(contract_one_free(epsilon_inverse(g), g)) == 0
 
 
 class TestMetricAlgebra:
     def test_metric_is_the_unit(self):
         g = random_invertible_2(2, 23)
-        m = metric_inverse(g)
         a = random_symmetric(2, 2, 24, 7)
-        assert g_product(a, g, m) == a
-        assert g_product(g, a, m) == a
+        assert g_product(a, g, g) == a
+        assert g_product(g, a, g) == a
 
     def test_hand_square(self):
-        m = unit_metric(2)
-        assert g_product(A_HAND, A_HAND, m) == from_matrix([[5, 5], [5, 10]])
+        assert g_product(A_HAND, A_HAND, identity(2)) == from_matrix([[5, 5], [5, 10]])
 
     def test_zero(self):
-        m = unit_metric(2)
+        unit = identity(2)
         z = SymTensor.zero(2, 2)
-        assert g_product(z, A_HAND, m).is_zero()
-        assert g_trace(z, m) == 0
+        assert g_product(z, A_HAND, unit).is_zero()
+        assert contract_full(epsilon_inverse(unit), z) == 0
 
     def test_trace(self):
-        m = unit_metric(2)
-        assert g_trace(A_HAND, m) == 5
+        assert contract_full(epsilon_inverse(identity(2)), A_HAND) == 5
         g = random_invertible_2(3, 25)
-        assert g_trace(g, metric_inverse(g)) == 3
+        assert contract_full(epsilon_inverse(g), g) == 3
 
     def test_power_sums_hand(self):
-        m = unit_metric(2)
-        assert power_sums(A_HAND, m, 2) == [2, 5, 15]
+        assert power_sums(A_HAND, identity(2), 2) == [2, 5, 15]
 
     def test_power_sums_unit(self):
-        m = unit_metric(2)
-        assert power_sums(identity(2), m, 4) == [2, 2, 2, 2, 2]
+        assert power_sums(identity(2), identity(2), 4) == [2, 2, 2, 2, 2]
 
     def test_power_sums_zero(self):
-        m = unit_metric(3)
-        sums = power_sums(SymTensor.zero(2, 3), m, 3)
+        sums = power_sums(SymTensor.zero(2, 3), identity(3), 3)
         assert sums[0] == 3 and all(q == 0 for q in sums[1:])
+
+    def test_singular_metric(self):
+        singular = from_matrix([[1, 1], [1, 1]])
+        with pytest.raises(SingularTensorError):
+            g_product(A_HAND, A_HAND, singular)
+        with pytest.raises(SingularTensorError):
+            power_sums(A_HAND, singular, 2)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_power_sums_against_dense_oracle(self, dim):
         # plain matrix products of g^-1 a, no symmetrized storage involved
         a = random_symmetric(2, dim, 26 + dim, 7)
         g = random_invertible_2(dim, 28 + dim)
-        m = metric_inverse(g)
-        mixed = oracles.mat_mul(oracles.to_dense_matrix(m.g_inv),
+        mixed = oracles.mat_mul(oracles.to_dense_matrix(epsilon_inverse(g)),
                                 oracles.to_dense_matrix(a))
         power = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
         expected = [Fraction(dim)]
         for _ in range(4):
             power = oracles.mat_mul(power, mixed)
             expected.append(oracles.mat_trace(power))
-        assert power_sums(a, m, 4) == expected
+        assert power_sums(a, g, 4) == expected
 
 
 def _symmetrized_oracle_product(a, ginv, b):
@@ -126,13 +127,12 @@ class TestIntegerMetricProduct:
                          ["-3/13", 2, "4/11", "-6/7"], [1, "1/13", "-6/7", "9/13"]])
 
     def metric(self):
-        g_inv = self.G_INV
-        return rank2.MetricPair(epsilon_inverse(g_inv), g_inv,
-                                1 / epsilon_determinant(g_inv))
+        # the metric whose inverse is G_INV
+        return epsilon_inverse(self.G_INV)
 
-    def assert_matches_oracle(self, a, b, metric):
-        expected, _ = _symmetrized_oracle_product(a, metric.g_inv, b)
-        product = g_product(a, b, metric)
+    def assert_matches_oracle(self, a, b, g):
+        expected, _ = _symmetrized_oracle_product(a, epsilon_inverse(g), b)
+        product = g_product(a, b, g)
         d = a.dim
         for i in range(d):
             for j in range(d):
@@ -142,7 +142,8 @@ class TestIntegerMetricProduct:
 
     def test_non_commuting_operands(self):
         metric = self.metric()
-        _, raw = _symmetrized_oracle_product(self.A, metric.g_inv, self.B)
+        assert epsilon_inverse(metric) == self.G_INV
+        _, raw = _symmetrized_oracle_product(self.A, self.G_INV, self.B)
         assert raw != [list(row) for row in zip(*raw)]  # the order matters
         assert {v.denominator for v in self.G_INV.entries.values()} >= {7, 11, 13}
         self.assert_matches_oracle(self.A, self.B, metric)
@@ -153,9 +154,9 @@ class TestIntegerMetricProduct:
         for dim in (2, 3, 5):
             a = random_symmetric(2, dim, 60 + dim, 7)
             b = random_symmetric(2, dim, 70 + dim, 7) * Fraction(3, 8)
-            self.assert_matches_oracle(a, b, unit_metric(dim))
+            self.assert_matches_oracle(a, b, identity(dim))
             g = random_invertible_2(dim, 80 + dim)
-            self.assert_matches_oracle(a, b, metric_inverse(g))
+            self.assert_matches_oracle(a, b, g)
 
     def test_zero_operands(self):
         metric = self.metric()
@@ -175,7 +176,7 @@ class TestIntegerMetricProduct:
         monkeypatch.setattr(rank2, "g_product", counting)
         for max_order in (1, 2, 4):
             calls.clear()
-            assert power_sums(A_HAND, unit_metric(2), max_order) == [
+            assert power_sums(A_HAND, identity(2), max_order) == [
                 2, 5, 15, 50, 175][:max_order + 1]
             assert len(calls) == max_order - 1
 
@@ -197,20 +198,19 @@ class TestNewton:
 
 class TestDiscriminants:
     def test_trace_route_hand(self):
-        values = tuple(discriminants_trace(A_HAND, unit_metric(2)))
+        values = tuple(discriminants_trace(A_HAND, identity(2)))
         assert values == (1, 5, 5)
 
     def test_self_metric_binomials(self):
         g = random_invertible_2(3, 51)
-        m = metric_inverse(g)
-        assert tuple(discriminants_trace(g, m)) == (1, 3, 3, 1)
-        assert invariant_values(g, m.g) == (1, 3, 3, 1)
+        assert tuple(discriminants_trace(g, g)) == (1, 3, 3, 1)
+        assert invariant_values(g, g) == (1, 3, 3, 1)
 
     def test_zero_tensor(self):
-        m = unit_metric(3)
+        unit = identity(3)
         z = SymTensor.zero(2, 3)
-        assert tuple(discriminants_trace(z, m)) == (1, 0, 0, 0)
-        assert invariant_values(z, m.g) == (1, 0, 0, 0)
+        assert tuple(discriminants_trace(z, unit)) == (1, 0, 0, 0)
+        assert invariant_values(z, unit) == (1, 0, 0, 0)
 
     def test_epsilon_route_hand(self):
         values = invariant_values(A_HAND, identity(2))
@@ -226,20 +226,18 @@ class TestDiscriminants:
     def test_routes_agree_with_random_metric(self, dim):
         a = random_symmetric(2, dim, 61 + dim, 7)
         g = random_invertible_2(dim, 65 + dim)
-        m = metric_inverse(g)
-        assert tuple(discriminants_trace(a, m)) == invariant_values(a, m.g)
+        assert tuple(discriminants_trace(a, g)) == invariant_values(a, g)
 
     def test_order_above_dimension_vanishes(self):
         a = random_symmetric(2, 3, 70, 7)
-        m = metric_inverse(random_invertible_2(3, 71))
-        assert invariants.invariant_of_order(a, m.g, 4, m.g_det) == 0
-        assert invariants.invariant_of_order(a, m.g, 7, m.g_det) == 0
+        g = random_invertible_2(3, 71)
+        assert invariants.invariant_of_order(a, g, 4) == 0
+        assert invariants.invariant_of_order(a, g, 7) == 0
 
     def test_determinant_ratio(self):
         a = random_symmetric(2, 3, 72, 7)
         g = random_invertible_2(3, 73)
-        m = metric_inverse(g)
-        assert invariant_values(a, m.g)[3] * m.g_det == epsilon_determinant(a)
+        assert invariant_values(a, g)[3] * metric_determinant(g) == epsilon_determinant(a)
 
 
 class TestDetInverse:
@@ -268,9 +266,8 @@ class TestDetInverse:
         # determinant route and discriminant-gradient route coincide
         a = random_invertible_2(3, 75)
         g = random_invertible_2(3, 76)
-        m = metric_inverse(g)
-        top = invariants.invariant_of_order(a, m.g, 3, m.g_det)
-        grad = invariants.grad_tensor(a, g, 3, m.g_det)
+        top = invariants.invariant_of_order(a, g, 3)
+        grad = invariants.grad_tensor(a, g, 3)
         assert epsilon_inverse(a) == grad * (1 / top)
 
 
@@ -281,9 +278,8 @@ class TestCharPoly:
 
     def test_self_metric_gives_binomial_signs(self):
         g = random_invertible_2(3, 77)
-        m = metric_inverse(g)
         assert characteristic_coefficients(
-            invariant_values(g, m.g)) == (-1, 3, -3, 1)
+            invariant_values(g, g)) == (-1, 3, -3, 1)
 
     def test_evaluation_identity(self):
         a = random_symmetric(2, 3, 78, 7)
@@ -301,13 +297,12 @@ class TestGradientOracles:
         from hypermat import multiplicity
         a = random_symmetric(2, dim, 81 + dim, 5)
         g = random_invertible_2(dim, 83 + dim)
-        m = metric_inverse(g)
         for s in range(dim + 1):
-            grad = invariants.grad_tensor(a, g, s, m.g_det)
+            grad = invariants.grad_tensor(a, g, s)
             for key in oracles.all_canonical(2, dim):
                 direction = oracles.basis_direction(2, dim, key)
                 derivative = oracles.directional_derivative(
-                    lambda t: invariants.invariant_of_order(t, g, s, m.g_det),
+                    lambda t: invariants.invariant_of_order(t, g, s),
                     a, direction, max(s, 1))
                 assert derivative == multiplicity(key) * grad.component(key)
 
@@ -316,9 +311,9 @@ class TestGradientOracles:
         from hypermat import multiplicity
         a = random_symmetric(2, dim, 85 + dim, 5)
         g = random_invertible_2(dim, 87 + dim)
-        m = metric_inverse(g)
+        g_det = metric_determinant(g)
         for s in range(dim + 1):
-            grad = invariants.grad_metric(a, g, s, m.g_det, m.g_inv)
+            grad = invariants.grad_metric(a, g, s)
             numerator_degree = dim - s
 
             def numerator(metric):
@@ -334,7 +329,7 @@ class TestGradientOracles:
                 d_det = oracles.directional_derivative(
                     epsilon_determinant, g, direction, dim)
                 n_value = numerator(g)
-                quotient = (d_numerator * m.g_det - n_value * d_det) / m.g_det ** 2
+                quotient = (d_numerator * g_det - n_value * d_det) / g_det ** 2
                 assert quotient == multiplicity(key) * grad.component(key)
 
 
@@ -342,7 +337,7 @@ class TestRecurrence:
     def test_random_metric_rows_vanish(self):
         a = random_symmetric(2, 2, 5, 7)
         g = random_invertible_2(2, 6)
-        report = verify_recurrence2(a, metric_inverse(g), seed=5)
+        report = verify_recurrence2(a, g, seed=5)
         assert report.all_pass
         assert {c.residual for c in report.checks} == {"0"}
         recurrence = "d(c_s)/dg + c_s*inv(g) == d(c_{s+1})/da"
@@ -355,8 +350,7 @@ class TestRecurrence:
 
     def test_hand_cayley_hamilton(self):
         # a^2 - 5a + 5I vanishes for the hand matrix
-        m = unit_metric(2)
-        square = g_product(A_HAND, A_HAND, m)
+        square = g_product(A_HAND, A_HAND, identity(2))
         residual = square - A_HAND * 5 + identity(2) * 5
         assert residual.is_zero()
         assert rank2.matrix_polynomial_residual(A_HAND).is_zero()
@@ -368,13 +362,13 @@ class TestRecurrence:
 
     def test_self_metric_collapses_to_trivial_rows(self):
         a = random_invertible_2(3, 94)
-        report = verify_recurrence2(a, metric_inverse(a))
+        report = verify_recurrence2(a, a)
         assert report.all_pass
 
     def test_cayley_hamilton_op(self):
         a = random_symmetric(2, 3, 95, 7)
         g = random_invertible_2(3, 96)
-        report = verify_recurrence2(a, metric_inverse(g), seed=96)
+        report = verify_recurrence2(a, g, seed=96)
         assert report.all_pass
         assert report.checks[3].identity == "cayley_hamilton"
 
@@ -388,10 +382,9 @@ class TestRecurrence:
     def test_scaling_laws(self):
         a = random_symmetric(2, 3, 99, 7)
         g = random_invertible_2(3, 100)
-        m = metric_inverse(g)
         lam = Fraction(4, 3)
-        base = invariant_values(a, m.g)
-        scaled_tensor = invariant_values(a * lam, m.g)
+        base = invariant_values(a, g)
+        scaled_tensor = invariant_values(a * lam, g)
         scaled_metric = invariant_values(a, g * lam)
         for s in range(4):
             assert scaled_tensor[s] == lam ** s * base[s]
