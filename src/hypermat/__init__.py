@@ -11,8 +11,8 @@ exactly zero.
 
 from .engine import (coset_restricted_product, coset_restricted_product_counted,
                      epsilon_determinant, epsilon_inverse, epsilon_product,
-                     epsilon_product_gradient, materialize_permutation_tensor,
-                     permutation_sign, signed_permutations)
+                     epsilon_product_gradient, permutation_sign,
+                     signed_permutations)
 from .errors import SingularTensorError
 from .evenrank import (cayley_det, quadratic_identity_residual,
                        self_identity_residual, verify_poly_identity_d2,

@@ -117,10 +117,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    tensor = load_tensor(args.file)
-    if tensor.rank != 3:
-        raise ValueError("lift takes a rank-3 tensor")
-    result = oddrank.lift(tensor)
+    result = oddrank.lift(load_tensor(args.file))
     out = {"tensor": tensor_to_document(result.tensor),
            "det": format_scalar(result.det)}
     if result.cubic_disc is not None:

@@ -4,9 +4,11 @@ The primitive here is a sum over r-tuples of permutations of {0..d-1}:
 each tuple contributes the product of the permutation signs times a
 product of factor components, where factor t takes its r indices from the
 t-th values of the r permutations. One permutation plays the role of one
-antisymmetric sign symbol. Determinants, discriminant numerators, inverse
-tensors and permutation coefficient tensors are all normalizations of
-this primitive or of its slot-freed gradients.
+antisymmetric sign symbol. Determinants, discriminant numerators and
+inverse tensors are all normalizations of this primitive or of its
+slot-freed gradients. The paper's permutation tensor of order s,
+contracted with s symmetric tensors, is this primitive on those tensors
+and d-s copies of the metric; its order-1 case is ``epsilon_inverse``.
 
 Every sum runs through one kernel, ``_signed_sum``:
 
@@ -31,15 +33,16 @@ Every sum runs through one kernel, ``_signed_sum``:
   blocks, s!(d-s)!) and the row-product determinant (first permutation
   fixed to the identity) are the same restriction with explicitly given
   classes.
-- Free positions. A gradient leaves one position out of the product and
+- Free position. A gradient leaves one position out of the product and
   accumulates each term at the flat index of that position's r indices;
-  a permutation coefficient tensor leaves several out. The position
-  permutations behind the restriction never move a freed position, so
-  the restriction keeps the sum exact at every freed index, not only in
-  total (coalescing, below, keeps a lone freed slot exact per orbit).
+  every other request frees none. The position permutations behind the
+  restriction never move the freed position, so the restriction keeps
+  the sum exact at every freed index, not only in total (coalescing,
+  below, keeps it exact per orbit).
 - Coalesced states. The sign symbols are placed one level at a time, and
   a partial term is a state: the flat offset of each held position's
-  index prefix, the offset of the freed indices so far, and a sign.
+  index prefix, the offset of the freed slot's index prefix, and a
+  sign.
   Every factor is completely symmetric, so its value depends only on
   the multiset of indices at its position, and two states whose held
   prefixes are equal once sorted have the same continuation. After each
@@ -56,23 +59,22 @@ Every sum runs through one kernel, ``_signed_sum``:
   levels remains; a state with two equal prefixes in one class is then
   dropped, its continuation being its own negative. Classes need not be
   adjacent ([a, g, a]). A first level restricted on the classes is
-  sorted already and skips the step, so rank 2 does no extra work. A
-  lone freed slot has the table layout and is folded like a prefix, so
-  a gradient's sum is exact per orbit of ordered indices, which is all
-  a symmetric result needs; two or more freed slots keep their ordered
-  layout. A freed position is in no class, so sorting within classes
-  leaves the freed indices as they are. No level but the last reads a
-  factor: the states that reach the last level depend on the shape
-  alone (rank, dimension, freed positions, classes and the class
-  layout), so they are built once with the shape's plan (``_plan``),
-  and a call reads its tables into the last level only. The terms a
-  request covers, and the count ``_plan`` reports for it, do not
-  change.
+  sorted already and skips the step, so rank 2 does no extra work. The
+  freed slot has the table layout and is folded like a prefix, so a
+  gradient's sum is exact per orbit of ordered indices, which is all a
+  symmetric result needs. A freed position is in no class, so sorting
+  within classes leaves the freed indices as they are. No level but the
+  last reads a factor: the states that reach the last level depend on
+  the shape alone (rank, dimension, freed position, classes and the
+  class layout), so they are built once with the shape's plan
+  (``_plan``), and a call reads its tables into the last level only.
+  The terms a request covers, and the count ``_plan`` reports for it,
+  do not change.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, so one identity sample asks for most of its
   sums several times. Inside a ``with shared_sums():`` block each sum is
-  enumerated once: a request is keyed by (rank, dim, freed positions,
+  enumerated once: a request is keyed by (rank, dim, freed position,
   classes, each factor's ``form``) and a repeat is served from a dict
   that lives only as long as the block. A form is the tensor's value in
   lowest terms, so equal factors give equal keys whatever object holds
@@ -81,10 +83,11 @@ Every sum runs through one kernel, ``_signed_sum``:
   metric's det(g) and inv(g), which every invariant and recurrence row
   reads, are computed once per block and passed by no caller; a raised
   ``SingularTensorError`` is never stored. Results are immutable (``acc``
-  is a tuple, a tensor is a value). The dict is scoped, not
-  global: a sample reuses only its own results, so the cost of a call
-  never depends on what ran before it, and the memory goes when the
-  block ends. Outside a block every call computes.
+  is a tuple, a tensor is a value). The dict is scoped, not global: a
+  sample reuses only its own results, so the cost of a call never
+  depends on what ran before it, and the memory goes when the block
+  ends. Outside a block every call computes, except in a function
+  wrapped in ``sharing``, which opens a block when none is active.
 
 Derivative convention used package-wide: gradients are formal, treating
 all d**r ordered components of a factor as independent. The derivative
@@ -99,15 +102,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import add, eq, itemgetter, methodcaller
 from typing import Sequence
 
 from .errors import SingularTensorError
-from .tensor import MAX_ENTRIES, SymTensor, integer_table, orbit_means
+from .tensor import SymTensor, integer_table, orbit_means
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -142,8 +145,8 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
 
     Every level (sign symbol) but the last reads only offsets and signs,
     never a table, so the states that reach the last level depend on the
-    shape alone and are built here, once per shape: a tuple of
-    ((held prefix offsets, output offset), coefficient), after the merge
+    shape alone and are built here, once per shape: a tuple of ((held
+    prefix offsets, freed prefix offset), coefficient), after the merge
     and the sort within each class of ``layout`` (see "Coalesced
     states"). The first level holds only permutations increasing on each
     class, which leaves the states it reaches in that canonical form
@@ -158,14 +161,12 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
     leads = [(p, s) for p, s in perms
              if all(p[a] < p[b] for c in classes for a, b in zip(c, c[1:]))]
     held = [t for t in range(dim) if t not in free]
-    m = len(free)
     levels = []
     for k in range(rank):
         stride = dim ** (rank - 1 - k)
         levels.append([
             (s, tuple(p[t] * stride for t in held),
-             sum(p[u] * dim ** (m * (rank - 1 - k) + m - 1 - j)
-                 for j, u in enumerate(free)))
+             sum(p[u] * stride for u in free))
             for p, s in (leads if k == 0 else perms)])
     # states map (held prefix offsets, output offset) to the summed sign
     # of the partial terms that reach them
@@ -173,13 +174,10 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
     widths = []
     for k, (level, sorted_at) in enumerate(zip(levels[:-1], _sorted_prefixes(rank, dim))):
         fold = sorted_at.__getitem__
-        # two or more freed slots keep their ordered layout (int is the
-        # identity on offsets)
-        fold_out = fold if m == 1 else int
         merged: dict = {}
         for (base, out), coeff in states.items():
             for s, offsets, o in level:
-                key = (tuple(map(fold, map(add, base, offsets))), fold_out(out + o))
+                key = (tuple(map(fold, map(add, base, offsets))), fold(out + o))
                 merged[key] = merged.get(key, 0) + coeff * s
         if layout and (k or not classes):
             odd = (rank - 1 - k) % 2
@@ -201,7 +199,8 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
         groups.setdefault(out, []).append(picks)
     last = tuple((out, tuple(picks)) for out, picks in groups.items())
     terms = len(leads) * len(perms) ** (rank - 1)
-    return tuple(states.items()), last, dim ** (rank * m), terms, tuple(widths)
+    return (tuple(states.items()), last, dim ** rank if free else 1, terms,
+            tuple(widths))
 
 
 @lru_cache(maxsize=32)
@@ -273,20 +272,29 @@ def _shared(key: tuple, compute):
     return result
 
 
+def sharing(function):
+    """Run ``function`` in the enclosing ``shared_sums`` block or a new one."""
+    @wraps(function)
+    def run(*args, **kwargs):
+        with nullcontext() if _SHARED.get() is not None else shared_sums():
+            return function(*args, **kwargs)
+    return run
+
+
 def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
                 classes: tuple | None = None):
     """The signed sum, served from the enclosing ``shared_sums`` block
     when an equal request was enumerated there before.
 
-    Returns ``(acc, scale, terms)``: the sum of the terms whose freed
-    indices (grouped per sign symbol) have flat index f is
-    ``acc[f] * scale``; with one freed position that holds only for the
-    sum of ``acc`` over each orbit of flat indices (see "Coalesced
-    states"). ``terms`` counts the permutation tuples the request
-    covers. With ``classes`` None the first permutation is
-    restricted over identical non-freed factors for even rank and the
-    result is the full sum; given classes restrict it as stated and the
-    result is the restricted sum itself.
+    ``free`` holds at most one position. Returns ``(acc, scale, terms)``:
+    with no freed position ``acc[0] * scale`` is the sum; with one, the
+    sum of the terms whose freed indices lie in an orbit of flat indices
+    is ``scale`` times the sum of ``acc`` over that orbit (see "Coalesced
+    states"). ``terms`` counts the permutation tuples the request covers.
+    With ``classes`` None the first permutation is restricted over
+    identical non-freed factors for even rank and the result is the full
+    sum; given classes restrict it as stated, and the result is the
+    restricted sum itself.
     """
     key = ("sum", factors[0].rank, factors[0].dim, free, classes,
            tuple([f.form for f in factors]))
@@ -403,7 +411,8 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
     for t in range(split + 1, dim):
         if factors[t] != factors[split]:
             raise ValueError("factors in the second block differ")
-    blocks = (tuple(range(split)), tuple(range(split, dim)))
+    # without an empty block, split = 0 or d is det(t)'s own request
+    blocks = tuple(b for b in (tuple(range(split)), tuple(range(split, dim))) if b)
     acc, scale, count = _signed_sum(factors, (), blocks)
     return acc[0] * math.factorial(split) * math.factorial(dim - split) * scale, count
 
@@ -444,43 +453,3 @@ def epsilon_inverse(tensor: SymTensor) -> SymTensor:
         return grad * (Fraction(1, math.factorial(d - 1)) / det)
     return _shared(("inverse", tensor.rank, tensor.dim, tensor.form), inverse)
 
-
-def materialize_permutation_tensor(order: int, metric: SymTensor):
-    """Dense coefficient tensor that contracts `order` copies of a rank-r
-    tensor into its order-s invariant relative to ``metric``.
-
-    Index layout: the freed indices are grouped per sign symbol, i.e. the
-    first symbol's `order` indices, then the second symbol's, and so on
-    (r groups of `order` axes). Includes the 1/(order!(d-order)!)
-    normalization and the division by the metric's determinant.
-
-    Rejects order > d, where every entry vanishes because a sign symbol
-    cannot take `order` distinct values in fewer slots, and results with
-    more than ``tensor.MAX_ENTRIES`` entries.
-
-    Returns a dict keyed by every index tuple of length r*order, zeros
-    included, as ``tensor.contract_one_free`` does.
-    """
-    r, d = metric.rank, metric.dim
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order > d:
-        raise ValueError(
-            f"order {order} exceeds dimension {d}: the coefficient tensor "
-            "is identically zero there and is not materialized")
-    if d ** (r * order) > MAX_ENTRIES:
-        raise ValueError(f"result would hold {d ** (r * order)} entries, "
-                         f"over the cap {MAX_ENTRIES}")
-    det = epsilon_determinant(metric)
-    if det == 0:
-        raise SingularTensorError(
-            "metric determinant is zero; the coefficient tensor divides by it")
-    acc, scale, _ = _signed_sum([metric] * d, tuple(range(order)))
-    norm = scale / (math.factorial(order) * math.factorial(d - order)) / det
-    indices = itertools.product(range(d), repeat=r * order)
-    if order == 1:
-        # a lone freed slot is exact per orbit only; the tensor is
-        # symmetric, so each ordering holds the orbit's mean
-        means = orbit_means(r, d, acc, norm)
-        return {idx: means.component(idx) for idx in indices}
-    return dict(zip(indices, [v * norm for v in acc]))

@@ -32,6 +32,7 @@ _RECURRENCE_FORMULAS = ("d(C_s)/dG + C_s*inv(G) == d(C_{s+1})/dA",
                         "d(C_d)/dG + C_d*inv(G) == 0")
 
 
+@engine.sharing
 def verify_recurrence_even(a: SymTensor, g: SymTensor,
                            seed: int | None = None) -> VerificationReport:
     """Recurrence residuals for every order; the order-d row is the

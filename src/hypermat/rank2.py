@@ -104,6 +104,7 @@ _RECURRENCE_FORMULAS = ("d(c_s)/dg + c_s*inv(g) == d(c_{s+1})/da",
 _MATRIX_FORMULA = "sum_s (-1)^s c_s a^(d-s) == 0 with the unit metric"
 
 
+@engine.sharing
 def verify_recurrence2(a: SymTensor, g: SymTensor,
                        seed: int | None = None) -> VerificationReport:
     """Recurrence residuals for every order, the Cayley-Hamilton case

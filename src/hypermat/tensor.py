@@ -44,9 +44,8 @@ from .rational import as_scalar
 
 MultiIndex = tuple
 
-# the most ordered indices (d**r) of a tensor read from a document or of
-# a materialized coefficient tensor: the layout and the integer table
-# are lists that long
+# the most ordered indices (d**r) of a tensor read from a document: its
+# layout and its integer table are lists that long
 MAX_ENTRIES = 10 ** 6
 
 

@@ -263,8 +263,9 @@ class TestInvariants:
 
     def test_the_metric_determinant_is_enumerated_once(
             self, tmp_path, capsys, monkeypatch):
-        # one coset sum per order 0..3 and one for det(G), whose repeats
-        # are served from the command's shared-sums block
+        # one coset sum per order 1..3 and one for det(G), which is also
+        # order 0's numerator; repeats are served from the command's
+        # shared-sums block
         docs = [tensor_to_document(suites.random_invertible(4, 3, seed))
                 for seed in (3, 4)]
         assert docs[0] != docs[1]
@@ -280,7 +281,7 @@ class TestInvariants:
         monkeypatch.setattr(engine, "_enumerate", enumeration)
         code, out, _ = run(capsys, "invariants", a, "--metric", g)
         assert code == 0 and len(json.loads(out)) == 4
-        assert len(enumerated) == 5
+        assert len(enumerated) == 4
 
 
 class TestInverse:
@@ -471,9 +472,9 @@ def test_package_runs_with_numpy_blocked():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys; sys.modules['numpy'] = None\n"
             "from fractions import Fraction\n"
-            "from hypermat import identity, materialize_permutation_tensor\n"
-            "q = materialize_permutation_tensor(2, identity(2))\n"
-            "assert q[0, 1, 0, 1] == Fraction(1, 2)\n")
+            "from hypermat import epsilon_inverse, from_matrix\n"
+            "q = epsilon_inverse(from_matrix([[2, 1], [1, 3]]))\n"
+            "assert q.component((0, 1)) == Fraction(-1, 5)\n")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

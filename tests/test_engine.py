@@ -1,7 +1,6 @@
 """The signed-permutation engine: products, gradients, coset restriction
-and permutation coefficient tensors."""
+and the permutation tensors contracted through them."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -14,10 +13,10 @@ from hypermat import (SingularTensorError, SymTensor,
                       coset_restricted_product_counted, epsilon_determinant,
                       epsilon_inverse, epsilon_product,
                       epsilon_product_gradient, from_matrix, identity,
-                      materialize_permutation_tensor,
                       multiplicity, permutation_sign, random_symmetric,
                       signed_permutations)
-from hypermat import engine, suites
+from hypermat import engine, evenrank, rank2, suites
+from hypermat.invariants import invariant_of_order
 from hypermat.tensor import canonical_keys, contract_full, sym_outer
 
 import oracles
@@ -179,80 +178,23 @@ class TestCosetRestriction:
             coset_restricted_product([a, b, b], 2)
 
 
-class TestPermutationTensors:
-    def test_order_one_is_the_inverse_metric(self):
-        assert materialize_permutation_tensor(1, identity(2)) == {
-            (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
-        g = from_matrix([[2, 1], [1, 3]])
-        q1 = materialize_permutation_tensor(1, g)
-        ginv = epsilon_inverse(g)
-        for i in range(2):
-            for j in range(2):
-                assert q1[i, j] == ginv.component((i, j))
-
-    def test_order_two_entries(self):
-        q2 = materialize_permutation_tensor(2, identity(2))
-        assert q2[0, 1, 0, 1] == Fraction(1, 2)
-        assert q2[0, 1, 1, 0] == Fraction(-1, 2)
-        assert q2[0, 0, 0, 0] == 0
-
-    def test_order_one_rank4_is_the_inverse(self):
-        g = random_symmetric(4, 2, 14, 5)
-        assert epsilon_determinant(g) != 0
-        q1 = materialize_permutation_tensor(1, g)
-        ginv = epsilon_inverse(g)
-        for idx in itertools.product(range(2), repeat=4):
-            assert q1[idx] == ginv.component(idx)
-
-    def test_top_order_is_a_pure_sign_pattern(self):
-        g = random_symmetric(4, 2, 11, 5)
-        det = epsilon_determinant(g)
-        assert det != 0
-        q = materialize_permutation_tensor(2, g)
-        for idx in itertools.product(range(2), repeat=8):
-            signs = [oracles.sign_of(idx[2 * k: 2 * k + 2]) for k in range(4)]
-            expected = Fraction(signs[0] * signs[1] * signs[2] * signs[3], 2) / det
-            assert q[idx] == expected
-
-    def test_order_above_dimension_is_rejected(self):
-        with pytest.raises(ValueError, match="exceeds dimension"):
-            materialize_permutation_tensor(3, identity(2))
-
-    def test_size_cap(self, monkeypatch):
-        # 10**14 entries: rejected before any sum is enumerated
-        def enumeration(*args):
-            raise AssertionError("enumerated past the size cap")
-
-        monkeypatch.setattr(engine, "_enumerate", enumeration)
-        with pytest.raises(ValueError, match="cap"):
-            materialize_permutation_tensor(7, identity(10))
-
-    def test_singular_metric(self):
-        g = from_matrix([[1, 1], [1, 1]])
-        with pytest.raises(SingularTensorError):
-            materialize_permutation_tensor(1, g)
-
-    def test_contracts_to_the_invariants(self):
-        # q_s paired with s tensor copies reproduces the invariant sequence
-        from hypermat import invariant_values
-        a = random_symmetric(2, 2, 12, 7)
-        g = from_matrix([[2, 1], [1, 3]])
-        values = invariant_values(a, g)
-        for s in (1, 2):
-            q = materialize_permutation_tensor(s, g)
-            total = Fraction(0)
-            for idx in itertools.product(range(2), repeat=2 * s):
-                term = q[idx]
-                for copy in range(s):
-                    term *= a.component((idx[copy], idx[s + copy]))
-                total += term
-            assert total == values[s]
-
-
 class TestEpsilonInverse:
     def test_singular(self):
         with pytest.raises(SingularTensorError):
             epsilon_inverse(from_matrix([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("rank,dim", [(2, 3), (4, 2), (4, 3)])
+def test_the_order_two_permutation_tensor_polarizes_c2(rank, dim):
+    # c_2's permutation tensor contracted with a and b is eps(a b g^(d-2))
+    # over 2! (d-2)! det(g), and c_2(a+b) - c_2(a) - c_2(b) is twice that
+    a, b = (random_symmetric(rank, dim, seed, 5) for seed in (41, 42))
+    g = suites.random_invertible(rank, dim, 43)
+    polarized = (invariant_of_order(a + b, g, 2) - invariant_of_order(a, g, 2)
+                 - invariant_of_order(b, g, 2))
+    assert polarized != 0
+    assert polarized == epsilon_product([a, b] + [g] * (dim - 2)) / (
+        math.factorial(dim - 2) * epsilon_determinant(g))
 
 
 @settings(max_examples=15, deadline=None)
@@ -355,14 +297,6 @@ class TestCoalescedStates:
             for slot in range(dim):
                 grad = epsilon_product_gradient(factors, slot)
                 assert contract_full(grad, factors[slot]) == value
-
-    def test_order_one_tensor_is_the_inverse_at_every_ordered_index(self):
-        g = random_symmetric(4, 3, 180, 5)
-        assert epsilon_determinant(g) != 0
-        q1 = materialize_permutation_tensor(1, g)
-        ginv = epsilon_inverse(g)
-        for idx in itertools.product(range(3), repeat=4):
-            assert q1[idx] == ginv.component(idx)
 
     def test_float_gradient_matches_the_exact_one(self):
         # a lone freed slot between two identical factors: the gradient is
@@ -528,6 +462,45 @@ class TestSharedSums:
             for _ in range(2):
                 with pytest.raises(SingularTensorError):
                     epsilon_inverse(singular)
+
+    @pytest.mark.parametrize("verifier,rank,dim", [
+        (evenrank.verify_recurrence_even, 4, 3), (rank2.verify_recurrence2, 2, 3)])
+    def test_a_recurrence_verifier_shares_sums_outside_a_block(
+            self, monkeypatch, verifier, rank, dim):
+        a, g = (suites.random_invertible(rank, dim, seed) for seed in (11, 12))
+        _, enumerated, scopes = self._count(monkeypatch)
+        with engine.shared_sums():
+            outer = engine._SHARED.get()
+            assert verifier(a, g).all_pass
+            inside = len(enumerated)
+            # a second run joins the enclosing block and enumerates nothing
+            assert verifier(a, g).all_pass
+            assert len(enumerated) == inside
+        assert scopes == [outer]
+        assert verifier(a, g).all_pass
+        assert len(enumerated) == 2 * inside
+        assert None not in scopes and len(scopes) == 2
+
+    @pytest.mark.parametrize("rank,dim", [(2, 3), (4, 3)])
+    def test_a_determinant_is_one_request_by_every_route(
+            self, monkeypatch, rank, dim):
+        # det(a), the row-product determinant and the numerator of c_d
+        # restrict the first permutation on one class of all positions
+        a, g = (suites.random_invertible(rank, dim, seed) for seed in (31, 32))
+        copies = []
+        enumerate_sum = engine._enumerate
+
+        def enumeration(factors, free, classes):
+            if all(f == a for f in factors):
+                copies.append((free, classes))
+            return enumerate_sum(factors, free, classes)
+
+        monkeypatch.setattr(engine, "_enumerate", enumeration)
+        with engine.shared_sums():
+            det = epsilon_determinant(a)
+            assert evenrank.cayley_det(a) == det
+            assert invariant_of_order(a, g, dim) == det / epsilon_determinant(g)
+        assert copies == [((), (tuple(range(dim)),))]
 
 
 class TestPlans:
