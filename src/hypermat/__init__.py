@@ -9,10 +9,9 @@ contractions, odd-rank lifts) is machine-verified to a residual of
 exactly zero.
 """
 
-from .engine import (coset_restricted_product, coset_restricted_product_counted,
-                     epsilon_determinant, epsilon_inverse, epsilon_product,
-                     epsilon_product_gradient, permutation_sign,
-                     signed_permutations)
+from .engine import (coset_restricted_product_counted, epsilon_determinant,
+                     epsilon_inverse, epsilon_product, epsilon_product_gradient,
+                     permutation_sign, signed_permutations)
 from .errors import SingularTensorError
 from .evenrank import (cayley_det, quadratic_identity_residual,
                        self_identity_residual, verify_poly_identity_d2,

@@ -47,7 +47,7 @@ Every sum runs through one kernel, ``_signed_sum``:
   the multiset of indices at its position, and two states whose held
   prefixes are equal once sorted have the same continuation. After each
   level every prefix offset is mapped to the offset of its sorted prefix
-  (one lookup list per prefix length, cached per (rank, dim)), equal
+  (one lookup list per prefix length, built with the plan), equal
   states are merged with their signs summed into an integer
   coefficient, and states whose coefficient is 0 are dropped.
   Identical factors merge positions as well: a permutation sigma of
@@ -58,18 +58,19 @@ Every sum runs through one kernel, ``_signed_sum``:
   coefficient takes the parity of that sort when an odd number of
   levels remains; a state with two equal prefixes in one class is then
   dropped, its continuation being its own negative. Classes need not be
-  adjacent ([a, g, a]). A first level restricted on the classes is
-  sorted already and skips the step, so rank 2 does no extra work. The
-  freed slot has the table layout and is folded like a prefix, so a
-  gradient's sum is exact per orbit of ordered indices, which is all a
-  symmetric result needs. A freed position is in no class, so sorting
-  within classes leaves the freed indices as they are. No level but the
-  last reads a factor: the states that reach the last level depend on
-  the shape alone (rank, dimension, freed position, classes and the
-  class layout), so they are built once with the shape's plan
-  (``_plan``), and a call reads its tables into the last level only.
-  The terms a request covers, and the count ``_plan`` reports for it,
-  do not change.
+  adjacent ([a, g, a]). The sort runs after every level but the last
+  whenever a class holds two or more positions, so a first level
+  restricted on blocks that split one class (a coset sum with g == a)
+  merges there. The freed slot has the table layout and is folded like
+  a prefix, so a gradient's sum is exact per orbit of ordered indices,
+  which is all a symmetric result needs. A freed position is in no
+  class, so sorting within classes leaves the freed indices as they
+  are. No level but the last reads a factor: the states that reach the
+  last level depend on the shape alone (rank, dimension, freed position,
+  classes and the class layout), so they are built once with the
+  shape's plan (``_plan``), and a call reads its tables into the last
+  level only. The terms a request covers, and the count ``_plan``
+  reports for it, do not change.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, so one identity sample asks for most of its
@@ -149,8 +150,7 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
     prefix offsets, freed prefix offset), coefficient), after the merge
     and the sort within each class of ``layout`` (see "Coalesced
     states"). The first level holds only permutations increasing on each
-    class, which leaves the states it reaches in that canonical form
-    already. ``widths`` counts the states after each of those levels.
+    of ``classes``; ``widths`` counts the states after each outer level.
     The last level has stride one, so it is grouped by output offset into
     getters that pick the sign and one entry per non-freed row from the
     rows laid end to end behind a leading (1, -1). ``terms`` counts the
@@ -179,7 +179,7 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
             for s, offsets, o in level:
                 key = (tuple(map(fold, map(add, base, offsets))), fold(out + o))
                 merged[key] = merged.get(key, 0) + coeff * s
-        if layout and (k or not classes):
+        if layout:
             odd = (rank - 1 - k) % 2
             canonical: dict = {}
             for (base, out), coeff in merged.items():
@@ -203,7 +203,6 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
             tuple(widths))
 
 
-@lru_cache(maxsize=32)
 def _sorted_prefixes(rank: int, dim: int):
     """For each prefix length k = 1..rank-1 (entry k-1), a list mapping
     the flat offset of every k-index prefix, later indices zero, to the
@@ -323,12 +322,9 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
             for c in classes:
                 multiplier *= math.factorial(len(c))
     # held positions of each class of identical factors, as indices into
-    # a state's prefixes; a first level restricted on ``classes`` leaves
-    # them sorted already, so rank 2 never needs them
-    layout = ()
-    if len(groups) < len(held) and (rank > 2 or not classes):
-        layout = tuple(tuple(map(held.index, group))
-                       for group in groups if len(group) > 1)
+    # a state's prefixes
+    layout = tuple(tuple(map(held.index, group))
+                   for group in groups if len(group) > 1)
     states, last, size, terms, _ = _plan(rank, dim, free, classes, layout)
 
     table_at = {}
@@ -381,25 +377,18 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
     return orbit_means(rank, dim, acc, scale)
 
 
-def coset_restricted_product(factors: Sequence[SymTensor], split: int):
-    """epsilon_product computed with the first permutation restricted to the
-    C(d, split) block-monotone coset representatives, scaled by
-    split!(d-split)!.
+def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
+    """(value, count): epsilon_product computed with the first permutation
+    restricted to the C(d, split) block-monotone coset representatives,
+    scaled by split!(d-split)!, and the number of terms the restricted
+    sum covers, exactly C(d, split) * (d!)**(r-1).
 
     Requires even rank and factors that are constant within the two blocks
     [0, split) and [split, d); under those conditions the value equals the
-    unrestricted sum exactly while covering d!/(split!(d-split)!) times
-    fewer terms.
+    unrestricted sum exactly. The kernel merges partial terms (see
+    "Coalesced states"), so it visits fewer; the count is of the terms
+    summed, not of the steps taken.
     """
-    value, _ = coset_restricted_product_counted(factors, split)
-    return value
-
-
-def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
-    """Like coset_restricted_product, also returning the number of terms
-    the restricted sum covers: exactly C(d, split) * (d!)**(r-1). The
-    kernel merges partial terms (see "Coalesced states"), so it visits
-    fewer; the count is of the terms summed, not of the steps taken."""
     rank, dim = _uniform_shape(factors)
     if rank % 2:
         raise ValueError("coset restriction requires even rank")
@@ -425,7 +414,8 @@ def epsilon_determinant(tensor: SymTensor):
                          "identically, lift to even rank instead")
     d = tensor.dim
     return _shared(("determinant", tensor.rank, d, tensor.form),
-                   lambda: coset_restricted_product([tensor] * d, d) / math.factorial(d))
+                   lambda: coset_restricted_product_counted([tensor] * d, d)[0]
+                   / math.factorial(d))
 
 
 def epsilon_inverse(tensor: SymTensor) -> SymTensor:

@@ -45,7 +45,7 @@ def invariant_of_order(a: SymTensor, g: SymTensor, s: int):
     if s > d:
         return Fraction(0)
     g_det = metric_determinant(g)
-    numerator = engine.coset_restricted_product([a] * s + [g] * (d - s), s)
+    numerator = engine.coset_restricted_product_counted([a] * s + [g] * (d - s), s)[0]
     return numerator / (math.factorial(s) * math.factorial(d - s)) / g_det
 
 

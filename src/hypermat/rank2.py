@@ -108,11 +108,10 @@ _MATRIX_FORMULA = "sum_s (-1)^s c_s a^(d-s) == 0 with the unit metric"
 def verify_recurrence2(a: SymTensor, g: SymTensor,
                        seed: int | None = None) -> VerificationReport:
     """Recurrence residuals for every order, the Cayley-Hamilton case
-    included, plus the explicit unit-metric matrix identity for d <= 4."""
+    included, plus the explicit unit-metric matrix identity."""
     report = VerificationReport("rank2-recurrence", invariants.recurrence_checks(
         a, g, _RECURRENCE_FORMULAS, seed))
-    if a.dim <= 4:
-        report.checks.append(check(
-            "matrix_polynomial_unit_metric", _MATRIX_FORMULA,
-            matrix_polynomial_residual(a), seed))
+    report.checks.append(check(
+        "matrix_polynomial_unit_metric", _MATRIX_FORMULA,
+        matrix_polynomial_residual(a), seed))
     return report

@@ -7,7 +7,6 @@ import time
 from fractions import Fraction
 
 from hypermat import (CUBIC_LIFT_RATIO, SymTensor, contract_one_free,
-                      coset_restricted_product,
                       coset_restricted_product_counted, cubic_discriminant,
                       derive_seed, discriminants_trace, epsilon_determinant,
                       epsilon_inverse, epsilon_product, identity,
@@ -208,7 +207,8 @@ def test_criterion_11_floating_gradient_oracle():
 
             def numerator(metric):
                 # the invariant times det(metric): a polynomial of degree d-s
-                value = coset_restricted_product([a] * s + [metric] * (dim - s), s)
+                value = coset_restricted_product_counted(
+                    [a] * s + [metric] * (dim - s), s)[0]
                 return value / (math.factorial(s) * math.factorial(dim - s))
 
             for key in canonical_keys(rank, dim):
@@ -249,6 +249,14 @@ def test_criterion_12_coset_restriction_term_budget():
         assert count <= budget < full_terms + 1
         if split in (1, 2):
             assert count < full_terms
+    # one tensor in both blocks: the kernel merges the lead states into
+    # one, and the count still covers every coset representative
+    for rank, dim, split in ((2, 4, 2), (4, 3, 1)):
+        factors = [random_symmetric(rank, dim, 12_002, 5)] * dim
+        value, count = coset_restricted_product_counted(factors, split)
+        assert value == epsilon_product(factors)
+        assert count == math.comb(dim, split) * math.factorial(dim) ** (rank - 1)
     _stamp(12, 10, started,
            "coset restriction equals the full sum while enumerating at most "
-           "C(d,s)*(d!)^(r-1) terms at d=3, r=4")
+           "C(d,s)*(d!)^(r-1) terms at d=3, r=4, and with one tensor in both "
+           "blocks at r=2, d=4 and r=4, d=3")

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermat import (SingularTensorError, SymTensor,
-                      coset_restricted_product,
                       coset_restricted_product_counted, epsilon_determinant,
                       epsilon_inverse, epsilon_product,
                       epsilon_product_gradient, from_matrix, identity,
@@ -158,7 +157,7 @@ class TestCosetRestriction:
 
     def test_rank2_full_block_is_leibniz(self):
         a = random_symmetric(2, 3, 5, 9)
-        value = coset_restricted_product([a, a, a], 3)
+        value = coset_restricted_product_counted([a, a, a], 3)[0]
         assert value == math.factorial(3) * oracles.leibniz_det(a)
 
     @pytest.mark.parametrize("split", [0, 1, 2, 3])
@@ -166,16 +165,17 @@ class TestCosetRestriction:
         a = random_symmetric(2, 3, 6, 7)
         g = random_symmetric(2, 3, 7, 7)
         factors = [a] * split + [g] * (3 - split)
-        assert coset_restricted_product(factors, split) == epsilon_product(factors)
+        value = coset_restricted_product_counted(factors, split)[0]
+        assert value == epsilon_product(factors)
 
     def test_preconditions(self):
         s = random_symmetric(3, 2, 8, 5)
         with pytest.raises(ValueError, match="even"):
-            coset_restricted_product([s, s], 2)
+            coset_restricted_product_counted([s, s], 2)
         a = random_symmetric(2, 3, 9, 5)
         b = random_symmetric(2, 3, 10, 5)
         with pytest.raises(ValueError, match="block"):
-            coset_restricted_product([a, b, b], 2)
+            coset_restricted_product_counted([a, b, b], 2)
 
 
 class TestEpsilonInverse:
@@ -356,7 +356,7 @@ class TestCoalescedStates:
         factors = [a, a, g, g]
         acc, scale, terms = engine._signed_sum(factors, (), ())
         assert terms == math.factorial(4) ** 4
-        value = coset_restricted_product(factors, 2)
+        value = coset_restricted_product_counted(factors, 2)[0]
         assert value != 0
         assert value == acc[0] * scale == epsilon_product([a, g, g, a])
 
@@ -527,13 +527,18 @@ class TestPlans:
             assert suites.run_suite(suite, dim, 2, 1).all_pass
         assert engine._plan.cache_info().misses == shapes.misses
 
-    @pytest.mark.parametrize("rank,dim,free,widths", [
+    @pytest.mark.parametrize("rank,dim,call,widths", [
         (6, 3, None, (1, 5, 9, 23, 37)),
         (6, 3, 0, (3, 12, 27, 63, 111)),
         (4, 4, None, (1, 17, 77)),
+        # a coset sum with g == a: its two blocks split one class of
+        # identical factors, and the lead states merge after the first level
+        pytest.param(2, 4, ("split", 2), (1,), id="2-4-split2-widths3"),
+        pytest.param(4, 3, ("split", 1), (1, 5, 9), id="4-3-split1-widths4"),
     ])
-    def test_states_per_level(self, monkeypatch, rank, dim, free, widths):
-        # a determinant, or the gradient at one slot of all copies
+    def test_states_per_level(self, monkeypatch, rank, dim, call, widths):
+        # None: a determinant; a slot: the gradient there of all copies;
+        # ("split", s): the coset sum of all copies split at s
         seen = []
         plan = engine._plan
 
@@ -544,10 +549,12 @@ class TestPlans:
 
         monkeypatch.setattr(engine, "_plan", recorded)
         t = random_symmetric(rank, dim, 230 + rank, 5)
-        if free is None:
+        if call is None:
             epsilon_determinant(t)
+        elif isinstance(call, int):
+            epsilon_product_gradient([t] * dim, call)
         else:
-            epsilon_product_gradient([t] * dim, free)
+            coset_restricted_product_counted([t] * dim, call[1])
         assert seen == [widths]
 
     def test_shapes_that_differ_only_in_layout(self):
@@ -560,6 +567,6 @@ class TestPlans:
             assert epsilon_product(factors) == oracles.brute_epsilon_product(factors)
         a, g = _coprime_factor(4, 3), random_symmetric(4, 3, 242, 5)
         for factors in ([a, a, a], [g, a, a]):
-            assert (coset_restricted_product(factors, 1)
+            assert (coset_restricted_product_counted(factors, 1)[0]
                     == oracles.brute_epsilon_product(factors))
         _assert_gradients_are_derivatives([a, g, a], [1])

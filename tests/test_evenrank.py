@@ -234,8 +234,9 @@ class TestGradients:
             grad_g = invariants.grad_metric(a, g, s)
 
             def numerator(metric):
-                from hypermat.engine import coset_restricted_product
-                value = coset_restricted_product([a] * s + [metric] * (dim - s), s)
+                from hypermat.engine import coset_restricted_product_counted
+                value = coset_restricted_product_counted(
+                    [a] * s + [metric] * (dim - s), s)[0]
                 return value / (math.factorial(s) * math.factorial(dim - s))
 
             for key in canonical_keys(4, dim):
@@ -311,7 +312,7 @@ class TestRecurrence:
         # directional oracle (quotient rule on the metric side, since the
         # invariant is rational in the metric), then compared component-wise
         from hypermat import multiplicity
-        from hypermat.engine import coset_restricted_product
+        from hypermat.engine import coset_restricted_product_counted
         a = random_symmetric(4, 2, 128, 5)
         g = random_invertible_4(2, 129)
         det_g = epsilon_determinant(g)
@@ -320,7 +321,8 @@ class TestRecurrence:
             value = invariants.invariant_of_order(a, g, s)
 
             def numerator(metric):
-                raw = coset_restricted_product([a] * s + [metric] * (2 - s), s)
+                raw = coset_restricted_product_counted(
+                    [a] * s + [metric] * (2 - s), s)[0]
                 return raw / (math.factorial(s) * math.factorial(2 - s))
 
             for key in canonical_keys(4, 2):

@@ -318,8 +318,9 @@ class TestGradientOracles:
 
             def numerator(metric):
                 # det(g) * c_s is polynomial in the metric
-                from hypermat.engine import coset_restricted_product
-                value = coset_restricted_product([a] * s + [metric] * (dim - s), s)
+                from hypermat.engine import coset_restricted_product_counted
+                value = coset_restricted_product_counted(
+                    [a] * s + [metric] * (dim - s), s)[0]
                 return value / (math.factorial(s) * math.factorial(dim - s))
 
             for key in oracles.all_canonical(2, dim):
