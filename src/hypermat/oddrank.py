@@ -4,16 +4,19 @@ The fully signed contraction of an odd-rank tensor vanishes identically
 (an odd number of sign factors cancels every term), so the determinant
 role passes to the lift: the symmetrized outer square, an even-rank
 tensor whose determinant is proportional to the classical discriminant
-of the cubic in two dimensions. The two-dimensional closed-form inverse
-and its derivative construction live here as well.
+of the cubic in two dimensions. ``lift`` returns a named tuple,
+``OddLiftResult``: the lifted tensor, its determinant and, in two
+dimensions, the discriminant and the ratio of the two. The
+two-dimensional closed-form inverse and its derivative construction live
+here as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from . import engine, invariants
 from .errors import SingularTensorError
@@ -31,8 +34,7 @@ from .tensor import (SymTensor, contract_one_free, derive_seed, integer_table,
 CUBIC_LIFT_RATIO = Fraction(9, 10)
 
 
-@dataclass(frozen=True)
-class OddLiftResult:
+class OddLiftResult(NamedTuple):
     """Lift of a third-rank tensor with its determinant; in two dimensions
     the cubic discriminant and the determinant-to-discriminant ratio are
     attached as well."""

@@ -1,8 +1,11 @@
-"""Structured pass/fail records for identity suites."""
+"""Structured pass/fail records for identity suites: each row is a named
+tuple, ``IdentityCheck``, and a ``VerificationReport`` holds a suite's
+rows and notes; its ``to_dict`` is the JSON that ``hypermat verify``
+prints, one object per row from ``_asdict()``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from .rational import format_scalar
 from .tensor import SymTensor
@@ -12,8 +15,7 @@ FAIL = "fail"
 REPORTED = "reported"
 
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """One verified identity: pass means the residual is exactly zero.
 
     ``reported`` marks exploratory checks that are recorded but never
@@ -26,17 +28,12 @@ class IdentityCheck:
     residual: str
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {"identity": self.identity, "formula": self.formula,
-                "status": self.status, "residual": self.residual,
-                "seed": self.seed}
 
-
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list[IdentityCheck] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    def __init__(self, suite: str, checks: Iterable[IdentityCheck] = (), notes=()):
+        self.suite = suite
+        self.checks = list(checks)
+        self.notes = dict(notes)
 
     @property
     def all_pass(self) -> bool:
@@ -48,7 +45,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         out = {"suite": self.suite,
-               "checks": [c.to_dict() for c in self.checks],
+               "checks": [c._asdict() for c in self.checks],
                "all_pass": self.all_pass}
         if self.notes:
             out["notes"] = self.notes

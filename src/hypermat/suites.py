@@ -78,8 +78,8 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
 
             report.extend(rank2.verify_recurrence2(a, g, sample_seed))
             for row in rank2.verify_recurrence2(a, unit, sample_seed).checks:
-                row.identity += "_unit_metric"
-                report.checks.append(row)
+                report.checks.append(
+                    row._replace(identity=row.identity + "_unit_metric"))
 
             for s in range(dim):
                 report.checks.append(check(

@@ -18,16 +18,16 @@ read the numerators, so checking a residual builds one Fraction.
 ``entries``, a dict from canonical key to nonzero Fraction, is a view
 built from the form on first access.
 
-Exact contractions run on integer tables (``integer_table``): the form
-expanded once per tensor, and cached on it, into a dense list over the
-d**r ordered indices. A contraction is then integer sums over
-flattenings of those lists, rows of d**(r-1) or d**(r-2) entries
-multiplied in C by ``map(mul, ...)``, over the product of the scales. A
-result that must be symmetric is read off by summing each orbit of
-ordered indices (``orbit_means``), and the builders return forms
-directly. The engine's kernel reads the same tables. There is no second
-arithmetic: the constructor's gcd pass takes integers only, so a float
-fails when the tensor is built and every table entry is an integer.
+Building or loading a tensor costs one step per canonical key. Only
+exact contractions expand the d**r ordered indices: they run on integer
+tables (``integer_table``), the form expanded once per tensor and cached
+on it. A contraction is then integer sums over flattenings of those
+lists, rows of d**(r-1) or d**(r-2) entries multiplied in C by
+``map(mul, ...)``, over the product of the scales. A symmetric result is
+read off by summing each orbit of ordered indices (``orbit_means``), and
+the builders return forms directly. The engine's kernel reads the same
+tables. There is no second arithmetic: the constructor's gcd pass takes
+integers only, so a float fails at once and table entries are integers.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .rational import as_scalar
 
 MultiIndex = tuple
 
-# the most ordered indices (d**r) of a tensor read from a document: its
-# layout and its integer table are lists that long
+# the most ordered indices (d**r) of a tensor read from a document, the
+# length of its integer table; loading it costs one step per canonical key
 MAX_ENTRIES = 10 ** 6
 
 
@@ -73,19 +73,21 @@ def canonical_keys(rank: int, dim: int):
 
 
 @lru_cache(maxsize=32)
-def _layout(rank: int, dim: int):
-    """Per-shape index structure: the canonical keys in ``canonical_keys``
-    order, the position of each key in that order, and per key the flat
-    ordered indices of its orbit (flat index sum_k i_k dim**(r-1-k)) with
-    the weight rank!/(orbit size) that turns an orbit sum into rank!
-    times its mean."""
-    keys = tuple(canonical_keys(rank, dim))
-    position = {key: k for k, key in enumerate(keys)}
-    flats: list = [[] for _ in keys]
+def _keys(rank: int, dim: int) -> tuple:
+    """The canonical keys of a shape, in ``canonical_keys`` order."""
+    return tuple(canonical_keys(rank, dim))
+
+
+@lru_cache(maxsize=32)
+def _orbits(rank: int, dim: int) -> tuple:
+    """Per canonical key in ``_keys`` order, the flat ordered indices of its
+    orbit (flat index sum_k i_k dim**(r-1-k)) with the weight rank!/(orbit
+    size) that turns an orbit sum into rank! times its mean."""
+    position = {key: k for k, key in enumerate(_keys(rank, dim))}
+    flats: list = [[] for _ in position]
     for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
         flats[position[tuple(sorted(idx))]].append(flat)
-    orbits = tuple((tuple(fs), math.factorial(rank) // len(fs)) for fs in flats)
-    return keys, position, orbits
+    return tuple((tuple(fs), math.factorial(rank) // len(fs)) for fs in flats)
 
 
 _set = object.__setattr__
@@ -112,7 +114,7 @@ class SymTensor:
 
     def __init__(self, rank: int, dim: int, numerators: Iterable[int], scale: int = 1):
         numerators = tuple(numerators)
-        if len(numerators) != len(_layout(rank, dim)[0]):
+        if len(numerators) != len(_keys(rank, dim)):
             raise ValueError(f"{len(numerators)} numerators for the "
                              f"canonical keys of rank {rank}, dim {dim}")
         if scale < 1:
@@ -139,7 +141,7 @@ class SymTensor:
 
     @classmethod
     def zero(cls, rank: int, dim: int) -> "SymTensor":
-        return cls(rank, dim, (0,) * len(_layout(rank, dim)[0]))
+        return cls(rank, dim, (0,) * len(_keys(rank, dim)))
 
     @classmethod
     def from_entries(cls, rank: int, dim: int,
@@ -168,12 +170,11 @@ class SymTensor:
             if key in canonical:
                 raise ValueError(f"duplicate canonical index {key}")
             canonical[key] = as_scalar(value)
-        _, position, _ = _layout(rank, dim)
         scale = math.lcm(*[v.denominator for v in canonical.values()])
-        numerators = [0] * len(position)
-        for key, v in canonical.items():
-            numerators[position[key]] = v.numerator * (scale // v.denominator)
-        return cls(rank, dim, numerators, scale)
+        # an absent key reads as the int 0, whose denominator is 1
+        values = map(canonical.get, _keys(rank, dim), itertools.repeat(0))
+        return cls(rank, dim, [v.numerator * (scale // v.denominator)
+                               for v in values], scale)
 
     @property
     def entries(self) -> dict:
@@ -182,7 +183,7 @@ class SymTensor:
         entries = self._entries
         if entries is None:
             numerators, scale = self.form
-            keys = _layout(self.rank, self.dim)[0]
+            keys = _keys(self.rank, self.dim)
             entries = {key: Fraction(n, scale)
                        for key, n in zip(keys, numerators) if n}
             _set(self, "_entries", entries)
@@ -262,7 +263,7 @@ class SymTensor:
 
 def identity(dim: int) -> SymTensor:
     """Rank-2 unit matrix."""
-    return SymTensor(2, dim, [int(i == j) for i, j in _layout(2, dim)[0]])
+    return SymTensor(2, dim, [int(i == j) for i, j in _keys(2, dim)])
 
 
 def from_matrix(rows: Sequence[Sequence]) -> SymTensor:
@@ -305,7 +306,7 @@ def integer_table(tensor: SymTensor):
     if cached is None:
         numerators, scale = tensor.form
         table = [0] * tensor.dim ** tensor.rank
-        for n, (flats, _) in zip(numerators, _layout(tensor.rank, tensor.dim)[2]):
+        for n, (flats, _) in zip(numerators, _orbits(tensor.rank, tensor.dim)):
             if n:
                 for f in flats:
                     table[f] = n
@@ -332,7 +333,7 @@ def orbit_means(rank: int, dim: int, flat: Sequence, scale) -> SymTensor:
     num, den = scale.as_integer_ratio()
     return SymTensor(
         rank, dim, [num * weight * sum([flat[f] for f in flats])
-                    for flats, weight in _layout(rank, dim)[2]],
+                    for flats, weight in _orbits(rank, dim)],
         den * math.factorial(rank))
 
 

@@ -190,10 +190,11 @@ class TestDet:
     ])
     def test_oversized_document_exits_2_at_once(self, doc, tmp_path, capsys,
                                                  monkeypatch):
-        def layout(*args):
+        def enumerate_indices(*args):
             raise AssertionError("indices enumerated for an oversized document")
 
-        monkeypatch.setattr(tensor, "_layout", layout)
+        monkeypatch.setattr(tensor, "_keys", enumerate_indices)
+        monkeypatch.setattr(tensor, "_orbits", enumerate_indices)
         path = write_doc(tmp_path, "big.json", doc)
         started = time.perf_counter()
         code, out, err = run(capsys, "det", path)
@@ -464,6 +465,20 @@ def test_cli_import_leaves_numpy_unloaded():
          "import hypermat.cli, sys; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # the records are named tuples and a plain class, so no process pays
+    # for dataclasses and the inspect, ast and dis modules it imports;
+    # -S keeps site-packages' own imports out of the count
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import hypermat.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_package_runs_with_numpy_blocked():

@@ -15,6 +15,8 @@ from hypermat import (SymTensor, as_scalar, canonical_keys,
                       epsilon_inverse,
                       epsilon_product_gradient, identity, multiplicity,
                       random_symmetric, sym_outer)
+from hypermat import tensor
+from hypermat.documents import tensor_from_document
 from hypermat.tensor import integer_table, orbit_means
 
 import oracles
@@ -346,6 +348,24 @@ class TestIntegerTables:
         assert all(isinstance(v, int) for v in table)
         for flat, idx in enumerate(itertools.product(range(3), repeat=3)):
             assert Fraction(table[flat], scale) == x.component(idx)
+
+    def test_building_and_loading_expand_no_ordered_index(self):
+        # a rank-2 d=1000 tensor has 10**6 ordered indices, the document
+        # bound, and 500500 canonical keys; only an integer table reads the
+        # orbit table over the ordered indices
+        tensor._orbits.cache_clear()
+        assert SymTensor.zero(2, 1000).is_zero()
+        assert identity(1000).component((999, 999)) == 1
+        built = SymTensor.from_entries(
+            2, 1000, [((i, i), i + 1) for i in range(1000)])
+        loaded = tensor_from_document({"rank": 2, "dim": 1000, "entries": [
+            {"index": [i, i], "value": str(i + 1)} for i in range(1000)]})
+        assert loaded == built
+        assert loaded.entries[(999, 999)] == 1000 and len(loaded.entries) == 1000
+        assert tensor._orbits.cache_info().currsize == 0
+        integer_table(random_symmetric(3, 2, 5))
+        assert tensor._orbits.cache_info().currsize == 1
+        tensor._keys.cache_clear()
 
     @pytest.mark.parametrize("rank,dim", [(4, 2), (4, 3), (3, 3)])
     def test_orbit_means_against_symmetrization(self, rank, dim):
