@@ -73,21 +73,22 @@ Every sum runs through one kernel, ``_signed_sum``:
   reports for it, do not change.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
-  d-s copies of a metric, so one identity sample asks for most of its
-  sums several times. Inside a ``with shared_sums():`` block each sum is
-  enumerated once: a request is keyed by (rank, dim, freed position,
-  classes, each factor's ``form``) and a repeat is served from a dict
-  that lives only as long as the block. A form is the tensor's value in
-  lowest terms, so equal factors give equal keys whatever object holds
-  them, and no key holds a tensor. Determinants and inverses are served
-  the same way, keyed by (function, rank, dim, ``form``), so the
-  metric's det(g) and inv(g), which every invariant and recurrence row
-  reads, are computed once per block and passed by no caller; a raised
-  ``SingularTensorError`` is never stored. Results are immutable (``acc``
-  is a tuple, a tensor is a value). The dict is scoped, not global: a
-  sample reuses only its own results, so the cost of a call never
-  depends on what ran before it, and the memory goes when the block
-  ends. Outside a block every call computes, except in a function
+  d-s copies of a metric, and the same c_s, so one identity sample asks
+  for most of them several times. Inside a ``with shared_sums():`` block
+  each is computed once and a repeat is served from a dict that lives
+  only as long as the block. A sum is keyed by (rank, dim, freed
+  position, classes, each factor's ``form``). A function decorated with
+  ``once_per_block`` (the determinant, the inverse, the invariant c_s
+  and the rank-2 matrix identity) is keyed by its qualified name, each
+  tensor argument's (rank, dim, ``form``) and each integer argument. A
+  form is the tensor's value in lowest terms, so equal tensors give
+  equal keys whatever object holds them, and no key holds a tensor. So
+  the metric's det(g) and inv(g) are computed once per block and passed
+  by no caller; a raised error is never stored. Results are immutable
+  (``acc`` is a tuple, a tensor is a value). The dict is scoped, not
+  global: a sample reuses only its own results, so the cost of a call
+  never depends on what ran before it, and the memory goes when the
+  block ends. Outside a block every call computes, except in a function
   wrapped in ``sharing``, which opens a block when none is active.
 
 Derivative convention used package-wide: gradients are formal, treating
@@ -245,8 +246,8 @@ _SHARED: ContextVar = ContextVar("hypermat_shared_sums", default=None)
 
 @contextmanager
 def shared_sums():
-    """Compute each distinct signed sum, determinant and inverse once
-    within the block.
+    """Compute each distinct signed sum, and each distinct call of a
+    ``once_per_block`` function, once within the block.
 
     A nested block starts empty and the enclosing one resumes when it
     ends.
@@ -269,6 +270,27 @@ def _shared(key: tuple, compute):
     if result is None:
         result = memo[key] = compute()
     return result
+
+
+def once_per_block(function):
+    """Serve ``function``, pure in its tensor and integer arguments, from
+    the enclosing ``shared_sums`` block, keyed by its qualified name,
+    each tensor's (rank, dim, form) and each integer. A call with keyword
+    arguments computes."""
+    name = f"{function.__module__}.{function.__qualname__}"
+
+    @wraps(function)
+    def served(*args, **kwargs):
+        memo = _SHARED.get()
+        if memo is None or kwargs:
+            return function(*args, **kwargs)
+        key = (name, *[(x.rank, x.dim, x.form) if isinstance(x, SymTensor) else x
+                       for x in args])
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = function(*args)
+        return result
+    return served
 
 
 def sharing(function):
@@ -406,6 +428,7 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
     return acc[0] * math.factorial(split) * math.factorial(dim - split) * scale, count
 
 
+@once_per_block
 def epsilon_determinant(tensor: SymTensor):
     """(1/d!) times the all-copies signed contraction; the even-rank
     determinant (for rank 2 this is the ordinary determinant)."""
@@ -413,11 +436,10 @@ def epsilon_determinant(tensor: SymTensor):
         raise ValueError("odd rank: the signed contraction vanishes "
                          "identically, lift to even rank instead")
     d = tensor.dim
-    return _shared(("determinant", tensor.rank, d, tensor.form),
-                   lambda: coset_restricted_product_counted([tensor] * d, d)[0]
-                   / math.factorial(d))
+    return coset_restricted_product_counted([tensor] * d, d)[0] / math.factorial(d)
 
 
+@once_per_block
 def epsilon_inverse(tensor: SymTensor) -> SymTensor:
     """Contravariant inverse: the slot-freed gradient over (d-1)! times the
     determinant. Satisfies inv[(i,)+k] * T[(j,)+k] summed over k = delta,
@@ -434,12 +456,10 @@ def epsilon_inverse(tensor: SymTensor) -> SymTensor:
     The d factors of eps(T^d) enter alike, so D = d * gradient / d! =
     gradient / (d-1)!, and the inverse is D / det(T).
     """
-    def inverse():
-        det = epsilon_determinant(tensor)
-        if det == 0:
-            raise SingularTensorError("tensor determinant is zero; no inverse")
-        d = tensor.dim
-        grad = epsilon_product_gradient([tensor] * d, 0)
-        return grad * (Fraction(1, math.factorial(d - 1)) / det)
-    return _shared(("inverse", tensor.rank, tensor.dim, tensor.form), inverse)
+    det = epsilon_determinant(tensor)
+    if det == 0:
+        raise SingularTensorError("tensor determinant is zero; no inverse")
+    d = tensor.dim
+    grad = epsilon_product_gradient([tensor] * d, 0)
+    return grad * (Fraction(1, math.factorial(d - 1)) / det)
 

@@ -36,6 +36,7 @@ def metric_determinant(g: SymTensor):
     return det
 
 
+@engine.once_per_block
 def invariant_of_order(a: SymTensor, g: SymTensor, s: int):
     """Order-s invariant; exactly zero for s > d by construction."""
     _check_pair(a, g)
@@ -49,6 +50,7 @@ def invariant_of_order(a: SymTensor, g: SymTensor, s: int):
     return numerator / (math.factorial(s) * math.factorial(d - s)) / g_det
 
 
+@engine.sharing
 def invariant_values(a: SymTensor, g: SymTensor) -> tuple:
     """The full sequence of orders 0..d."""
     return tuple(invariant_of_order(a, g, s) for s in range(a.dim + 1))

@@ -82,6 +82,7 @@ def discriminants_trace(a: SymTensor, g: SymTensor) -> tuple:
     return tuple(newton_elementary_from_power(q[1:]))
 
 
+@engine.once_per_block
 def matrix_polynomial_residual(a: SymTensor) -> SymTensor:
     """Residual of the explicit matrix identity with the unit metric:
     sum_s (-1)^s c_s a^(d-s) = 0, with ordinary matrix powers."""

@@ -1,7 +1,9 @@
 """The signed-permutation engine: products, gradients, coset restriction
 and the permutation tensors contracted through them."""
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from hypermat import (SingularTensorError, SymTensor,
                       epsilon_product_gradient, from_matrix, identity,
                       multiplicity, permutation_sign, random_symmetric,
                       signed_permutations)
-from hypermat import engine, evenrank, rank2, suites
+from hypermat import engine, evenrank, invariants, rank2, suites
 from hypermat.invariants import invariant_of_order
 from hypermat.tensor import canonical_keys, contract_full, sym_outer
 
@@ -441,6 +443,8 @@ class TestSharedSums:
         with engine.shared_sums():
             assert epsilon_inverse(copy) is epsilon_inverse(SAMPLE_A)
             assert epsilon_determinant(copy) is epsilon_determinant(SAMPLE_A)
+            assert (invariant_of_order(copy, SAMPLE_A, 1)
+                    is invariant_of_order(SAMPLE_A, copy, 1))
         outside = epsilon_inverse(SAMPLE_A)
         assert epsilon_inverse(copy) == outside
         assert epsilon_inverse(copy) is not outside
@@ -455,6 +459,10 @@ class TestSharedSums:
             assert [epsilon_determinant(square), epsilon_determinant(matrix)] == expected
         with engine.shared_sums():
             assert [epsilon_determinant(matrix), epsilon_determinant(square)] == expected[::-1]
+        # c_1 of a tensor against itself is its dimension
+        with engine.shared_sums():
+            assert [invariant_of_order(square, square, 1),
+                    invariant_of_order(matrix, matrix, 1)] == [3, 5]
 
     def test_a_singular_inverse_raises_every_time(self):
         singular = from_matrix([[1, 1], [1, 1]])
@@ -462,6 +470,41 @@ class TestSharedSums:
             for _ in range(2):
                 with pytest.raises(SingularTensorError):
                     epsilon_inverse(singular)
+                with pytest.raises(SingularTensorError):
+                    invariant_of_order(identity(2), singular, 1)
+
+    @pytest.mark.parametrize("suite,dim", [("rank2", 4), ("rank4", 3)])
+    def test_one_sample_computes_each_distinct_invariant_once(
+            self, monkeypatch, suite, dim):
+        # an execution of the body of invariant_of_order is counted by the
+        # _check_pair call it opens with
+        body = inspect.unwrap(invariants.invariant_of_order).__code__
+        check_pair, served = invariants._check_pair, invariants.invariant_of_order
+        computed, requested = [], []
+
+        def checked(a, g):
+            if sys._getframe(1).f_code is body:
+                computed.append((a.form, g.form))
+            check_pair(a, g)
+
+        def request(a, g, s):
+            requested.append((a.form, g.form, s))
+            return served(a, g, s)
+
+        monkeypatch.setattr(invariants, "_check_pair", checked)
+        monkeypatch.setattr(invariants, "invariant_of_order", request)
+        assert suites.run_suite(suite, dim, 5, 1).all_pass
+        assert len(computed) == len(set(requested)) < len(requested)
+
+    @pytest.mark.parametrize("rank,dim", [(2, 4), (4, 3)])
+    def test_invariant_values_shares_sums_outside_a_block(
+            self, monkeypatch, rank, dim):
+        a, g = (suites.random_invertible(rank, dim, seed) for seed in (21, 22))
+        _, enumerated, scopes = self._count(monkeypatch)
+        invariants.invariant_values(a, g)
+        # c_0's sum is det(g)'s, which every order divides by
+        assert len(enumerated) == dim + 1
+        assert len(scopes) == 1 and scopes[0] is not None
 
     @pytest.mark.parametrize("verifier,rank,dim", [
         (evenrank.verify_recurrence_even, 4, 3), (rank2.verify_recurrence2, 2, 3)])
