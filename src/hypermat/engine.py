@@ -38,7 +38,13 @@ Every sum runs through one kernel, ``_signed_sum``:
   every other request frees none. The position permutations behind the
   restriction never move the freed position, so the restriction keeps
   the sum exact at every freed index, not only in total (coalescing,
-  below, keeps it exact per orbit).
+  below, keeps it exact per orbit). A gradient depends only on the
+  multiset of held factors: moving the freed slot to position 0 and the
+  held factors into order by ``form`` is a permutation pi of positions,
+  which multiplies the sum by sgn(pi)**r (+1 at even rank). So
+  ``epsilon_product_gradient`` makes one request per held multiset,
+  freed at position 0, and applies that sign at every rank; the kernel
+  never reads the freed factor.
 - Coalesced states. The sign symbols are placed one level at a time, and
   a partial term is a state: the flat offset of each held position's
   index prefix, the offset of the freed slot's index prefix, and a
@@ -78,18 +84,22 @@ Every sum runs through one kernel, ``_signed_sum``:
   each is computed once and a repeat is served from a dict that lives
   only as long as the block. A sum is keyed by (rank, dim, freed
   position, classes, each factor's ``form``). A function decorated with
-  ``once_per_block`` (the determinant, the inverse, the invariant c_s
-  and the rank-2 matrix identity) is keyed by its qualified name, each
-  tensor argument's (rank, dim, ``form``) and each integer argument. A
-  form is the tensor's value in lowest terms, so equal tensors give
-  equal keys whatever object holds them, and no key holds a tensor. So
-  the metric's det(g) and inv(g) are computed once per block and passed
-  by no caller; a raised error is never stored. Results are immutable
-  (``acc`` is a tuple, a tensor is a value). The dict is scoped, not
-  global: a sample reuses only its own results, so the cost of a call
-  never depends on what ran before it, and the memory goes when the
-  block ends. Outside a block every call computes, except in a function
-  wrapped in ``sharing``, which opens a block when none is active.
+  ``once_per_block`` (the determinant, the inverse, the invariant c_s,
+  the rank-2 matrix identity and the gradient of a held multiset) is
+  keyed by its qualified name, each tensor argument's (rank, dim,
+  ``form``) and each integer argument. A form is the tensor's value in
+  lowest terms, so equal tensors give equal keys whatever object holds
+  them, and no key holds a tensor. So the metric's det(g) and inv(g)
+  are computed once per block and passed by no caller, and the d
+  gradients that hold a^j g^(d-1-j) are all that ``grad_tensor``,
+  ``grad_metric``, the bridge rows and the inverse of a or g enumerate
+  for a pair (a, g); a raised error is never stored. Results are
+  immutable (``acc`` is a tuple, a tensor is a value). The dict is
+  scoped, not global: a sample reuses only its own results, so the cost
+  of a call never depends on what ran before it, and the memory goes
+  when the block ends. Outside a block every call computes, except in a
+  function wrapped in ``sharing``, which opens a block when none is
+  active.
 
 Derivative convention used package-wide: gradients are formal, treating
 all d**r ordered components of a factor as independent. The derivative
@@ -108,7 +118,7 @@ from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache, wraps
-from operator import add, eq, itemgetter, methodcaller
+from operator import add, eq, gt, itemgetter, methodcaller
 from typing import Sequence
 
 from .errors import SingularTensorError
@@ -117,8 +127,7 @@ from .tensor import SymTensor, integer_table, orbit_means
 
 def permutation_sign(perm: Sequence[int]) -> int:
     """Parity of a permutation given as a tuple of images: +1 even, -1 odd."""
-    inversions = sum(1 for i in range(len(perm))
-                     for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+    inversions = sum(itertools.starmap(gt, itertools.combinations(perm, 2)))
     return -1 if inversions % 2 else 1
 
 
@@ -388,15 +397,34 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
 
     The result is completely symmetric because the remaining factors are;
     the value stored at a canonical key is the derivative with respect to
-    any single ordered component in that key's orbit.
+    any single ordered component in that key's orbit. It is keyed by the
+    held factors alone: the request frees position 0 and holds the other
+    factors sorted by ``form``, served once per ``shared_sums`` block, and
+    is multiplied by sgn(pi)**r for the permutation pi = [position] + the
+    sorted held positions (see "Free position").
     """
     rank, dim = _uniform_shape(factors)
     if not 0 <= position < dim:
         raise ValueError(f"position {position} out of range for {dim} slots")
-    acc, scale, _ = _signed_sum(factors, (position,))
+    order = sorted((t for t in range(dim) if t != position),
+                   key=lambda t: factors[t].form)
+    # the kernel never reads the freed slot: the first held factor stands
+    # in for it, or at d=1, where nothing is held, the freed factor itself
+    stand_in = factors[order[0] if order else position]
+    grad = _held_gradient(stand_in, *[factors[t] for t in order])
+    # moving the freed slot first and the held factors into order permutes
+    # the positions, which multiplies the sum by sgn(pi) per sign symbol
+    return grad if permutation_sign([position, *order]) ** rank > 0 else -grad
+
+
+@once_per_block
+def _held_gradient(*factors: SymTensor) -> SymTensor:
+    """The gradient at position 0 of ``factors``, whose first factor only
+    stands in for the freed slot."""
+    acc, scale, _ = _signed_sum(factors, (0,))
     # Each orbit was accumulated over all its orderings; its mean is the
     # per-component formal value.
-    return orbit_means(rank, dim, acc, scale)
+    return orbit_means(factors[0].rank, factors[0].dim, acc, scale)
 
 
 def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):

@@ -94,7 +94,8 @@ def recurrence_residual(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
     """Residual of: d(c_s)/dg + c_s * inv(g) - d(c_{s+1})/da.
 
     Identically zero for 0 <= s <= d (the s = d case, where c_{d+1} is
-    zero, is the Cayley-Hamilton statement).
+    zero, is the Cayley-Hamilton statement). Below order d both gradients
+    hold a^s g^(d-s-1), so they are one served request.
     """
     lhs = grad_metric(a, g, s) + engine.epsilon_inverse(g) * invariant_of_order(a, g, s)
     return lhs - grad_tensor(a, g, s + 1)
@@ -117,7 +118,9 @@ def metric_derivative_bridge_residual(a: SymTensor, g: SymTensor, s: int) -> Sym
     """Residual of: d(det(g) c_s)/dg - d(det(g) c_{s+1})/da for s < d.
 
     Both sides are slot-freed contractions of the same factor content, so
-    the residual is identically zero; no metric inverse is involved.
+    the residual is identically zero; no metric inverse is involved. A
+    gradient is keyed by its held factors, so both sides are one served
+    request and the row checks only their normalizations.
     """
     _check_pair(a, g)
     d = a.dim

@@ -2,6 +2,7 @@
 and the permutation tensors contracted through them."""
 
 import inspect
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -140,6 +141,42 @@ class TestGradient:
         for slot in range(dim):
             grad = epsilon_product_gradient(factors, slot)
             assert contract_full(grad, factors[slot]) == value
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_the_slot_permutation_sign_law(self, rank):
+        # a gradient is served by its held factors, sorted, and signed by
+        # sgn(pi)**r of the permutation that puts the freed slot first and
+        # the held factors in order: at odd rank a reordering flips it
+        base = [_coprime_factor(rank, 3), _sparse_factor(rank, 3, 250 + rank),
+                random_symmetric(rank, 3, 260 + rank, 5)]
+        direction = random_symmetric(rank, 3, 270 + rank, 5)
+        for perm in itertools.permutations(range(3)):
+            factors = [base[t] for t in perm]
+            for slot in range(3):
+                grad = epsilon_product_gradient(factors, slot)
+                assert not grad.is_zero()
+                if rank == 5:
+                    # (3!)**5 terms per brute sum: recontract instead
+                    value = epsilon_product(factors)
+                    assert value != 0
+                    assert oracles.brute_contract_full(grad, factors[slot]) == value
+                    continue
+
+                def shifted(tensor):
+                    replaced = list(factors)
+                    replaced[slot] = tensor
+                    return oracles.brute_epsilon_product(replaced)
+
+                # linear in every slot, so degree one suffices
+                derivative = oracles.directional_derivative(
+                    shifted, factors[slot], direction, 1)
+                assert derivative != 0
+                assert derivative == oracles.brute_contract_full(grad, direction)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_a_one_dimensional_gradient_holds_no_factor(self, rank):
+        t = SymTensor.from_entries(rank, 1, {(0,) * rank: 5})
+        assert dict(epsilon_product_gradient([t], 0).items_sorted()) == {(0,) * rank: 1}
 
 
 class TestCosetRestriction:
@@ -523,6 +560,45 @@ class TestSharedSums:
         assert verifier(a, g).all_pass
         assert len(enumerated) == 2 * inside
         assert None not in scopes and len(scopes) == 2
+
+    @pytest.mark.parametrize("suite,dim,count", [
+        ("rank2", 2, 16), ("rank2", 3, 23), ("rank2", 4, 30), ("rank4", 2, 10),
+        ("rank4", 3, 14), ("odd", 2, 4), ("odd", 3, 3)])
+    def test_one_sample_enumeration_counts_are_pinned(
+            self, monkeypatch, suite, dim, count):
+        # one gradient per held multiset; a key on the full factor list and
+        # the freed slot would make the even-rank counts 21/31/41 and 12/17
+        _, enumerated, _ = self._count(monkeypatch)
+        assert suites.run_suite(suite, dim, 5, 1).all_pass
+        assert len(enumerated) == count
+
+    @pytest.mark.parametrize("rank,dim", [(2, 3), (2, 4), (4, 3)])
+    def test_a_held_multiset_is_one_gradient_by_every_route(
+            self, monkeypatch, rank, dim):
+        # grad_tensor at s+1, the slot term of grad_metric at s and both
+        # sides of the bridge at s all hold a^s g^(d-s-1)
+        a, g = (suites.random_invertible(rank, dim, seed) for seed in (35, 36))
+        held = []
+        enumerate_sum = engine._enumerate
+
+        def enumeration(factors, free, classes):
+            if free:
+                held.append(sorted(factors[t].form for t in range(dim) if t not in free))
+            return enumerate_sum(factors, free, classes)
+
+        monkeypatch.setattr(engine, "_enumerate", enumeration)
+        with engine.shared_sums():
+            for s in range(dim):
+                invariants.grad_tensor(a, g, s + 1)
+                invariants.grad_metric(a, g, s)
+                assert invariants.metric_derivative_bridge_residual(a, g, s).is_zero()
+        assert sorted(held) == sorted(sorted([a.form] * s + [g.form] * (dim - 1 - s))
+                                      for s in range(dim))
+        held.clear()
+        with engine.shared_sums():
+            inverse = epsilon_inverse(a)
+            assert invariants.grad_tensor(a, g, dim) == inverse * invariant_of_order(a, g, dim)
+        assert held == [[a.form] * (dim - 1)]
 
     @pytest.mark.parametrize("rank,dim", [(2, 3), (4, 3)])
     def test_a_determinant_is_one_request_by_every_route(
