@@ -21,24 +21,17 @@ Every sum runs through one kernel, ``_signed_sum``:
   it on the tensor, and the tensor layer's contractions read the same
   tables; a gradient's orbit sums become one form through
   ``tensor.orbit_means``.
-- Lead-symbol restriction. Permuting the positions of identical factors
-  (the same permutation applied to every sign symbol) leaves a term's
-  factor product unchanged and multiplies its sign by sgn(pi)**r. For
-  even rank that is +1, so the sum is |H| times the sum with the first
-  permutation increasing on each class of identical non-freed factors,
-  H being the product of the classes' symmetric groups. This is the
-  first-level case of the state identity under "Coalesced states"; for
-  odd rank no lead is restricted, and the states of a repeated factor
-  cancel after the first level instead. The coset restriction (two
-  blocks, s!(d-s)!) and the row-product determinant (first permutation
-  fixed to the identity) are the same restriction with explicitly given
-  classes.
+- Restriction. Permuting the positions of identical factors (the same
+  permutation applied to every sign symbol) leaves a term's factor
+  product unchanged and multiplies its sign by sgn(pi)**r. The kernel
+  uses this once, in the class sort under "Coalesced states"; a request
+  restricts its first permutation only on the ``classes`` it states.
+  The coset sum (two blocks, s!(d-s)!) and the row-product determinant
+  (one class of all positions: the first permutation is the identity)
+  are the only requests that state any.
 - Free position. A gradient leaves one position out of the product and
   accumulates each term at the flat index of that position's r indices;
-  every other request frees none. The position permutations behind the
-  restriction never move the freed position, so the restriction keeps
-  the sum exact at every freed index, not only in total (coalescing,
-  below, keeps it exact per orbit). A gradient depends only on the
+  every other request frees none. A gradient depends only on the
   multiset of held factors: moving the freed slot to position 0 and the
   held factors into order by ``form`` is a permutation pi of positions,
   which multiplies the sum by sgn(pi)**r (+1 at even rank). So
@@ -65,18 +58,21 @@ Every sum runs through one kernel, ``_signed_sum``:
   levels remains; a state with two equal prefixes in one class is then
   dropped, its continuation being its own negative. Classes need not be
   adjacent ([a, g, a]). The sort runs after every level but the last
-  whenever a class holds two or more positions, so a first level
-  restricted on blocks that split one class (a coset sum with g == a)
-  merges there. The freed slot has the table layout and is folded like
-  a prefix, so a gradient's sum is exact per orbit of ordered indices,
-  which is all a symmetric result needs. A freed position is in no
-  class, so sorting within classes leaves the freed indices as they
-  are. No level but the last reads a factor: the states that reach the
-  last level depend on the shape alone (rank, dimension, freed position,
-  classes and the class layout), so they are built once with the
-  shape's plan (``_plan``), and a call reads its tables into the last
-  level only. The terms a request covers, and the count ``_plan``
-  reports for it, do not change.
+  whenever a class holds two or more positions, the first included. So
+  an unrestricted first level merges into the states whose lead is
+  increasing on each class, at even rank with every coefficient |H|
+  times larger (H the product of the classes' symmetric groups) and at
+  odd rank into none, and a first level restricted on blocks that split
+  one class (a coset sum with g == a) merges there too. The freed slot
+  has the table layout and is folded like a prefix, so a gradient's sum
+  is exact per orbit of ordered indices, which is all a symmetric result
+  needs. A freed position is in no class, so sorting within classes
+  leaves the freed indices as they are. No level but the last reads a
+  factor: the states that reach the last level depend on the shape
+  alone (rank, dimension, freed position, classes and the class
+  layout), so they are built once with the shape's plan (``_plan``), and
+  a call reads its tables into the last level only. The count ``_plan``
+  reports is of the terms a request covers, whatever the sort merges.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, and the same c_s, so one identity sample asks
@@ -131,7 +127,6 @@ def permutation_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-@lru_cache(maxsize=None)
 def signed_permutations(dim: int):
     """All permutations of {0..dim-1} with their signs, lexicographically."""
     return tuple((perm, permutation_sign(perm))
@@ -290,15 +285,11 @@ def once_per_block(function):
 
     @wraps(function)
     def served(*args, **kwargs):
-        memo = _SHARED.get()
-        if memo is None or kwargs:
+        if kwargs:
             return function(*args, **kwargs)
         key = (name, *[(x.rank, x.dim, x.form) if isinstance(x, SymTensor) else x
                        for x in args])
-        result = memo.get(key)
-        if result is None:
-            result = memo[key] = function(*args)
-        return result
+        return _shared(key, lambda: function(*args))
     return served
 
 
@@ -312,7 +303,7 @@ def sharing(function):
 
 
 def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
-                classes: tuple | None = None):
+                classes: tuple = ()):
     """The signed sum, served from the enclosing ``shared_sums`` block
     when an equal request was enumerated there before.
 
@@ -321,17 +312,15 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
     sum of the terms whose freed indices lie in an orbit of flat indices
     is ``scale`` times the sum of ``acc`` over that orbit (see "Coalesced
     states"). ``terms`` counts the permutation tuples the request covers.
-    With ``classes`` None the first permutation is restricted over
-    identical non-freed factors for even rank and the result is the full
-    sum; given classes restrict it as stated, and the result is the
-    restricted sum itself.
+    The first permutation is increasing on each of ``classes``, and the
+    result is the sum so restricted; with none it is the full sum.
     """
     key = ("sum", factors[0].rank, factors[0].dim, free, classes,
            tuple([f.form for f in factors]))
     return _shared(key, lambda: _enumerate(factors, free, classes))
 
 
-def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None):
+def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple):
     """The one enumeration behind ``_signed_sum``: the factors' tables
     are read into the last level of their shape's plan, whose states are
     built on the shape's first call."""
@@ -345,13 +334,6 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
                 break
         else:
             groups.append([t])
-    multiplier = 1
-    if classes is None:
-        classes = ()
-        if rank % 2 == 0:
-            classes = tuple(tuple(group) for group in groups if len(group) > 1)
-            for c in classes:
-                multiplier *= math.factorial(len(c))
     # held positions of each class of identical factors, as indices into
     # a state's prefixes
     layout = tuple(tuple(map(held.index, group))
@@ -377,7 +359,7 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple | None)
             v = sum(map(math.prod, map(pick_from, picks)))
             if v:
                 acc[out + o] += coeff * v
-    return tuple(acc), Fraction(multiplier, denominator), terms
+    return tuple(acc), Fraction(1, denominator), terms
 
 
 def epsilon_product(factors: Sequence[SymTensor]):
@@ -450,10 +432,21 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
     for t in range(split + 1, dim):
         if factors[t] != factors[split]:
             raise ValueError("factors in the second block differ")
-    # without an empty block, split = 0 or d is det(t)'s own request
+    # without an empty block, split = 0 or d is row_product's request
     blocks = tuple(b for b in (tuple(range(split)), tuple(range(split, dim))) if b)
     acc, scale, count = _signed_sum(factors, (), blocks)
     return acc[0] * math.factorial(split) * math.factorial(dim - split) * scale, count
+
+
+def row_product(tensor: SymTensor):
+    """The signed sum of d copies of ``tensor`` with the first permutation
+    fixed to the identity: (d!)**(r-1) terms, the same request as the
+    coset sum of d copies at split 0 or d. At even rank it is 1/d! times
+    the full sum, the determinant; at odd rank the full sum vanishes and
+    this is generally nonzero."""
+    d = tensor.dim
+    acc, scale, _ = _signed_sum([tensor] * d, (), (tuple(range(d)),))
+    return acc[0] * scale
 
 
 @once_per_block
@@ -463,8 +456,7 @@ def epsilon_determinant(tensor: SymTensor):
     if tensor.rank % 2:
         raise ValueError("odd rank: the signed contraction vanishes "
                          "identically, lift to even rank instead")
-    d = tensor.dim
-    return coset_restricted_product_counted([tensor] * d, d)[0] / math.factorial(d)
+    return row_product(tensor)
 
 
 @once_per_block

@@ -23,9 +23,7 @@ def cayley_det(a: SymTensor):
     Coincides with engine.epsilon_determinant for even rank; for odd rank
     it is generally nonzero, unlike the fully signed contraction.
     """
-    d = a.dim
-    acc, scale, _ = engine._signed_sum([a] * d, (), (tuple(range(d)),))
-    return acc[0] * scale
+    return engine.row_product(a)
 
 
 _RECURRENCE_FORMULAS = ("d(C_s)/dG + C_s*inv(G) == d(C_{s+1})/dA",

@@ -399,6 +399,25 @@ class TestCoalescedStates:
         assert value != 0
         assert value == acc[0] * scale == epsilon_product([a, g, g, a])
 
+    @pytest.mark.parametrize("rank,dim", [(2, 4), (4, 3), (3, 3), (6, 2)])
+    def test_an_unrestricted_request_covers_every_term(self, monkeypatch, rank, dim):
+        # the count perfbench's full_sum_terms takes for these calls: d
+        # copies merge their lead states, and no lead is left out
+        t = random_symmetric(rank, dim, 250 + rank, 5)
+        counts = []
+        enumerate_sum = engine._enumerate
+
+        def enumeration(factors, free, classes):
+            result = enumerate_sum(factors, free, classes)
+            counts.append(result[2])
+            return result
+
+        monkeypatch.setattr(engine, "_enumerate", enumeration)
+        value = epsilon_product([t] * dim)
+        epsilon_product_gradient([t] * dim, 0)
+        assert counts == [math.factorial(dim) ** rank] * 2
+        assert value == (0 if rank % 2 else math.factorial(dim) * epsilon_determinant(t))
+
 
 class TestSharedSums:
     """Inside ``engine.shared_sums`` each distinct signed sum is enumerated
@@ -411,7 +430,7 @@ class TestSharedSums:
         requests, enumerated, scopes = [], [], []
         signed_sum, enumerate_sum = engine._signed_sum, engine._enumerate
 
-        def request(factors, free=(), classes=None):
+        def request(factors, free=(), classes=()):
             contents = tuple(tuple(sorted(f.entries.items())) for f in factors)
             requests.append((factors[0].rank, free, classes, contents))
             return signed_sum(factors, free, classes)
