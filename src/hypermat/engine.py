@@ -10,38 +10,60 @@ slot-freed gradients. The paper's permutation tensor of order s,
 contracted with s symmetric tensors, is this primitive on those tensors
 and d-s copies of the metric; its order-1 case is ``epsilon_inverse``.
 
-Every sum runs through one kernel, ``_signed_sum``:
+Every sum is asked for through ``_signed_sum`` and takes one of two
+routes, by whether it frees a slot:
 
-- Integer tables. Each distinct factor is read as its integer table, a
-  dense list over its d**r ordered indices (flat index sum_k i_k d**(r-1-k)),
-  so no index is sorted inside the loop. A table holds the numerators of
-  the factor's form over its one scale; the inner loop multiplies and
-  adds Python integers only, and the scales are divided out once at the
-  end. ``tensor.integer_table`` builds a tensor's table once and caches
-  it on the tensor, and the tensor layer's contractions read the same
-  tables; a gradient's orbit sums become one form through
-  ``tensor.orbit_means``.
 - Restriction. Permuting the positions of identical factors (the same
   permutation applied to every sign symbol) leaves a term's factor
-  product unchanged and multiplies its sign by sgn(pi)**r. The kernel
-  uses this once, in the class sort under "Coalesced states"; a request
-  restricts its first permutation only on the ``classes`` it states.
-  The coset sum (two blocks, s!(d-s)!) and the row-product determinant
-  (one class of all positions: the first permutation is the identity)
-  are the only requests that state any.
-- Free position. A gradient leaves one position out of the product and
-  accumulates each term at the flat index of that position's r indices;
-  every other request frees none. A gradient depends only on the
+  product unchanged and multiplies its sign by sgn(pi)**r. A request
+  restricts its first permutation only on the ``classes`` it states,
+  contiguous runs of positions that cover them all: the coset sum (two
+  blocks, s!(d-s)!) and the row-product determinant (one class of all
+  positions: the first permutation is the identity) are the only
+  requests that state any. The sign-level route uses the symmetry in its
+  class sort (see "Coalesced states").
+- Positions, the route of every request with no freed slot (the
+  determinant, the row product, the coset sums and full sums). The sum
+  is a dynamic programme over factor positions, the subset DP of Bellman
+  and of Held and Karp: after t positions each sign symbol has used a
+  set of t values, and the rest of the sum depends on those sets alone.
+  Placing value v for a symbol multiplies by (-1)**|{u used : u > v}|,
+  and placing the r values at position t multiplies by factor t's
+  component there. A state holds each symbol's used values as a
+  bitmask. Every factor is completely symmetric and the sign product is
+  symmetric in the symbols, so the masks of interchangeable symbols are
+  kept sorted, and symbols with equal masks take their moves as
+  multisets, each counted by its orderings. Symbol 1 increases within
+  each of the request's classes and, in the last one, takes the least
+  unused value, so the row product's symbol 1 is the identity and adds
+  nothing to the state; with no classes it is interchangeable too. At
+  odd rank a full sum with a repeated factor is 0 without a plan:
+  swapping the two copies negates every term. The states and moves
+  depend on the shape alone (rank, dimension, classes), so
+  ``_position_plan`` builds them once per shape as flat tuples of ints,
+  per transition its source state, the position of its r values'
+  canonical key and its signed coefficient. A call reads each factor's
+  form numerators at those positions, sums per destination state with
+  Python integers only, and divides the scales out once at the end.
+- Sign levels, the route of a slot-freed gradient. It leaves one
+  position out of the product and accumulates each term at the flat
+  index of that position's r indices. A gradient depends only on the
   multiset of held factors: moving the freed slot to position 0 and the
   held factors into order by ``form`` is a permutation pi of positions,
   which multiplies the sum by sgn(pi)**r (+1 at even rank). So
   ``epsilon_product_gradient`` makes one request per held multiset,
   freed at position 0, and applies that sign at every rank; the kernel
-  never reads the freed factor.
-- Coalesced states. The sign symbols are placed one level at a time, and
-  a partial term is a state: the flat offset of each held position's
-  index prefix, the offset of the freed slot's index prefix, and a
-  sign.
+  never reads the freed factor. Each distinct factor is read as its
+  integer table, a dense list over its d**r ordered indices (flat index
+  sum_k i_k d**(r-1-k)), so no index is sorted inside the loop; the
+  table holds the numerators of the factor's form over its one scale.
+  ``tensor.integer_table`` builds a tensor's table once and caches it on
+  the tensor, the tensor layer's contractions read the same tables, and
+  a gradient's orbit sums become one form through ``tensor.orbit_means``.
+- Coalesced states. The sign-level route places the sign symbols one
+  level at a time, and a partial term is a state: the flat offset of
+  each held position's index prefix, the offset of the freed slot's
+  index prefix, and a sign.
   Every factor is completely symmetric, so its value depends only on
   the multiset of indices at its position, and two states whose held
   prefixes are equal once sorted have the same continuation. After each
@@ -58,21 +80,26 @@ Every sum runs through one kernel, ``_signed_sum``:
   levels remains; a state with two equal prefixes in one class is then
   dropped, its continuation being its own negative. Classes need not be
   adjacent ([a, g, a]). The sort runs after every level but the last
-  whenever a class holds two or more positions, the first included. So
-  an unrestricted first level merges into the states whose lead is
-  increasing on each class, at even rank with every coefficient |H|
-  times larger (H the product of the classes' symmetric groups) and at
-  odd rank into none, and a first level restricted on blocks that split
-  one class (a coset sum with g == a) merges there too. The freed slot
-  has the table layout and is folded like a prefix, so a gradient's sum
-  is exact per orbit of ordered indices, which is all a symmetric result
-  needs. A freed position is in no class, so sorting within classes
-  leaves the freed indices as they are. No level but the last reads a
-  factor: the states that reach the last level depend on the shape
-  alone (rank, dimension, freed position, classes and the class
-  layout), so they are built once with the shape's plan (``_plan``), and
-  a call reads its tables into the last level only. The count ``_plan``
-  reports is of the terms a request covers, whatever the sort merges.
+  whenever a class holds two or more positions, the first included, so
+  the first level merges into the states whose lead is increasing on
+  each class, at even rank with every coefficient |H| times larger (H
+  the product of the classes' symmetric groups) and at odd rank into
+  none. The freed slot has the table layout and is folded like a
+  prefix, so a gradient's sum is exact per orbit of ordered indices,
+  which is all a symmetric result needs. A freed position is in no
+  class, so sorting within classes leaves the freed indices as they
+  are. No level but the last reads a factor: the states that reach the
+  last level depend on the shape alone (rank, dimension, freed position
+  and the class layout), so they are built once with the shape's plan
+  (``_plan``), and a call reads its tables into the last level only.
+- Terms and work. Each route reports the terms a request covers,
+  whatever it merges: (d!)**r for a full sum or a gradient,
+  C(d,s) (d!)**(r-1) for a coset sum and (d!)**(r-1) for the row
+  product. Before a plan is built, its route estimates its work from the
+  shape alone, the position DP its transitions before any reduction
+  (each of the r symbols moving to any unused value) and the sign-level
+  kernel its (d!)**r terms, and a request over ``WORK_BUDGET`` raises
+  ``ValueError``.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, and the same c_s, so one identity sample asks
@@ -114,11 +141,11 @@ from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache, wraps
-from operator import add, eq, gt, itemgetter, methodcaller
+from operator import add, eq, gt, itemgetter, methodcaller, mul, sub
 from typing import Sequence
 
 from .errors import SingularTensorError
-from .tensor import SymTensor, integer_table, orbit_means
+from .tensor import SymTensor, canonical_keys, integer_table, orbit_means
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -146,25 +173,25 @@ def _uniform_shape(factors: Sequence[SymTensor]):
 
 
 @lru_cache(maxsize=64)
-def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
-    """Per-shape enumeration structure of the kernel.
+def _plan(rank: int, dim: int, free: tuple, layout: tuple):
+    """Per-shape structure of the sign-level kernel, the route of a
+    slot-freed gradient.
 
     Every level (sign symbol) but the last reads only offsets and signs,
     never a table, so the states that reach the last level depend on the
     shape alone and are built here, once per shape: a tuple of ((held
     prefix offsets, freed prefix offset), coefficient), after the merge
     and the sort within each class of ``layout`` (see "Coalesced
-    states"). The first level holds only permutations increasing on each
-    of ``classes``; ``widths`` counts the states after each outer level.
+    states"); ``widths`` counts the states after each outer level.
     The last level has stride one, so it is grouped by output offset into
     getters that pick the sign and one entry per non-freed row from the
     rows laid end to end behind a leading (1, -1). ``terms`` counts the
-    permutation tuples the restricted sum covers, whatever the kernel
-    merges on the way.
+    (d!)**r permutation tuples the sum covers, whatever the kernel merges
+    on the way; it is the work budgeted before anything is built.
     """
+    terms = math.factorial(dim) ** rank
+    _within_budget(terms, rank, dim)
     perms = signed_permutations(dim)
-    leads = [(p, s) for p, s in perms
-             if all(p[a] < p[b] for c in classes for a, b in zip(c, c[1:]))]
     held = [t for t in range(dim) if t not in free]
     levels = []
     for k in range(rank):
@@ -172,7 +199,7 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
         levels.append([
             (s, tuple(p[t] * stride for t in held),
              sum(p[u] * stride for u in free))
-            for p, s in (leads if k == 0 else perms)])
+            for p, s in perms])
     # states map (held prefix offsets, output offset) to the summed sign
     # of the partial terms that reach them
     states = {((0,) * len(held), 0): 1}
@@ -203,9 +230,134 @@ def _plan(rank: int, dim: int, free: tuple, classes: tuple, layout: tuple):
         picks = itemgetter(s < 0, *(positions or (0,)))
         groups.setdefault(out, []).append(picks)
     last = tuple((out, tuple(picks)) for out, picks in groups.items())
-    terms = len(leads) * len(perms) ** (rank - 1)
-    return (tuple(states.items()), last, dim ** rank if free else 1, terms,
-            tuple(widths))
+    return tuple(states.items()), last, dim ** rank, terms, tuple(widths)
+
+
+# the most work a request may take, in its route's estimate (see "Terms
+# and work"): the largest the tests, CI and the benchmark run are a rank-8
+# d=4 determinant (8.6e8 transitions) and a rank-6 d=4 gradient (1.9e8
+# terms), and a rank-2 d=14 determinant (2.0e9) is refused
+WORK_BUDGET = 10 ** 9
+
+
+def _within_budget(work: int, rank: int, dim: int):
+    """Refuse a request whose shape-only work estimate exceeds
+    ``WORK_BUDGET``, before anything of it is built."""
+    if work > WORK_BUDGET:
+        raise ValueError(
+            f"a signed sum at rank {rank} and dimension {dim} is estimated at "
+            f"{work:.1e} steps, over the work budget of {WORK_BUDGET:.0e}")
+
+
+@lru_cache(maxsize=64)
+def _position_plan(rank: int, dim: int, classes: tuple):
+    """Per-shape structure of the position DP, the route of every request
+    with no freed slot (see "Positions").
+
+    Step t places position t. A state is (lead, masks): ``masks`` holds
+    the used values of the interchangeable sign symbols as sorted
+    bitmasks, and ``lead`` is symbol 1's mask and its last value in the
+    current class, or None when no class restricts it and it is one of
+    the masks. Equal masks take their moves as multisets, each with its
+    count of orderings. A step is flat tuples of ints: per transition its
+    source state, the position of its values' canonical key in the
+    factor's form and its signed coefficient, and per destination state
+    the bounds of its transitions. ``widths`` counts the states after
+    each step and ``terms`` the permutation tuples the restricted sum
+    covers; work is budgeted before anything is built.
+    """
+    # an unreduced DP moves each of the r symbols to any unused value
+    _within_budget(sum(math.comb(dim, t) ** rank * (dim - t) ** rank
+                       for t in range(dim)), rank, dim)
+    # a multiset of r values is coded as a sum of (r+1)**v, so the codes of
+    # the symbols' values add up to the code of their canonical key
+    codes = [(rank + 1) ** v for v in range(dim)]
+    key_at = {sum(map(codes.__getitem__, key)): k
+              for k, key in enumerate(canonical_keys(rank, dim))}
+
+    def sign(mask: int, v: int):
+        """The sign of placing v after the values of ``mask``."""
+        return -1 if (mask >> (v + 1)).bit_count() % 2 else 1
+
+    end_of = {t: c[-1] + 1 for c in classes for t in c}
+    forced = classes[-1] if classes else ()
+    group_moves: dict = {}
+
+    def moves(mask: int, count: int):
+        """Moves of ``count`` symbols that share ``mask``: (new masks,
+        code, signed count of orderings)."""
+        unused = [v for v in range(dim) if not mask >> v & 1]
+        if count == 1:
+            return [((mask | 1 << v,), codes[v], sign(mask, v)) for v in unused]
+        found = []
+        for values in itertools.combinations_with_replacement(unused, count):
+            ways = math.factorial(count)
+            for _, same in itertools.groupby(values):
+                ways //= math.factorial(len(tuple(same)))
+            found.append((tuple(mask | 1 << v for v in values),
+                          sum(map(codes.__getitem__, values)),
+                          ways * math.prod(sign(mask, v) for v in values)))
+        return found
+
+    def lead_moves(lead, t: int):
+        """Symbol 1's moves: (new lead, code, sign)."""
+        if lead is None:
+            return [(None, 0, 1)]
+        mask, last = lead
+        if t in forced:
+            # the values left, in increasing order
+            options = [(~mask & (mask + 1)).bit_length() - 1]
+        else:
+            # increasing within the class, with enough values left above
+            # for the rest of it
+            unused = ~mask & (1 << dim) - 1
+            options = [v for v in range(last + 1, dim) if unused >> v & 1
+                       and (unused >> (v + 1)).bit_count() >= end_of[t] - 1 - t]
+        within = t + 1 < end_of[t] and t not in forced
+        return [((mask | 1 << v, v if within else -1), codes[v], sign(mask, v))
+                for v in options]
+
+    states = {((0, -1) if classes else None,
+               (0,) * (rank - 1 if classes else rank)): 0}
+    steps, widths = [], []
+    for t in range(dim):
+        dests: dict = {}
+        for (lead, masks), source in states.items():
+            combos = None
+            for mask, same in itertools.groupby(masks):
+                group = (mask, len(tuple(same)))
+                if group not in group_moves:
+                    group_moves[group] = moves(*group)
+                combos = group_moves[group] if combos is None else [
+                    (m + gm, c + gc, w * gw) for m, c, w in combos
+                    for gm, gc, gw in group_moves[group]]
+            leads = lead_moves(lead, t)
+            several = len(set(masks)) > 1
+            for new_masks, code, coeff in combos:
+                if several:
+                    new_masks = tuple(sorted(new_masks))
+                for new_lead, lead_code, lead_sign in leads:
+                    pairs = dests.setdefault((new_lead, new_masks), {})
+                    pair = (source, key_at[code + lead_code])
+                    pairs[pair] = pairs.get(pair, 0) + coeff * lead_sign
+        states = {}
+        sources, offsets, coefficients, starts, ends = [], [], [], [], []
+        for dest, pairs in dests.items():
+            kept = [(pair, coeff) for pair, coeff in pairs.items() if coeff]
+            if kept:
+                states[dest] = len(states)
+                starts.append(len(sources))
+                for (source, offset), coeff in kept:
+                    sources.append(source)
+                    offsets.append(offset)
+                    coefficients.append(coeff)
+                ends.append(len(sources))
+        steps.append(tuple(map(tuple, (sources, offsets, coefficients, starts, ends))))
+        widths.append(len(states))
+    terms = math.factorial(dim) ** rank
+    for c in classes:
+        terms //= math.factorial(len(c))
+    return tuple(steps), terms, tuple(widths)
 
 
 def _sorted_prefixes(rank: int, dim: int):
@@ -312,8 +464,9 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
     sum of the terms whose freed indices lie in an orbit of flat indices
     is ``scale`` times the sum of ``acc`` over that orbit (see "Coalesced
     states"). ``terms`` counts the permutation tuples the request covers.
-    The first permutation is increasing on each of ``classes``, and the
-    result is the sum so restricted; with none it is the full sum.
+    The first permutation is increasing on each of ``classes``, contiguous
+    runs that cover the positions of a request with no freed slot, and
+    the result is the sum so restricted; with none it is the full sum.
     """
     key = ("sum", factors[0].rank, factors[0].dim, free, classes,
            tuple([f.form for f in factors]))
@@ -321,7 +474,38 @@ def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
 
 
 def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple):
-    """The one enumeration behind ``_signed_sum``: the factors' tables
+    """The one enumeration behind ``_signed_sum``: a request with no freed
+    slot runs its shape's position plan over the factors' forms, a
+    slot-freed gradient reads its factors' tables into the last level of
+    its shape's sign-level plan. Each plan is built on its shape's first
+    call."""
+    rank, dim = factors[0].rank, factors[0].dim
+    if free:
+        return _freed_sum(factors, free)
+    if rank % 2 and not classes and len({f.form for f in factors}) < dim:
+        # swapping two identical factors negates every term
+        return (0,), Fraction(1), math.factorial(dim) ** rank
+    steps, terms, _ = _position_plan(rank, dim, classes)
+    denominator = 1
+    values = [1]
+    for factor, (sources, offsets, coefficients, starts, ends) in zip(factors, steps):
+        numerators, scale = factor.form
+        denominator *= scale
+        moved = map(mul, map(mul, map(values.__getitem__, sources),
+                             map(numerators.__getitem__, offsets)), coefficients)
+        if len(ends) == len(sources):  # one transition per state
+            values = list(moved)
+        elif len(ends) == 1:
+            values = [sum(moved)]
+        else:
+            running = [0, *itertools.accumulate(moved)]
+            values = list(map(sub, map(running.__getitem__, ends),
+                              map(running.__getitem__, starts)))
+    return (values[0],), Fraction(1, denominator), terms
+
+
+def _freed_sum(factors: Sequence[SymTensor], free: tuple):
+    """A slot-freed gradient by the sign-level kernel: the factors' tables
     are read into the last level of their shape's plan, whose states are
     built on the shape's first call."""
     rank, dim = factors[0].rank, factors[0].dim
@@ -338,7 +522,7 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple):
     # a state's prefixes
     layout = tuple(tuple(map(held.index, group))
                    for group in groups if len(group) > 1)
-    states, last, size, terms, _ = _plan(rank, dim, free, classes, layout)
+    states, last, size, terms, _ = _plan(rank, dim, free, layout)
 
     table_at = {}
     denominator = 1

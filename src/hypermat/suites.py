@@ -18,8 +18,8 @@ BOUND = 7
 
 SUITE_DIMS = {"rank2": (2, 3, 4), "rank4": (2, 3), "odd": (2, 3)}
 
-# a warm sample takes about 4.5-6 ms at rank2 d=4 and 2-3 ms at rank4 d=3
-# (2-vCPU Xeon, Python 3.11), so this many take about 5.5 s and 2.7 s
+# a warm sample takes about 4-4.5 ms at rank2 d=4 and 1.8-2 ms at rank4 d=3
+# (2-vCPU Xeon, Python 3.11), so this many take about 4.3 s and 1.9 s
 MAX_SAMPLES = 1000
 
 MAX_ATTEMPTS = 64

@@ -224,6 +224,40 @@ def mat_trace(x):
     return sum(x[i][i] for i in range(len(x)))
 
 
+def transform(tensor: SymTensor, matrix) -> SymTensor:
+    """M.T: the d x d matrix M applied to every slot,
+    (M.T)[i1..ir] = sum M[i1][j1]..M[ir][jr] T[j1..jr], one slot at a time
+    over the dense ordered components."""
+    rank, dim = tensor.rank, tensor.dim
+    dense = {idx: tensor.component(idx)
+             for idx in itertools.product(range(dim), repeat=rank)}
+    for slot in range(rank):
+        dense = {idx: sum(matrix[idx[slot]][j] * dense[idx[:slot] + (j,) + idx[slot + 1:]]
+                          for j in range(dim))
+                 for idx in dense}
+    return SymTensor.from_entries(rank, dim, {key: dense[key]
+                                              for key in canonical_keys(rank, dim)})
+
+
+def matrix_det(matrix):
+    """Determinant of a square list-of-rows matrix by Gaussian elimination
+    over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            ratio = rows[i][k] / rows[k][k]
+            rows[i] = [x - ratio * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
 def all_canonical(rank: int, dim: int):
     return list(canonical_keys(rank, dim))
 

@@ -203,6 +203,20 @@ class TestDet:
         assert out == ""
         assert err.startswith("error: ") and "size bound" in err
 
+    @pytest.mark.parametrize("command", ["det", "invariants", "inverse"])
+    def test_a_rank2_d20_document_is_over_the_work_budget(self, command, tmp_path,
+                                                          capsys):
+        # it loads at once, and its sum is refused before any plan is built
+        path = write_doc(tmp_path, "d20.json", {"rank": 2, "dim": 20, "entries": [
+            {"index": [i, i], "value": str(i + 1)} for i in range(20)]})
+        extra = ["--metric", path] if command == "invariants" else []
+        started = time.perf_counter()
+        code, out, err = run(capsys, command, path, *extra)
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "over the work budget" in err
+
 
 class TestInvariants:
     def test_hand_matrix(self, tmp_path, capsys):

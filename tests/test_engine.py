@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -419,6 +420,83 @@ class TestCoalescedStates:
         assert value == (0 if rank % 2 else math.factorial(dim) * epsilon_determinant(t))
 
 
+class TestPositionDP:
+    """Requests with no freed slot run the position DP: full sums, coset
+    sums and row products, against the engine-free oracles."""
+
+    @pytest.mark.parametrize("rank,dim", [(2, 1), (3, 1), (4, 1), (2, 3), (3, 3),
+                                          (4, 3), (5, 2), (6, 2), (2, 4)])
+    def test_full_sums_of_mixed_factors(self, rank, dim):
+        a = _coprime_factor(rank, dim)
+        g = _sparse_factor(rank, dim, 300 + rank)
+        b = random_symmetric(rank, dim, 310 + rank, 5)
+        for pattern in ("aga", "abg", "gab", "aaa"):
+            factors = [{"a": a, "g": g, "b": b}[c] for c in (pattern * dim)[:dim]]
+            assert epsilon_product(factors) == oracles.brute_epsilon_product(factors)
+
+    @pytest.mark.parametrize("rank,dim", [(2, 1), (2, 3), (2, 4), (4, 2), (4, 3), (6, 2)])
+    def test_coset_blocks_with_g_equal_to_a(self, rank, dim):
+        a = _coprime_factor(rank, dim)
+        g = random_symmetric(rank, dim, 320 + rank, 5)
+        full = oracles.brute_epsilon_product([a] * dim)
+        for split in range(dim + 1):
+            value, count = coset_restricted_product_counted([a] * dim, split)
+            assert value == full
+            assert count == math.comb(dim, split) * math.factorial(dim) ** (rank - 1)
+            mixed = [a] * split + [g] * (dim - split)
+            assert (coset_restricted_product_counted(mixed, split)[0]
+                    == oracles.brute_epsilon_product(mixed))
+
+    @pytest.mark.parametrize("rank,dim", [(2, 1), (3, 1), (2, 4), (3, 3), (4, 3), (5, 3)])
+    def test_row_products(self, rank, dim):
+        a = _coprime_factor(rank, dim)
+        assert engine.row_product(a) == oracles.brute_row_product_det(a)
+
+
+def _diagonal(rank, dim):
+    # entries 1, -3/2, 5/3, ...: distinct scales, product known
+    return SymTensor.from_entries(rank, dim, {
+        (i,) * rank: Fraction((-1) ** i * (2 * i + 1), i + 1) for i in range(dim)})
+
+
+@pytest.mark.parametrize("rank,dim", [(2, 10), (4, 6), (8, 4), (3, 8), (5, 5)])
+def test_a_diagonal_determinant_is_the_product_of_its_entries(rank, dim):
+    # past the brute oracles' reach: rank4 d=6 has (6!)**3 row-product terms
+    diagonal = _diagonal(rank, dim)
+    product = math.prod(diagonal.component((i,) * rank) for i in range(dim))
+    assert evenrank.cayley_det(diagonal) == product
+    if rank % 2:
+        assert epsilon_product([diagonal] * dim) == 0
+    else:
+        assert epsilon_determinant(diagonal) == product
+
+
+@pytest.mark.parametrize("rank,dim", [(2, 10), (4, 6)])
+def test_a_moved_diagonal_determinant(rank, dim):
+    # det(M.D) = det(M)**r det(D), with M.D dense
+    matrix = [[(3 * i + 5 * j) % 7 - 3 + (i == j) for j in range(dim)]
+              for i in range(dim)]
+    det_m = oracles.matrix_det(matrix)
+    assert det_m != 0
+    diagonal = SymTensor.from_entries(rank, dim, {(i,) * rank: i + 1 for i in range(dim)})
+    moved = oracles.transform(diagonal, matrix)
+    assert len(moved.entries) == math.comb(dim + rank - 1, rank)
+    assert epsilon_determinant(moved) == det_m ** rank * math.factorial(dim)
+
+
+def test_the_work_budget_refuses_before_building():
+    # each route estimates its work from the shape: the position DP its
+    # unreduced transitions, the sign-level kernel its (d!)**r terms
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        engine.row_product(identity(20))
+    with pytest.raises(ValueError, match="budget"):
+        coset_restricted_product_counted([identity(20)] * 20, 10)
+    with pytest.raises(ValueError, match="budget"):
+        epsilon_product_gradient([identity(10)] * 10, 0)
+    assert time.perf_counter() - started < 1
+
+
 class TestSharedSums:
     """Inside ``engine.shared_sums`` each distinct signed sum is enumerated
     once; counts are asserted, times are not."""
@@ -666,17 +744,10 @@ class TestPlans:
         assert engine._plan.cache_info().misses == shapes.misses
 
     @pytest.mark.parametrize("rank,dim,call,widths", [
-        (6, 3, None, (1, 5, 9, 23, 37)),
-        (6, 3, 0, (3, 12, 27, 63, 111)),
-        (4, 4, None, (1, 17, 77)),
-        # a coset sum with g == a: its two blocks split one class of
-        # identical factors, and the lead states merge after the first level
-        pytest.param(2, 4, ("split", 2), (1,), id="2-4-split2-widths3"),
-        pytest.param(4, 3, ("split", 1), (1, 5, 9), id="4-3-split1-widths4"),
+        pytest.param(6, 3, 0, (3, 12, 27, 63, 111), id="6-3-0-widths1"),
     ])
     def test_states_per_level(self, monkeypatch, rank, dim, call, widths):
-        # None: a determinant; a slot: the gradient there of all copies;
-        # ("split", s): the coset sum of all copies split at s
+        # the gradient at slot ``call`` of all copies, by the sign-level plan
         seen = []
         plan = engine._plan
 
@@ -687,12 +758,34 @@ class TestPlans:
 
         monkeypatch.setattr(engine, "_plan", recorded)
         t = random_symmetric(rank, dim, 230 + rank, 5)
-        if call is None:
+        epsilon_product_gradient([t] * dim, call)
+        assert seen == [widths]
+
+    @pytest.mark.parametrize("rank,dim,split,widths", [
+        # a determinant: symbol 1 is the identity, the r-1 other masks are
+        # sorted, so step t holds the multisets of r-1 t-subsets
+        pytest.param(6, 3, None, (21, 21, 1), id="6-3-None"),
+        pytest.param(4, 4, None, (20, 56, 20, 1), id="4-4-None"),
+        # a coset sum of all copies: symbol 1 increases on the first block
+        # and takes the values left on the second
+        pytest.param(2, 4, 2, (12, 36, 12, 1), id="2-4-split2"),
+        pytest.param(4, 3, 1, (30, 20, 1), id="4-3-split1"),
+    ])
+    def test_states_per_step(self, monkeypatch, rank, dim, split, widths):
+        seen = []
+        plan = engine._position_plan
+
+        def recorded(*shape):
+            result = plan(*shape)
+            seen.append(result[2])
+            return result
+
+        monkeypatch.setattr(engine, "_position_plan", recorded)
+        t = random_symmetric(rank, dim, 230 + rank, 5)
+        if split is None:
             epsilon_determinant(t)
-        elif isinstance(call, int):
-            epsilon_product_gradient([t] * dim, call)
         else:
-            coset_restricted_product_counted([t] * dim, call[1])
+            coset_restricted_product_counted([t] * dim, split)
         assert seen == [widths]
 
     def test_shapes_that_differ_only_in_layout(self):
