@@ -98,8 +98,9 @@ routes, by whether it frees a slot:
   product. Before a plan is built, its route estimates its work from the
   shape alone, the position DP its transitions before any reduction
   (each of the r symbols moving to any unused value) and the sign-level
-  kernel its (d!)**r terms, and a request over ``WORK_BUDGET`` raises
-  ``ValueError``.
+  kernel its (d!)**r terms over the class sort's merge, and a request
+  over ``WORK_BUDGET`` raises ``ValueError``. The estimates are loose:
+  they refuse the hopeless shapes, not every slow one.
 - Shared sums. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, and the same c_s, so one identity sample asks
@@ -187,10 +188,14 @@ def _plan(rank: int, dim: int, free: tuple, layout: tuple):
     getters that pick the sign and one entry per non-freed row from the
     rows laid end to end behind a leading (1, -1). ``terms`` counts the
     (d!)**r permutation tuples the sum covers, whatever the kernel merges
-    on the way; it is the work budgeted before anything is built.
+    on the way. The work budgeted before anything is built is those terms
+    over |H|, the product of the factorials of ``layout``'s class sizes,
+    by which the class sort merges the states, and at least the d! of the
+    first level.
     """
     terms = math.factorial(dim) ** rank
-    _within_budget(terms, rank, dim)
+    merged_by = math.prod(math.factorial(len(c)) for c in layout)
+    _within_budget(max(terms // merged_by, math.factorial(dim)), rank, dim)
     perms = signed_permutations(dim)
     held = [t for t in range(dim) if t not in free]
     levels = []
@@ -235,8 +240,8 @@ def _plan(rank: int, dim: int, free: tuple, layout: tuple):
 
 # the most work a request may take, in its route's estimate (see "Terms
 # and work"): the largest the tests, CI and the benchmark run are a rank-8
-# d=4 determinant (8.6e8 transitions) and a rank-6 d=4 gradient (1.9e8
-# terms), and a rank-2 d=14 determinant (2.0e9) is refused
+# d=4 determinant (8.6e8 transitions) and a rank-6 d=4 gradient (3.2e7
+# terms after the merge), and a rank-2 d=14 determinant (2.0e9) is refused
 WORK_BUDGET = 10 ** 9
 
 
@@ -288,6 +293,8 @@ def _position_plan(rank: int, dim: int, classes: tuple):
         code, signed count of orderings)."""
         unused = [v for v in range(dim) if not mask >> v & 1]
         if count == 1:
+            # every move of a rank-2 plan; the general loop below doubles
+            # the cold build of a rank-2 d=12 row plan
             return [((mask | 1 << v,), codes[v], sign(mask, v)) for v in unused]
         found = []
         for values in itertools.combinations_with_replacement(unused, count):
@@ -493,7 +500,10 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple):
         denominator *= scale
         moved = map(mul, map(mul, map(values.__getitem__, sources),
                              map(numerators.__getitem__, offsets)), coefficients)
-        if len(ends) == len(sources):  # one transition per state
+        # a step with one transition per state and the last step, which
+        # has one destination, skip the running sums: without these two
+        # cases verify-even-top ran about 5 % fewer ops per second
+        if len(ends) == len(sources):
             values = list(moved)
         elif len(ends) == 1:
             values = [sum(moved)]

@@ -5,7 +5,6 @@ import inspect
 import itertools
 import math
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -484,17 +483,25 @@ def test_a_moved_diagonal_determinant(rank, dim):
     assert epsilon_determinant(moved) == det_m ** rank * math.factorial(dim)
 
 
-def test_the_work_budget_refuses_before_building():
+def test_the_work_budget_refuses_before_building(monkeypatch):
     # each route estimates its work from the shape: the position DP its
-    # unreduced transitions, the sign-level kernel its (d!)**r terms
-    started = time.perf_counter()
+    # unreduced transitions, the sign-level kernel its (d!)**r terms over
+    # the class sort's merge; each plan's first step past the estimate is
+    # never reached
+    def build(*args):
+        raise AssertionError("a plan was built for a refused request")
+
+    monkeypatch.setattr(engine, "canonical_keys", build)
+    monkeypatch.setattr(engine, "signed_permutations", build)
     with pytest.raises(ValueError, match="budget"):
         engine.row_product(identity(20))
     with pytest.raises(ValueError, match="budget"):
         coset_restricted_product_counted([identity(20)] * 20, 10)
     with pytest.raises(ValueError, match="budget"):
-        epsilon_product_gradient([identity(10)] * 10, 0)
-    assert time.perf_counter() - started < 1
+        epsilon_product_gradient([identity(20)] * 20, 0)
+    with pytest.raises(ValueError, match="budget"):
+        # distinct held factors merge nothing: (10!)**2 = 1.3e13
+        epsilon_product_gradient([identity(10) * k for k in range(1, 11)], 0)
 
 
 class TestSharedSums:
