@@ -10,17 +10,17 @@ slot-freed gradients. The paper's permutation tensor of order s,
 contracted with s symmetric tensors, is this primitive on those tensors
 and d-s copies of the metric; its order-1 case is ``epsilon_inverse``.
 
-Every sum is asked for through ``_signed_sum`` and takes one of two
-routes, by whether it frees a slot:
+Every sum takes one of two routes, by whether it frees a slot: a sum
+with none runs ``_enumerate``, a slot-freed gradient ``_freed_sum``.
 
 - Restriction. Permuting the positions of identical factors (the same
   permutation applied to every sign symbol) leaves a term's factor
   product unchanged and multiplies its sign by sgn(pi)**r. A request
   restricts its first permutation only on the ``classes`` it states,
   contiguous runs of positions that cover them all: the coset sum (two
-  blocks, s!(d-s)!) and the row-product determinant (one class of all
-  positions: the first permutation is the identity) are the only
-  requests that state any. The sign-level route uses the symmetry in its
+  blocks, s!(d-s)!) and the row product (one class of all positions: the
+  first permutation is the identity) are the only requests that state
+  any. The sign-level route uses the symmetry in its
   class sort (see "Coalesced states").
 - Positions, the route of every request with no freed slot (the
   determinant, the row product, the coset sums and full sums). The sum
@@ -92,38 +92,38 @@ routes, by whether it frees a slot:
   last level depend on the shape alone (rank, dimension, freed position
   and the class layout), so they are built once with the shape's plan
   (``_plan``), and a call reads its tables into the last level only.
-- Terms and work. Each route reports the terms a request covers,
-  whatever it merges: (d!)**r for a full sum or a gradient,
-  C(d,s) (d!)**(r-1) for a coset sum and (d!)**(r-1) for the row
-  product. Before a plan is built, its route estimates its work from the
+- Work. Before a plan is built, its route estimates its work from the
   shape alone, the position DP its transitions before any reduction
   (each of the r symbols moving to any unused value) and the sign-level
   kernel its (d!)**r terms over the class sort's merge, and a request
   over ``WORK_BUDGET`` raises ``ValueError``. The estimates are loose:
-  they refuse the hopeless shapes, not every slow one.
-- Shared sums. The invariants c_0..c_d, their gradients and the
+  they refuse the hopeless shapes, not every slow one. No route counts
+  terms; ``coset_restricted_product_counted`` returns the closed form
+  C(d,s) (d!)**(r-1) beside its value.
+- Shared results. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, and the same c_s, so one identity sample asks
   for most of them several times. Inside a ``with shared_sums():`` block
-  each is computed once and a repeat is served from a dict that lives
-  only as long as the block. A sum is keyed by (rank, dim, freed
-  position, classes, each factor's ``form``). A function decorated with
-  ``once_per_block`` (the determinant, the inverse, the invariant c_s,
-  the rank-2 matrix identity and the gradient of a held multiset) is
-  keyed by its qualified name, each tensor argument's (rank, dim,
-  ``form``) and each integer argument. A form is the tensor's value in
-  lowest terms, so equal tensors give equal keys whatever object holds
-  them, and no key holds a tensor. So the metric's det(g) and inv(g)
-  are computed once per block and passed by no caller, and the d
-  gradients that hold a^j g^(d-1-j) are all that ``grad_tensor``,
-  ``grad_metric``, the bridge rows and the inverse of a or g enumerate
-  for a pair (a, g); a raised error is never stored. Results are
-  immutable (``acc`` is a tuple, a tensor is a value). The dict is
-  scoped, not global: a sample reuses only its own results, so the cost
-  of a call never depends on what ran before it, and the memory goes
-  when the block ends. Outside a block every call computes, except in a
-  function wrapped in ``sharing``, which opens a block when none is
-  active.
+  each call of a function decorated with ``once_per_block`` is computed
+  once and a repeat is served from a dict that lives only as long as the
+  block. That is the row product (so the determinant, c_0's and c_d's
+  numerators and the row-product determinant are one sum), the gradient
+  of a held multiset, the inverse, the invariant c_s and the rank-2
+  matrix identity. A call is keyed by the function's qualified name, each
+  tensor argument's (rank, dim, ``form``) and each integer argument. A
+  form is the tensor's value in lowest terms, so equal tensors give
+  equal keys whatever object holds them, and no key holds a tensor. So
+  the metric's det(g) and inv(g) are computed once per block and passed
+  by no caller, and the d gradients that hold a^j g^(d-1-j) are all that
+  ``grad_tensor``, ``grad_metric``, the bridge rows and the inverse of a
+  or g enumerate for a pair (a, g); a raised error is never stored. A
+  full sum and a coset sum with two non-empty blocks are not served
+  themselves; c_s, which reads the coset sum, is. Results are immutable
+  values (a ``Fraction`` or a tensor). The dict is scoped, not global: a
+  sample reuses only its own results, so the cost of a call never
+  depends on what ran before it, and the memory goes when the block
+  ends. Outside a block every call computes, except in a function wrapped
+  in ``sharing``, which opens a block when none is active.
 
 Derivative convention used package-wide: gradients are formal, treating
 all d**r ordered components of a factor as independent. The derivative
@@ -186,16 +186,14 @@ def _plan(rank: int, dim: int, free: tuple, layout: tuple):
     states"); ``widths`` counts the states after each outer level.
     The last level has stride one, so it is grouped by output offset into
     getters that pick the sign and one entry per non-freed row from the
-    rows laid end to end behind a leading (1, -1). ``terms`` counts the
-    (d!)**r permutation tuples the sum covers, whatever the kernel merges
-    on the way. The work budgeted before anything is built is those terms
-    over |H|, the product of the factorials of ``layout``'s class sizes,
-    by which the class sort merges the states, and at least the d! of the
-    first level.
+    rows laid end to end behind a leading (1, -1). The work budgeted
+    before anything is built is the (d!)**r terms of the sum over |H|, the
+    product of the factorials of ``layout``'s class sizes, by which the
+    class sort merges the states, and at least the d! of the first level.
     """
-    terms = math.factorial(dim) ** rank
     merged_by = math.prod(math.factorial(len(c)) for c in layout)
-    _within_budget(max(terms // merged_by, math.factorial(dim)), rank, dim)
+    _within_budget(max(math.factorial(dim) ** rank // merged_by,
+                       math.factorial(dim)), rank, dim)
     perms = signed_permutations(dim)
     held = [t for t in range(dim) if t not in free]
     levels = []
@@ -235,11 +233,11 @@ def _plan(rank: int, dim: int, free: tuple, layout: tuple):
         picks = itemgetter(s < 0, *(positions or (0,)))
         groups.setdefault(out, []).append(picks)
     last = tuple((out, tuple(picks)) for out, picks in groups.items())
-    return tuple(states.items()), last, dim ** rank, terms, tuple(widths)
+    return tuple(states.items()), last, dim ** rank, tuple(widths)
 
 
-# the most work a request may take, in its route's estimate (see "Terms
-# and work"): the largest the tests, CI and the benchmark run are a rank-8
+# the most work a request may take, in its route's estimate (see "Work"):
+# the largest the tests, CI and the benchmark run are a rank-8
 # d=4 determinant (8.6e8 transitions) and a rank-6 d=4 gradient (3.2e7
 # terms after the merge), and a rank-2 d=14 determinant (2.0e9) is refused
 WORK_BUDGET = 10 ** 9
@@ -268,8 +266,7 @@ def _position_plan(rank: int, dim: int, classes: tuple):
     source state, the position of its values' canonical key in the
     factor's form and its signed coefficient, and per destination state
     the bounds of its transitions. ``widths`` counts the states after
-    each step and ``terms`` the permutation tuples the restricted sum
-    covers; work is budgeted before anything is built.
+    each step; work is budgeted before anything is built.
     """
     # an unreduced DP moves each of the r symbols to any unused value
     _within_budget(sum(math.comb(dim, t) ** rank * (dim - t) ** rank
@@ -361,10 +358,7 @@ def _position_plan(rank: int, dim: int, classes: tuple):
                 ends.append(len(sources))
         steps.append(tuple(map(tuple, (sources, offsets, coefficients, starts, ends))))
         widths.append(len(states))
-    terms = math.factorial(dim) ** rank
-    for c in classes:
-        terms //= math.factorial(len(c))
-    return tuple(steps), terms, tuple(widths)
+    return tuple(steps), tuple(widths)
 
 
 def _sorted_prefixes(rank: int, dim: int):
@@ -403,14 +397,14 @@ def _canonical(base: tuple, layout: tuple, odd: int):
     return tuple(base), sign
 
 
-# results by request key
+# results by ``once_per_block`` key
 _SHARED: ContextVar = ContextVar("hypermat_shared_sums", default=None)
 
 
 @contextmanager
 def shared_sums():
-    """Compute each distinct signed sum, and each distinct call of a
-    ``once_per_block`` function, once within the block.
+    """Compute each distinct call of a ``once_per_block`` function once
+    within the block.
 
     A nested block starts empty and the enclosing one resumes when it
     ends.
@@ -422,33 +416,25 @@ def shared_sums():
         _SHARED.reset(token)
 
 
-def _shared(key: tuple, compute):
-    """``compute()``, served from the enclosing ``shared_sums`` block when
-    an equal key was computed there before. Nothing is stored when
-    ``compute`` raises, and outside a block every call computes."""
-    memo = _SHARED.get()
-    if memo is None:
-        return compute()
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = compute()
-    return result
-
-
 def once_per_block(function):
     """Serve ``function``, pure in its tensor and integer arguments, from
     the enclosing ``shared_sums`` block, keyed by its qualified name,
-    each tensor's (rank, dim, form) and each integer. A call with keyword
-    arguments computes."""
+    each tensor's (rank, dim, form) and each integer. Nothing is stored
+    when ``function`` raises; outside a block, and with keyword
+    arguments, every call computes."""
     name = f"{function.__module__}.{function.__qualname__}"
 
     @wraps(function)
     def served(*args, **kwargs):
-        if kwargs:
+        memo = _SHARED.get()
+        if memo is None or kwargs:
             return function(*args, **kwargs)
         key = (name, *[(x.rank, x.dim, x.form) if isinstance(x, SymTensor) else x
                        for x in args])
-        return _shared(key, lambda: function(*args))
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = function(*args)
+        return result
     return served
 
 
@@ -461,38 +447,17 @@ def sharing(function):
     return run
 
 
-def _signed_sum(factors: Sequence[SymTensor], free: tuple = (),
-                classes: tuple = ()):
-    """The signed sum, served from the enclosing ``shared_sums`` block
-    when an equal request was enumerated there before.
-
-    ``free`` holds at most one position. Returns ``(acc, scale, terms)``:
-    with no freed position ``acc[0] * scale`` is the sum; with one, the
-    sum of the terms whose freed indices lie in an orbit of flat indices
-    is ``scale`` times the sum of ``acc`` over that orbit (see "Coalesced
-    states"). ``terms`` counts the permutation tuples the request covers.
-    The first permutation is increasing on each of ``classes``, contiguous
-    runs that cover the positions of a request with no freed slot, and
-    the result is the sum so restricted; with none it is the full sum.
-    """
-    key = ("sum", factors[0].rank, factors[0].dim, free, classes,
-           tuple([f.form for f in factors]))
-    return _shared(key, lambda: _enumerate(factors, free, classes))
-
-
-def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple):
-    """The one enumeration behind ``_signed_sum``: a request with no freed
-    slot runs its shape's position plan over the factors' forms, a
-    slot-freed gradient reads its factors' tables into the last level of
-    its shape's sign-level plan. Each plan is built on its shape's first
-    call."""
+def _enumerate(factors: Sequence[SymTensor], classes: tuple = ()) -> Fraction:
+    """The signed sum of ``factors`` by the position DP: its shape's plan,
+    built on the shape's first call, run over the factors' forms. The
+    first permutation is increasing on each of ``classes``, contiguous
+    runs that cover the positions, and the result is the sum so
+    restricted; with none it is the full sum."""
     rank, dim = factors[0].rank, factors[0].dim
-    if free:
-        return _freed_sum(factors, free)
     if rank % 2 and not classes and len({f.form for f in factors}) < dim:
         # swapping two identical factors negates every term
-        return (0,), Fraction(1), math.factorial(dim) ** rank
-    steps, terms, _ = _position_plan(rank, dim, classes)
+        return Fraction(0)
+    steps, _ = _position_plan(rank, dim, classes)
     denominator = 1
     values = [1]
     for factor, (sources, offsets, coefficients, starts, ends) in zip(factors, steps):
@@ -511,13 +476,15 @@ def _enumerate(factors: Sequence[SymTensor], free: tuple, classes: tuple):
             running = [0, *itertools.accumulate(moved)]
             values = list(map(sub, map(running.__getitem__, ends),
                               map(running.__getitem__, starts)))
-    return (values[0],), Fraction(1, denominator), terms
+    return Fraction(values[0], denominator)
 
 
-def _freed_sum(factors: Sequence[SymTensor], free: tuple):
+def _freed_sum(factors: Sequence[SymTensor], free: tuple) -> SymTensor:
     """A slot-freed gradient by the sign-level kernel: the factors' tables
     are read into the last level of their shape's plan, whose states are
-    built on the shape's first call."""
+    built on the shape's first call. Each orbit of ordered indices is
+    accumulated over all its orderings, so its mean is the per-component
+    formal value."""
     rank, dim = factors[0].rank, factors[0].dim
     held = [t for t in range(dim) if t not in free]
     groups: list = []  # positions of identical non-freed factors
@@ -532,7 +499,7 @@ def _freed_sum(factors: Sequence[SymTensor], free: tuple):
     # a state's prefixes
     layout = tuple(tuple(map(held.index, group))
                    for group in groups if len(group) > 1)
-    states, last, size, terms, _ = _plan(rank, dim, free, layout)
+    states, last, size, _ = _plan(rank, dim, free, layout)
 
     table_at = {}
     denominator = 1
@@ -553,7 +520,7 @@ def _freed_sum(factors: Sequence[SymTensor], free: tuple):
             v = sum(map(math.prod, map(pick_from, picks)))
             if v:
                 acc[out + o] += coeff * v
-    return tuple(acc), Fraction(1, denominator), terms
+    return orbit_means(rank, dim, acc, Fraction(1, denominator))
 
 
 def epsilon_product(factors: Sequence[SymTensor]):
@@ -562,8 +529,7 @@ def epsilon_product(factors: Sequence[SymTensor]):
     d! or s!(d-s)! as their definitions require.
     """
     _uniform_shape(factors)
-    acc, scale, _ = _signed_sum(factors)
-    return acc[0] * scale
+    return _enumerate(factors)
 
 
 def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> SymTensor:
@@ -577,7 +543,7 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
     held factors alone: the request frees position 0 and holds the other
     factors sorted by ``form``, served once per ``shared_sums`` block, and
     is multiplied by sgn(pi)**r for the permutation pi = [position] + the
-    sorted held positions (see "Free position").
+    sorted held positions (see "Sign levels").
     """
     rank, dim = _uniform_shape(factors)
     if not 0 <= position < dim:
@@ -597,23 +563,21 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
 def _held_gradient(*factors: SymTensor) -> SymTensor:
     """The gradient at position 0 of ``factors``, whose first factor only
     stands in for the freed slot."""
-    acc, scale, _ = _signed_sum(factors, (0,))
-    # Each orbit was accumulated over all its orderings; its mean is the
-    # per-component formal value.
-    return orbit_means(factors[0].rank, factors[0].dim, acc, scale)
+    return _freed_sum(factors, (0,))
 
 
 def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
     """(value, count): epsilon_product computed with the first permutation
     restricted to the C(d, split) block-monotone coset representatives,
     scaled by split!(d-split)!, and the number of terms the restricted
-    sum covers, exactly C(d, split) * (d!)**(r-1).
+    sum covers, C(d, split) * (d!)**(r-1).
 
     Requires even rank and factors that are constant within the two blocks
     [0, split) and [split, d); under those conditions the value equals the
-    unrestricted sum exactly. The kernel merges partial terms (see
-    "Coalesced states"), so it visits fewer; the count is of the terms
-    summed, not of the steps taken.
+    unrestricted sum exactly. Split 0 and split d are ``row_product``'s
+    request; every other split runs the position DP on the two blocks
+    (see "Positions"), which merges partial terms, so the count is of the
+    terms summed, not of the steps taken.
     """
     rank, dim = _uniform_shape(factors)
     if rank % 2:
@@ -626,12 +590,15 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
     for t in range(split + 1, dim):
         if factors[t] != factors[split]:
             raise ValueError("factors in the second block differ")
-    # without an empty block, split = 0 or d is row_product's request
-    blocks = tuple(b for b in (tuple(range(split)), tuple(range(split, dim))) if b)
-    acc, scale, count = _signed_sum(factors, (), blocks)
-    return acc[0] * math.factorial(split) * math.factorial(dim - split) * scale, count
+    if split in (0, dim):
+        value = row_product(factors[0])
+    else:
+        value = _enumerate(factors, (tuple(range(split)), tuple(range(split, dim))))
+    return (value * math.factorial(split) * math.factorial(dim - split),
+            math.comb(dim, split) * math.factorial(dim) ** (rank - 1))
 
 
+@once_per_block
 def row_product(tensor: SymTensor):
     """The signed sum of d copies of ``tensor`` with the first permutation
     fixed to the identity: (d!)**(r-1) terms, the same request as the
@@ -639,11 +606,9 @@ def row_product(tensor: SymTensor):
     the full sum, the determinant; at odd rank the full sum vanishes and
     this is generally nonzero."""
     d = tensor.dim
-    acc, scale, _ = _signed_sum([tensor] * d, (), (tuple(range(d)),))
-    return acc[0] * scale
+    return _enumerate([tensor] * d, (tuple(range(d)),))
 
 
-@once_per_block
 def epsilon_determinant(tensor: SymTensor):
     """(1/d!) times the all-copies signed contraction; the even-rank
     determinant (for rank 2 this is the ordinary determinant)."""

@@ -393,29 +393,16 @@ class TestCoalescedStates:
     def test_rank4_dim4_coset_matches_the_unrestricted_sum(self):
         a, g = (random_symmetric(4, 4, 220 + t, 5) for t in (0, 1))
         factors = [a, a, g, g]
-        acc, scale, terms = engine._signed_sum(factors, (), ())
-        assert terms == math.factorial(4) ** 4
         value = coset_restricted_product_counted(factors, 2)[0]
         assert value != 0
-        assert value == acc[0] * scale == epsilon_product([a, g, g, a])
+        assert value == engine._enumerate(factors) == epsilon_product([a, g, g, a])
 
     @pytest.mark.parametrize("rank,dim", [(2, 4), (4, 3), (3, 3), (6, 2)])
-    def test_an_unrestricted_request_covers_every_term(self, monkeypatch, rank, dim):
-        # the count perfbench's full_sum_terms takes for these calls: d
-        # copies merge their lead states, and no lead is left out
+    def test_an_unrestricted_request_covers_every_term(self, rank, dim):
+        # d copies merge their lead states, and no lead is left out
         t = random_symmetric(rank, dim, 250 + rank, 5)
-        counts = []
-        enumerate_sum = engine._enumerate
-
-        def enumeration(factors, free, classes):
-            result = enumerate_sum(factors, free, classes)
-            counts.append(result[2])
-            return result
-
-        monkeypatch.setattr(engine, "_enumerate", enumeration)
         value = epsilon_product([t] * dim)
-        epsilon_product_gradient([t] * dim, 0)
-        assert counts == [math.factorial(dim) ** rank] * 2
+        assert contract_full(epsilon_product_gradient([t] * dim, 0), t) == value
         assert value == (0 if rank % 2 else math.factorial(dim) * epsilon_determinant(t))
 
 
@@ -470,17 +457,35 @@ def test_a_diagonal_determinant_is_the_product_of_its_entries(rank, dim):
         assert epsilon_determinant(diagonal) == product
 
 
+def _mixing_matrix(dim):
+    return [[(3 * i + 5 * j) % 7 - 3 + (i == j) for j in range(dim)]
+            for i in range(dim)]
+
+
 @pytest.mark.parametrize("rank,dim", [(2, 10), (4, 6)])
 def test_a_moved_diagonal_determinant(rank, dim):
     # det(M.D) = det(M)**r det(D), with M.D dense
-    matrix = [[(3 * i + 5 * j) % 7 - 3 + (i == j) for j in range(dim)]
-              for i in range(dim)]
+    matrix = _mixing_matrix(dim)
     det_m = oracles.matrix_det(matrix)
     assert det_m != 0
     diagonal = SymTensor.from_entries(rank, dim, {(i,) * rank: i + 1 for i in range(dim)})
     moved = oracles.transform(diagonal, matrix)
     assert len(moved.entries) == math.comb(dim + rank - 1, rank)
     assert epsilon_determinant(moved) == det_m ** rank * math.factorial(dim)
+
+
+@pytest.mark.parametrize("rank,dim", [(2, 6), (4, 4), (6, 3)])
+def test_moved_diagonal_invariants(rank, dim):
+    # c_s(M.D, M.I) = c_s(D, I) = e_s(1..d): det(M)**r cancels in the ratio
+    matrix = _mixing_matrix(dim)
+    assert oracles.matrix_det(matrix) != 0
+    diagonal = SymTensor.from_entries(rank, dim, {(i,) * rank: i + 1 for i in range(dim)})
+    unit = SymTensor.from_entries(rank, dim, {(i,) * rank: 1 for i in range(dim)})
+    moved, moved_unit = oracles.transform(diagonal, matrix), oracles.transform(unit, matrix)
+    assert len(moved.entries) == math.comb(dim + rank - 1, rank)
+    assert invariants.invariant_values(moved, moved_unit) == tuple(
+        sum(map(math.prod, itertools.combinations(range(1, dim + 1), s)))
+        for s in range(dim + 1))
 
 
 def test_the_work_budget_refuses_before_building(monkeypatch):
@@ -510,25 +515,56 @@ class TestSharedSums:
 
     @staticmethod
     def _count(monkeypatch):
-        """Record every kernel request (by factor content) and every
-        enumeration behind it, with the scope each ran in."""
+        """Record every request for a sum (by rank, route and factor
+        content) and every enumeration, by the position DP or the
+        sign-level kernel, with the scope each ran in. The row product
+        and the gradient of a held multiset are served once per block;
+        a full sum and a coset sum strictly between the blocks' ends go
+        to the position DP."""
         requests, enumerated, scopes = [], [], []
-        signed_sum, enumerate_sum = engine._signed_sum, engine._enumerate
+        sums = {name: getattr(engine, name) for name in (
+            "_enumerate", "_freed_sum", "row_product", "_held_gradient",
+            "epsilon_product", "coset_restricted_product_counted")}
 
-        def request(factors, free=(), classes=()):
-            contents = tuple(tuple(sorted(f.entries.items())) for f in factors)
-            requests.append((factors[0].rank, free, classes, contents))
-            return signed_sum(factors, free, classes)
+        def key(factors, route):
+            return (factors[0].rank, route,
+                    tuple(tuple(sorted(f.entries.items())) for f in factors))
 
-        def enumeration(factors, free, classes):
-            scope = engine._SHARED.get()
-            if not any(scope is seen for seen in scopes):
-                scopes.append(scope)
-            enumerated.append(scope)
-            return enumerate_sum(factors, free, classes)
+        def enumeration(name):
+            def run(factors, route=()):
+                scope = engine._SHARED.get()
+                if not any(scope is seen for seen in scopes):
+                    scopes.append(scope)
+                enumerated.append(scope)
+                return sums[name](factors, route)
+            return run
 
-        monkeypatch.setattr(engine, "_signed_sum", request)
-        monkeypatch.setattr(engine, "_enumerate", enumeration)
+        def row_product(tensor):
+            requests.append(key([tensor] * tensor.dim, (tuple(range(tensor.dim)),)))
+            return sums["row_product"](tensor)
+
+        def held_gradient(*factors):
+            requests.append(key(factors, (0,)))
+            return sums["_held_gradient"](*factors)
+
+        def full(factors):
+            requests.append(key(factors, ()))
+            return sums["epsilon_product"](factors)
+
+        def coset(factors, split):
+            # split 0 and split d are recorded as row_product's request
+            if 0 < split < len(factors):
+                blocks = (tuple(range(split)), tuple(range(split, len(factors))))
+                requests.append(key(factors, blocks))
+            return sums["coset_restricted_product_counted"](factors, split)
+
+        for name, recorded in (
+                ("_enumerate", enumeration("_enumerate")),
+                ("_freed_sum", enumeration("_freed_sum")),
+                ("row_product", row_product), ("_held_gradient", held_gradient),
+                ("epsilon_product", full),
+                ("coset_restricted_product_counted", coset)):
+            monkeypatch.setattr(engine, name, recorded)
         return requests, enumerated, scopes
 
     @pytest.mark.parametrize("suite,dim", [("rank4", 3), ("rank2", 2)])
@@ -563,11 +599,13 @@ class TestSharedSums:
     def test_a_shared_result_is_immutable(self):
         factors = [SAMPLE_A, SAMPLE_A]
         with engine.shared_sums():
-            acc, scale, terms = engine._signed_sum(factors, (0,))
+            grad = engine._held_gradient(*factors)
             with pytest.raises(TypeError):
-                acc[0] = 1
-            assert engine._signed_sum(list(factors), (0,))[0] is acc
-        assert engine._signed_sum(factors, (0,)) == (acc, scale, terms)
+                grad.form[0][0] = 1
+            with pytest.raises(AttributeError):
+                grad.form = ((1,) * 5, 1)
+            assert engine._held_gradient(*list(factors)) is grad
+        assert engine._held_gradient(*factors) == grad
 
     def test_a_nested_scope_starts_empty(self, monkeypatch):
         _, enumerated, _ = self._count(monkeypatch)
@@ -666,12 +704,13 @@ class TestSharedSums:
         assert None not in scopes and len(scopes) == 2
 
     @pytest.mark.parametrize("suite,dim,count", [
-        ("rank2", 2, 16), ("rank2", 3, 23), ("rank2", 4, 30), ("rank4", 2, 10),
-        ("rank4", 3, 14), ("odd", 2, 4), ("odd", 3, 3)])
+        ("rank2", 2, 17), ("rank2", 3, 24), ("rank2", 4, 31), ("rank4", 2, 11),
+        ("rank4", 3, 15), ("odd", 2, 4), ("odd", 3, 3)])
     def test_one_sample_enumeration_counts_are_pinned(
             self, monkeypatch, suite, dim, count):
-        # one gradient per held multiset; a key on the full factor list and
-        # the freed slot would make the even-rank counts 21/31/41 and 12/17
+        # one gradient per held multiset, and one full sum for det(a); a key
+        # on the full factor list and the freed slot would make the
+        # even-rank counts 22/32/42 and 13/18
         _, enumerated, _ = self._count(monkeypatch)
         assert suites.run_suite(suite, dim, 5, 1).all_pass
         assert len(enumerated) == count
@@ -683,14 +722,13 @@ class TestSharedSums:
         # sides of the bridge at s all hold a^s g^(d-s-1)
         a, g = (suites.random_invertible(rank, dim, seed) for seed in (35, 36))
         held = []
-        enumerate_sum = engine._enumerate
+        freed_sum = engine._freed_sum
 
-        def enumeration(factors, free, classes):
-            if free:
-                held.append(sorted(factors[t].form for t in range(dim) if t not in free))
-            return enumerate_sum(factors, free, classes)
+        def enumeration(factors, free):
+            held.append(sorted(factors[t].form for t in range(dim) if t not in free))
+            return freed_sum(factors, free)
 
-        monkeypatch.setattr(engine, "_enumerate", enumeration)
+        monkeypatch.setattr(engine, "_freed_sum", enumeration)
         with engine.shared_sums():
             for s in range(dim):
                 invariants.grad_tensor(a, g, s + 1)
@@ -713,17 +751,17 @@ class TestSharedSums:
         copies = []
         enumerate_sum = engine._enumerate
 
-        def enumeration(factors, free, classes):
+        def enumeration(factors, classes=()):
             if all(f == a for f in factors):
-                copies.append((free, classes))
-            return enumerate_sum(factors, free, classes)
+                copies.append(classes)
+            return enumerate_sum(factors, classes)
 
         monkeypatch.setattr(engine, "_enumerate", enumeration)
         with engine.shared_sums():
             det = epsilon_determinant(a)
             assert evenrank.cayley_det(a) == det
             assert invariant_of_order(a, g, dim) == det / epsilon_determinant(g)
-        assert copies == [((), (tuple(range(dim)),))]
+        assert copies == [(tuple(range(dim)),)]
 
 
 class TestPlans:
@@ -760,7 +798,7 @@ class TestPlans:
 
         def recorded(*shape):
             result = plan(*shape)
-            seen.append(result[4])
+            seen.append(result[3])
             return result
 
         monkeypatch.setattr(engine, "_plan", recorded)
@@ -784,7 +822,7 @@ class TestPlans:
 
         def recorded(*shape):
             result = plan(*shape)
-            seen.append(result[2])
+            seen.append(result[1])
             return result
 
         monkeypatch.setattr(engine, "_position_plan", recorded)

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from hypermat import SymTensor, suites
+from hypermat import SymTensor, engine, suites
+from hypermat.report import FAIL
 
 
 def test_random_invertible_gives_up_after_the_attempt_cap(monkeypatch):
@@ -36,6 +37,25 @@ def test_run_suite_accepts_the_sample_cap(monkeypatch):
     monkeypatch.setitem(suites.SUITES, "rank4", lambda *args: ran.append(args))
     suites.run_suite("rank4", 3, 1, suites.MAX_SAMPLES)
     assert ran == [(3, 1, suites.MAX_SAMPLES)]
+
+
+@pytest.mark.parametrize("suite,dim,rows", [
+    ("rank2", 2, {"determinant_ratio"}), ("rank2", 3, {"determinant_ratio"}),
+    ("rank2", 4, {"determinant_ratio"}),
+    ("rank4", 2, {"determinant_ratio", "cayley_det_match"}),
+    ("rank4", 3, {"determinant_ratio", "cayley_det_match"})])
+def test_a_wrong_row_product_fails_the_determinant_rows(monkeypatch, suite, dim, rows):
+    # every row product, so every determinant and c_d, off by one: the rows
+    # that compare the row plan with the full plan must fail
+    enumerate_sum = engine._enumerate
+
+    def mutated(factors, classes=()):
+        value = enumerate_sum(factors, classes)
+        return value + 1 if classes == (tuple(range(len(factors))),) else value
+
+    monkeypatch.setattr(engine, "_enumerate", mutated)
+    report = suites.run_suite(suite, dim, 5, 1)
+    assert rows <= {c.identity for c in report.checks if c.status == FAIL}
 
 
 def test_suite_reports_are_pinned():
