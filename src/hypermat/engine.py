@@ -15,12 +15,15 @@ with none runs ``_enumerate``, a slot-freed gradient ``_freed_sum``.
 
 - Restriction. Permuting the positions of identical factors (the same
   permutation applied to every sign symbol) leaves a term's factor
-  product unchanged and multiplies its sign by sgn(pi)**r. A request
-  restricts its first permutation only on the ``classes`` it states,
-  contiguous runs of positions that cover them all: the coset sum (two
-  blocks, s!(d-s)!) and the row product (one class of all positions: the
-  first permutation is the identity) are the only requests that state
-  any. The sign-level route uses the symmetry in its
+  product unchanged and multiplies its sign by sgn(pi)**r. So at even
+  rank the paper's coset sum, the first permutation restricted to the
+  C(d,s) block-monotone representatives of two blocks of identical
+  factors and scaled by s!(d-s)!, equals the full sum, and is computed
+  as the full sum. Fixing the first permutation to the identity gives
+  the row product: 1/d! times the full sum at even rank, and at odd rank,
+  where the full sum vanishes, generally nonzero. At odd rank a full sum
+  with a repeated factor is 0 without a plan: swapping the two copies
+  negates every term. The sign-level route uses the symmetry in its
   class sort (see "Coalesced states").
 - Positions, the route of every request with no freed slot (the
   determinant, the row product, the coset sums and full sums). The sum
@@ -33,13 +36,11 @@ with none runs ``_enumerate``, a slot-freed gradient ``_freed_sum``.
   bitmask. Every factor is completely symmetric and the sign product is
   symmetric in the symbols, so the masks of interchangeable symbols are
   kept sorted, and symbols with equal masks take their moves as
-  multisets, each counted by its orderings. Symbol 1 increases within
-  each of the request's classes and, in the last one, takes the least
-  unused value, so the row product's symbol 1 is the identity and adds
-  nothing to the state; with no classes it is interchangeable too. At
-  odd rank a full sum with a repeated factor is 0 without a plan:
-  swapping the two copies negates every term. The states and moves
-  depend on the shape alone (rank, dimension, classes), so
+  multisets, each counted by its orderings. A shape has two plans: the
+  full plan keeps all r masks, and the row plan's symbol 1 places value
+  t at position t with sign +1, so it adds nothing to the state and
+  only its value to each transition's key. The states and moves depend
+  on the shape alone (rank, dimension, row or full), so
   ``_position_plan`` builds them once per shape as flat tuples of ints,
   per transition its source state, the position of its r values'
   canonical key and its signed coefficient. A call reads each factor's
@@ -253,20 +254,21 @@ def _within_budget(work: int, rank: int, dim: int):
 
 
 @lru_cache(maxsize=64)
-def _position_plan(rank: int, dim: int, classes: tuple):
+def _position_plan(rank: int, dim: int, row: bool):
     """Per-shape structure of the position DP, the route of every request
     with no freed slot (see "Positions").
 
-    Step t places position t. A state is (lead, masks): ``masks`` holds
-    the used values of the interchangeable sign symbols as sorted
-    bitmasks, and ``lead`` is symbol 1's mask and its last value in the
-    current class, or None when no class restricts it and it is one of
-    the masks. Equal masks take their moves as multisets, each with its
-    count of orderings. A step is flat tuples of ints: per transition its
-    source state, the position of its values' canonical key in the
-    factor's form and its signed coefficient, and per destination state
-    the bounds of its transitions. ``widths`` counts the states after
-    each step; work is budgeted before anything is built.
+    Step t places position t. A state is the used values of the
+    interchangeable sign symbols as sorted bitmasks: all r of them in the
+    full plan, the r-1 after symbol 1 in the ``row`` plan, whose symbol 1
+    places value t at step t with sign +1 and so only adds ``codes[t]``
+    to each transition's key. Equal masks take their moves as multisets,
+    each with its count of orderings. A step is flat tuples of ints: per
+    transition its source state, the position of its values' canonical
+    key in the factor's form and its signed coefficient, and per
+    destination state the bounds of its transitions. ``widths`` counts
+    the states after each step; work is budgeted before anything is
+    built.
     """
     # an unreduced DP moves each of the r symbols to any unused value
     _within_budget(sum(math.comb(dim, t) ** rank * (dim - t) ** rank
@@ -281,8 +283,6 @@ def _position_plan(rank: int, dim: int, classes: tuple):
         """The sign of placing v after the values of ``mask``."""
         return -1 if (mask >> (v + 1)).bit_count() % 2 else 1
 
-    end_of = {t: c[-1] + 1 for c in classes for t in c}
-    forced = classes[-1] if classes else ()
     group_moves: dict = {}
 
     def moves(mask: int, count: int):
@@ -303,47 +303,28 @@ def _position_plan(rank: int, dim: int, classes: tuple):
                           ways * math.prod(sign(mask, v) for v in values)))
         return found
 
-    def lead_moves(lead, t: int):
-        """Symbol 1's moves: (new lead, code, sign)."""
-        if lead is None:
-            return [(None, 0, 1)]
-        mask, last = lead
-        if t in forced:
-            # the values left, in increasing order
-            options = [(~mask & (mask + 1)).bit_length() - 1]
-        else:
-            # increasing within the class, with enough values left above
-            # for the rest of it
-            unused = ~mask & (1 << dim) - 1
-            options = [v for v in range(last + 1, dim) if unused >> v & 1
-                       and (unused >> (v + 1)).bit_count() >= end_of[t] - 1 - t]
-        within = t + 1 < end_of[t] and t not in forced
-        return [((mask | 1 << v, v if within else -1), codes[v], sign(mask, v))
-                for v in options]
-
-    states = {((0, -1) if classes else None,
-               (0,) * (rank - 1 if classes else rank)): 0}
+    states = {(0,) * (rank - 1 if row else rank): 0}
     steps, widths = [], []
     for t in range(dim):
+        lead = codes[t] if row else 0
         dests: dict = {}
-        for (lead, masks), source in states.items():
-            combos = None
+        for masks, source in states.items():
+            # the moves of each group of equal masks, multiplied out; a
+            # rank-1 row plan has no mask and takes the one empty move
+            combos = [((), 0, 1)]
             for mask, same in itertools.groupby(masks):
                 group = (mask, len(tuple(same)))
                 if group not in group_moves:
                     group_moves[group] = moves(*group)
-                combos = group_moves[group] if combos is None else [
-                    (m + gm, c + gc, w * gw) for m, c, w in combos
-                    for gm, gc, gw in group_moves[group]]
-            leads = lead_moves(lead, t)
+                combos = [(m + gm, c + gc, w * gw) for m, c, w in combos
+                          for gm, gc, gw in group_moves[group]]
             several = len(set(masks)) > 1
             for new_masks, code, coeff in combos:
                 if several:
                     new_masks = tuple(sorted(new_masks))
-                for new_lead, lead_code, lead_sign in leads:
-                    pairs = dests.setdefault((new_lead, new_masks), {})
-                    pair = (source, key_at[code + lead_code])
-                    pairs[pair] = pairs.get(pair, 0) + coeff * lead_sign
+                pairs = dests.setdefault(new_masks, {})
+                pair = (source, key_at[code + lead])
+                pairs[pair] = pairs.get(pair, 0) + coeff
         states = {}
         sources, offsets, coefficients, starts, ends = [], [], [], [], []
         for dest, pairs in dests.items():
@@ -447,17 +428,16 @@ def sharing(function):
     return run
 
 
-def _enumerate(factors: Sequence[SymTensor], classes: tuple = ()) -> Fraction:
+def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
     """The signed sum of ``factors`` by the position DP: its shape's plan,
     built on the shape's first call, run over the factors' forms. The
-    first permutation is increasing on each of ``classes``, contiguous
-    runs that cover the positions, and the result is the sum so
-    restricted; with none it is the full sum."""
+    full sum, or with ``row`` the sum with the first permutation fixed to
+    the identity."""
     rank, dim = factors[0].rank, factors[0].dim
-    if rank % 2 and not classes and len({f.form for f in factors}) < dim:
+    if rank % 2 and not row and len({f.form for f in factors}) < dim:
         # swapping two identical factors negates every term
         return Fraction(0)
-    steps, _ = _position_plan(rank, dim, classes)
+    steps, _ = _position_plan(rank, dim, row)
     denominator = 1
     values = [1]
     for factor, (sources, offsets, coefficients, starts, ends) in zip(factors, steps):
@@ -567,17 +547,16 @@ def _held_gradient(*factors: SymTensor) -> SymTensor:
 
 
 def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
-    """(value, count): epsilon_product computed with the first permutation
-    restricted to the C(d, split) block-monotone coset representatives,
-    scaled by split!(d-split)!, and the number of terms the restricted
-    sum covers, C(d, split) * (d!)**(r-1).
+    """(value, count): epsilon_product of ``factors``, which is
+    split!(d-split)! times its sum with the first permutation restricted
+    to the C(d, split) block-monotone coset representatives, and the
+    number of terms that restricted sum covers, C(d, split) * (d!)**(r-1).
 
     Requires even rank and factors that are constant within the two blocks
-    [0, split) and [split, d); under those conditions the value equals the
-    unrestricted sum exactly. Split 0 and split d are ``row_product``'s
-    request; every other split runs the position DP on the two blocks
-    (see "Positions"), which merges partial terms, so the count is of the
-    terms summed, not of the steps taken.
+    [0, split) and [split, d). Split 0 and split d are d! times
+    ``row_product``; every other split is the full sum by the position DP
+    (see "Positions"), so the count is of the terms the restriction
+    covers, not of the steps taken.
     """
     rank, dim = _uniform_shape(factors)
     if rank % 2:
@@ -591,11 +570,10 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
         if factors[t] != factors[split]:
             raise ValueError("factors in the second block differ")
     if split in (0, dim):
-        value = row_product(factors[0])
+        value = row_product(factors[0]) * math.factorial(dim)
     else:
-        value = _enumerate(factors, (tuple(range(split)), tuple(range(split, dim))))
-    return (value * math.factorial(split) * math.factorial(dim - split),
-            math.comb(dim, split) * math.factorial(dim) ** (rank - 1))
+        value = _enumerate(factors)
+    return value, math.comb(dim, split) * math.factorial(dim) ** (rank - 1)
 
 
 @once_per_block
@@ -605,8 +583,7 @@ def row_product(tensor: SymTensor):
     coset sum of d copies at split 0 or d. At even rank it is 1/d! times
     the full sum, the determinant; at odd rank the full sum vanishes and
     this is generally nonzero."""
-    d = tensor.dim
-    return _enumerate([tensor] * d, (tuple(range(d)),))
+    return _enumerate([tensor] * tensor.dim, row=True)
 
 
 def epsilon_determinant(tensor: SymTensor):

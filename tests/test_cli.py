@@ -293,9 +293,9 @@ class TestInvariants:
         enumerated = []
         enumerate_sum = engine._enumerate
 
-        def enumeration(*args):
+        def enumeration(*args, **kwargs):
             enumerated.append(args)
-            return enumerate_sum(*args)
+            return enumerate_sum(*args, **kwargs)
 
         monkeypatch.setattr(engine, "_enumerate", enumeration)
         code, out, _ = run(capsys, "invariants", a, "--metric", g)

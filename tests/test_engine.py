@@ -433,7 +433,10 @@ class TestPositionDP:
             assert (coset_restricted_product_counted(mixed, split)[0]
                     == oracles.brute_epsilon_product(mixed))
 
-    @pytest.mark.parametrize("rank,dim", [(2, 1), (3, 1), (2, 4), (3, 3), (4, 3), (5, 3)])
+    # at rank 1 the row plan holds no mask: the row product is the product
+    # of the entries
+    @pytest.mark.parametrize("rank,dim", [(1, 1), (1, 3), (2, 1), (3, 1), (2, 4), (3, 3),
+                                          (4, 3), (5, 3)])
     def test_row_products(self, rank, dim):
         a = _coprime_factor(rank, dim)
         assert engine.row_product(a) == oracles.brute_row_product_det(a)
@@ -531,12 +534,12 @@ class TestSharedSums:
                     tuple(tuple(sorted(f.entries.items())) for f in factors))
 
         def enumeration(name):
-            def run(factors, route=()):
+            def run(*args, **kwargs):
                 scope = engine._SHARED.get()
                 if not any(scope is seen for seen in scopes):
                     scopes.append(scope)
                 enumerated.append(scope)
-                return sums[name](factors, route)
+                return sums[name](*args, **kwargs)
             return run
 
         def row_product(tensor):
@@ -746,22 +749,22 @@ class TestSharedSums:
     def test_a_determinant_is_one_request_by_every_route(
             self, monkeypatch, rank, dim):
         # det(a), the row-product determinant and the numerator of c_d
-        # restrict the first permutation on one class of all positions
+        # fix the first permutation to the identity: one row product
         a, g = (suites.random_invertible(rank, dim, seed) for seed in (31, 32))
         copies = []
         enumerate_sum = engine._enumerate
 
-        def enumeration(factors, classes=()):
+        def enumeration(factors, row=False):
             if all(f == a for f in factors):
-                copies.append(classes)
-            return enumerate_sum(factors, classes)
+                copies.append(row)
+            return enumerate_sum(factors, row)
 
         monkeypatch.setattr(engine, "_enumerate", enumeration)
         with engine.shared_sums():
             det = epsilon_determinant(a)
             assert evenrank.cayley_det(a) == det
             assert invariant_of_order(a, g, dim) == det / epsilon_determinant(g)
-        assert copies == [(tuple(range(dim)),)]
+        assert copies == [True]
 
 
 class TestPlans:
@@ -811,10 +814,10 @@ class TestPlans:
         # sorted, so step t holds the multisets of r-1 t-subsets
         pytest.param(6, 3, None, (21, 21, 1), id="6-3-None"),
         pytest.param(4, 4, None, (20, 56, 20, 1), id="4-4-None"),
-        # a coset sum of all copies: symbol 1 increases on the first block
-        # and takes the values left on the second
-        pytest.param(2, 4, 2, (12, 36, 12, 1), id="2-4-split2"),
-        pytest.param(4, 3, 1, (30, 20, 1), id="4-3-split1"),
+        # a coset sum of all copies is the full sum: all r masks are
+        # sorted, so step t holds the multisets of r t-subsets
+        pytest.param(2, 4, 2, (10, 21, 10, 1), id="2-4-split2"),
+        pytest.param(4, 3, 1, (15, 15, 1), id="4-3-split1"),
     ])
     def test_states_per_step(self, monkeypatch, rank, dim, split, widths):
         seen = []
@@ -832,6 +835,15 @@ class TestPlans:
         else:
             coset_restricted_product_counted([t] * dim, split)
         assert seen == [widths]
+
+    @pytest.mark.parametrize("rank,dim", [(2, 4), (2, 5), (4, 3)])
+    def test_the_invariants_of_a_pair_build_two_plans(self, rank, dim):
+        # c_0 and c_d read the row plan and every other c_s the full plan;
+        # a plan per coset split would make d plans
+        a, g = (suites.random_invertible(rank, dim, seed) for seed in (37, 38))
+        engine._position_plan.cache_clear()
+        invariants.invariant_values(a, g)
+        assert engine._position_plan.cache_info().misses == 2
 
     def test_shapes_that_differ_only_in_layout(self):
         # each request shares rank, dimension, freed slots and classes with
