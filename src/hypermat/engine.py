@@ -97,8 +97,10 @@ with none runs ``_enumerate``, a slot-freed gradient ``_freed_sum``.
   shape alone, the position DP its transitions before any reduction
   (each of the r symbols moving to any unused value) and the sign-level
   kernel its (d!)**r terms over the class sort's merge, and a request
-  over ``WORK_BUDGET`` raises ``ValueError``. The estimates are loose:
-  they refuse the hopeless shapes, not every slow one. No route counts
+  over ``WORK_BUDGET`` raises ``ValueError``; ``check_budget`` runs the
+  position DP's check alone, so a caller can refuse a shape before it
+  builds the factors. The estimates are loose: they refuse the hopeless
+  shapes, not every slow one. No route counts
   terms; ``coset_restricted_product_counted`` returns the closed form
   C(d,s) (d!)**(r-1) beside its value.
 - Shared results. The invariants c_0..c_d, their gradients and the
@@ -141,6 +143,7 @@ import itertools
 import math
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, wraps
 from operator import add, eq, gt, itemgetter, methodcaller, mul, sub
@@ -248,9 +251,19 @@ def _within_budget(work: int, rank: int, dim: int):
     """Refuse a request whose shape-only work estimate exceeds
     ``WORK_BUDGET``, before anything of it is built."""
     if work > WORK_BUDGET:
+        # a Decimal formats an int of any size; past 1e308 a float overflows
         raise ValueError(
             f"a signed sum at rank {rank} and dimension {dim} is estimated at "
-            f"{work:.1e} steps, over the work budget of {WORK_BUDGET:.0e}")
+            f"{Decimal(work):.1e} steps, over the work budget of {WORK_BUDGET:.0e}")
+
+
+def check_budget(rank: int, dim: int):
+    """Refuse a sum of d factors of this shape with no freed slot (a
+    determinant, a row product, a coset or full sum) whose position-DP
+    estimate exceeds ``WORK_BUDGET``, from the shape alone (see "Work")."""
+    # an unreduced DP moves each of the r symbols to any unused value
+    _within_budget(sum(math.comb(dim, t) ** rank * (dim - t) ** rank
+                       for t in range(dim)), rank, dim)
 
 
 @lru_cache(maxsize=64)
@@ -270,9 +283,7 @@ def _position_plan(rank: int, dim: int, row: bool):
     the states after each step; work is budgeted before anything is
     built.
     """
-    # an unreduced DP moves each of the r symbols to any unused value
-    _within_budget(sum(math.comb(dim, t) ** rank * (dim - t) ** rank
-                       for t in range(dim)), rank, dim)
+    check_budget(rank, dim)
     # a multiset of r values is coded as a sum of (r+1)**v, so the codes of
     # the symbols' values add up to the code of their canonical key
     codes = [(rank + 1) ** v for v in range(dim)]
@@ -500,7 +511,7 @@ def _freed_sum(factors: Sequence[SymTensor], free: tuple) -> SymTensor:
             v = sum(map(math.prod, map(pick_from, picks)))
             if v:
                 acc[out + o] += coeff * v
-    return orbit_means(rank, dim, acc, Fraction(1, denominator))
+    return orbit_means(rank, dim, acc, denominator)
 
 
 def epsilon_product(factors: Sequence[SymTensor]):

@@ -8,12 +8,10 @@ identities. Determinants, inverses and invariant sequences themselves are
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from . import engine, invariants
 from .report import VerificationReport, check
-from .tensor import (SymTensor, contract_full, integer_table, orbit_means,
-                     table_rows)
+from .tensor import SymTensor, contract_full, flat_product, sym_product
 
 
 def cayley_det(a: SymTensor):
@@ -39,33 +37,14 @@ def verify_recurrence_even(a: SymTensor, g: SymTensor,
         a, g, _RECURRENCE_FORMULAS, seed))
 
 
-def _times_symmetric(x_rows: list, y_rows: list) -> list:
-    # X Y for a symmetric Y given by its rows: entry (a, b) is row a of X
-    # dotted with row b of Y
-    return [[sum(map(mul, xa, yb)) for yb in y_rows] for xa in x_rows]
-
-
 def _one_three_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:
-    # sym over (i,j,k,l) of A[i,m,n,p] G^[m,n,p,q] A[q,j,k,l], on the
-    # (d, d**3) flattenings: bridge = A G^T, then bridge A
-    d = a.dim
-    (ta, sa), (tg, sg) = integer_table(a), integer_table(g_inv)
-    rows_a = table_rows(ta, d)
-    bridge = _times_symmetric(rows_a, table_rows(tg, d))
-    columns = list(zip(*rows_a))
-    flat = [sum(map(mul, b_i, column)) for b_i in bridge for column in columns]
-    return orbit_means(4, d, flat, Fraction(1, sa * sa * sg))
+    # sym over (i,j,k,l) of A[i,m,n,p] G^[m,n,p,q] A[q,j,k,l]
+    return sym_product((a, 1), (g_inv, 3), (a, 1))
 
 
 def _two_two_split(a: SymTensor, g_inv: SymTensor) -> SymTensor:
-    # sym over (i,j,k,l) of A[i,j,m,n] G^[m,n,p,q] A[p,q,k,l]: the (d**2,
-    # d**2) flattenings of A and G^ are symmetric matrices, multiplied as A G A
-    d = a.dim
-    (ta, sa), (tg, sg) = integer_table(a), integer_table(g_inv)
-    rows_a = table_rows(ta, d * d)
-    product = _times_symmetric(_times_symmetric(rows_a, table_rows(tg, d * d)), rows_a)
-    return orbit_means(4, d, [v for row in product for v in row],
-                       Fraction(1, sa * sa * sg))
+    # sym over (i,j,k,l) of A[i,j,m,n] G^[m,n,p,q] A[p,q,k,l]
+    return sym_product((a, 2), (g_inv, 2), (a, 2))
 
 
 def quadratic_identity_residual(a: SymTensor, g: SymTensor) -> SymTensor:
@@ -91,12 +70,8 @@ def quadratic_identity_residual(a: SymTensor, g: SymTensor) -> SymTensor:
 def pair_cycle_trace(a: SymTensor, a_inv: SymTensor):
     """inv[m,n,p,q] A[p,q,r,s] inv[r,s,t,u] A[t,u,m,n], all indices summed:
     the trace of (I A)**2 for the (d**2, d**2) flattenings I and A."""
-    d = a.dim
-    (ta, sa), (ti, si) = integer_table(a), integer_table(a_inv)
-    product = _times_symmetric(table_rows(ti, d * d), table_rows(ta, d * d))
-    raw = sum([sum(map(mul, row, column))
-               for row, column in zip(product, zip(*product))])
-    return Fraction(raw, (sa * si) ** 2)
+    rows, scale = flat_product((a_inv, 2), (a, 2), (a_inv, 2), (a, 2))
+    return Fraction(sum([row[i] for i, row in enumerate(rows)]), scale)
 
 
 def self_identity_residual(a: SymTensor) -> SymTensor:

@@ -13,18 +13,15 @@ here as well.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
 from . import engine, invariants
 from .errors import SingularTensorError
 from .rational import format_scalar
 from .report import VerificationReport, check
-from .tensor import (SymTensor, contract_one_free, derive_seed, integer_table,
-                     multiplicity, orbit_means, random_symmetric, sym_outer,
-                     table_rows)
+from .tensor import (SymTensor, contract_one_free, derive_seed, multiplicity,
+                     random_symmetric, sym_outer, sym_product)
 
 # det(lift(s)) / cubic_discriminant(s) for every binary cubic. Proved:
 # det(lift(s)) - 9/10 disc(s) has degree at most 4 in each of the four
@@ -59,24 +56,33 @@ def verify_odd_rank_vanishing(s: SymTensor,
     return report
 
 
+def _cubic_coefficients(s: SymTensor) -> tuple:
+    # s000, s001, s011 and s111 of a binary cubic
+    return tuple(map(s.component, ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))))
+
+
 def cubic_discriminant(s: SymTensor):
     """Discriminant of a binary cubic: for components a=s000, b=s001,
     c=s011, d=s111 this is a^2 d^2 - 6abcd + 4ac^3 + 4b^3 d - 3b^2 c^2."""
     if s.rank != 3 or s.dim != 2:
         raise ValueError("the closed form covers rank 3 in two dimensions")
-    a = s.component((0, 0, 0))
-    b = s.component((0, 0, 1))
-    c = s.component((0, 1, 1))
-    d = s.component((1, 1, 1))
+    a, b, c, d = _cubic_coefficients(s)
     return (a * a * d * d - 6 * a * b * c * d + 4 * a * c ** 3
             + 4 * b ** 3 * d - 3 * b * b * c * c)
+
+
+def _square(s: SymTensor) -> SymTensor:
+    # the rank-6 lift, once its determinant's budget admits the shape: the
+    # square of a document's d=100 cubic would hold C(105, 6) keys
+    engine.check_budget(6, s.dim)
+    return sym_outer(s, s)
 
 
 def lift(s: SymTensor) -> OddLiftResult:
     """Symmetrized outer square and its even-rank determinant."""
     if s.rank != 3:
         raise ValueError("lift takes a rank-3 tensor")
-    lifted = sym_outer(s, s)
+    lifted = _square(s)
     det = engine.epsilon_determinant(lifted)
     if s.dim != 2:
         return OddLiftResult(lifted, det)
@@ -88,10 +94,7 @@ def lift(s: SymTensor) -> OddLiftResult:
 def discriminant_partials(s: SymTensor) -> dict:
     """Canonical derivatives of the cubic discriminant, one per stored
     key: each is the key's multiplicity times the formal derivative."""
-    a = s.component((0, 0, 0))
-    b = s.component((0, 0, 1))
-    c = s.component((0, 1, 1))
-    d = s.component((1, 1, 1))
+    a, b, c, d = _cubic_coefficients(s)
     return {
         (0, 0, 0): 2 * a * d * d - 6 * b * c * d + 4 * c ** 3,
         (0, 0, 1): -6 * a * c * d + 12 * b * b * d - 6 * b * c * c,
@@ -113,10 +116,7 @@ def inverse_odd_d2(s: SymTensor) -> SymTensor:
     disc = cubic_discriminant(s)
     if disc == 0:
         raise SingularTensorError("cubic discriminant is zero; no inverse")
-    a = s.component((0, 0, 0))
-    b = s.component((0, 0, 1))
-    c = s.component((0, 1, 1))
-    d = s.component((1, 1, 1))
+    a, b, c, d = _cubic_coefficients(s)
     entries = {
         (0, 0, 0): (a * d * d + 2 * c ** 3 - 3 * b * c * d) / disc,
         (0, 0, 1): (2 * d * b * b - a * c * d - b * c * c) / disc,
@@ -148,16 +148,17 @@ def lift_gradient_candidate(s: SymTensor) -> SymTensor:
     """Inverse candidate for any dimension: formal gradient of det(lift)
     over twice its value, obtained by the chain rule through the lift.
 
-    With G the slot-freed gradient of det(lift) over (d-1)!, the lift's
-    derivative in the direction of a key k contracts G against 2 s, so
-    the candidate is one partial contraction of G with s,
+    The lift's derivative in the direction of a key k contracts the
+    gradient of det(lift) against 2 s, and that gradient over (d-1)! det
+    is the lift's inverse (``engine.epsilon_inverse``). So the candidate
+    is the lift's inverse contracted with s over three slots,
 
-        candidate[k] = sum over canonical i of
-                       multiplicity(i) * G[sort(i + k)] * s[i] / det.
+        candidate[k] = sum over ordered i of inv(lift)[i + k] * s[i],
 
-    The determinant is computed on its own, not recovered from G by
-    Euler's identity, which would make the trace of the reported
-    contraction equal d by construction.
+    the product of its (d**3, d**3) flattening with s as a column. The
+    inverse computes the determinant on its own, not by Euler's identity,
+    which would make the trace of the reported contraction equal d by
+    construction; a zero determinant raises ``SingularTensorError``.
 
     In two dimensions this equals the closed-form inverse exactly (the
     proportionality constant cancels). For d > 2 the defining contraction
@@ -165,17 +166,7 @@ def lift_gradient_candidate(s: SymTensor) -> SymTensor:
     """
     if s.rank != 3:
         raise ValueError("the candidate is built from a rank-3 tensor")
-    d = s.dim
-    lifted = sym_outer(s, s)
-    det = engine.epsilon_determinant(lifted)
-    if det == 0:
-        raise SingularTensorError("lift determinant is zero; no candidate")
-    grad = engine.epsilon_product_gradient([lifted] * d, 0)
-    (tg, sg), (ts, ss) = integer_table(grad), integer_table(s)
-    # G is symmetric, so row k of its (d**3, d**3) flattening is its column
-    # k; the sum over ordered i covers each canonical i multiplicity times
-    flat = [sum(map(mul, row, ts)) for row in table_rows(tg, d ** 3)]
-    return orbit_means(3, d, flat, Fraction(1, math.factorial(d - 1) * sg * ss) / det)
+    return sym_product((engine.epsilon_inverse(_square(s)), 3), (s, 3))
 
 
 def verify_proportionality(samples: int, seed: int,

@@ -10,13 +10,11 @@ where only the contraction route survives.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from . import engine, invariants
 from .report import VerificationReport, check
-from .tensor import (SymTensor, contract_full, identity, integer_table,
-                     table_rows)
+from .tensor import SymTensor, contract_full, identity, sym_product
 
 
 def g_product(a: SymTensor, b: SymTensor, g: SymTensor) -> SymTensor:
@@ -24,23 +22,13 @@ def g_product(a: SymTensor, b: SymTensor, g: SymTensor) -> SymTensor:
     g^ the inverse of the metric ``g``; a singular metric is rejected.
 
     Powers of a single matrix are symmetric already (the products are
-    palindromes), so for them the symmetrization is a no-op. The
-    operands are multiplied as integer rows, scaled as in the engine
-    kernel, and the result is one form over the product of the scales.
+    palindromes), so for them the symmetrization is a no-op. The product
+    is ``tensor.sym_product`` of the three rank-2 flattenings.
     """
     d = a.dim
     if b.dim != d or g.dim != d or a.rank != 2 or b.rank != 2 or g.rank != 2:
         raise ValueError("metric product needs rank-2 operands of one dimension")
-    g_inv = engine.epsilon_inverse(g)
-    (ta, sa), (tg, sg), (tb, sb) = map(integer_table, (a, g_inv, b))
-    ra, rg, rb = (table_rows(t, d) for t in (ta, tg, tb))
-    # all three are symmetric, so row j of b is its column j and
-    # gb[j][k] = g^kl b_lj is column j of g^-1 b
-    gb = [[sum(map(mul, rg_k, rb_j)) for rg_k in rg] for rb_j in rb]
-    raw = [[sum(map(mul, ra_i, gb_j)) for gb_j in gb] for ra_i in ra]
-    # canonical keys (i, j), i <= j, in ``canonical_keys`` order
-    return SymTensor(2, d, [raw[i][j] + raw[j][i] for i in range(d)
-                            for j in range(i, d)], 2 * sa * sg * sb)
+    return sym_product((a, 1), (engine.epsilon_inverse(g), 1), (b, 1))
 
 
 def power_sums(a: SymTensor, g: SymTensor, max_order: int) -> list:

@@ -21,13 +21,16 @@ built from the form on first access.
 Building or loading a tensor costs one step per canonical key. Only
 exact contractions expand the d**r ordered indices: they run on integer
 tables (``integer_table``), the form expanded once per tensor and cached
-on it. A contraction is then integer sums over flattenings of those
-lists, rows of d**(r-1) or d**(r-2) entries multiplied in C by
-``map(mul, ...)``, over the product of the scales. A symmetric result is
-read off by summing each orbit of ordered indices (``orbit_means``), and
-the builders return forms directly. The engine's kernel reads the same
-tables. There is no second arithmetic: the constructor's gcd pass takes
-integers only, so a float fails at once and table entries are integers.
+on it. Every matrix product over those tables is ``flat_product``: each
+link ``(tensor, k)`` is a table seen as its d**k x d**(r-k) flattening,
+the links are multiplied left to right as rows dotted with rows in C by
+``map(mul, ...)``, and the result is integer rows over the product of
+the scales. ``sym_product`` reads a symmetric result off the product by
+summing each orbit of ordered indices (``orbit_means``), and the
+builders return forms directly. The engine's kernel reads the same
+tables; no other module reads them. There is no second arithmetic: the
+constructor's gcd pass takes integers only, so a float fails at once and
+table entries are integers.
 """
 
 from __future__ import annotations
@@ -315,26 +318,24 @@ def integer_table(tensor: SymTensor):
     return cached
 
 
-def table_rows(table: list, count: int) -> list:
-    """A flat table cut into ``count`` rows of equal length: the d x d**(r-1)
-    flattening for count d, the d**2 x d**(r-2) one for count d*d."""
+def _table_rows(table: list, count: int) -> list:
+    """A flat table cut into ``count`` rows of equal length: the d**k x
+    d**(r-k) flattening for count d**k."""
     width = len(table) // count
     return [table[k:k + width] for k in range(0, len(table), width)]
 
 
-def orbit_means(rank: int, dim: int, flat: Sequence, scale) -> SymTensor:
-    """Symmetric tensor whose value at each canonical key is ``scale``
-    times the mean of ``flat`` over the key's orderings.
+def orbit_means(rank: int, dim: int, flat: Sequence, scale: int) -> SymTensor:
+    """Symmetric tensor whose value at each canonical key is the mean of
+    ``flat`` over the key's orderings, over the positive integer ``scale``.
 
-    ``flat`` is indexed like an integer table and holds integers; with an
-    int or Fraction scale the result is one form, over rank! times the
-    scale's denominator before reduction.
+    ``flat`` is indexed like an integer table and holds integers; the
+    result is one form, over rank! times the scale before reduction.
     """
-    num, den = scale.as_integer_ratio()
-    return SymTensor(
-        rank, dim, [num * weight * sum([flat[f] for f in flats])
-                    for flats, weight in _orbits(rank, dim)],
-        den * math.factorial(rank))
+    entry = flat.__getitem__
+    return SymTensor(rank, dim, [weight * sum(map(entry, flats))
+                                 for flats, weight in _orbits(rank, dim)],
+                     scale * math.factorial(rank))
 
 
 def sym_outer(x: SymTensor, y: SymTensor) -> SymTensor:
@@ -384,7 +385,8 @@ def contract_full(x: SymTensor, y: SymTensor):
 
 
 def contract_one_free(x: SymTensor, y: SymTensor) -> dict:
-    """T[i, j] = sum over all (r-1)-tuples k of x[(i,)+k] * y[(j,)+k].
+    """T[i, j] = sum over all (r-1)-tuples k of x[(i,)+k] * y[(j,)+k], the
+    flattened product (x, 1)(y, r-1).
 
     Returns a dict keyed by ``(i, j)`` that holds all d*d entries, zeros
     included, so ``T[i, j]`` indexes it like a d x d array.
@@ -392,11 +394,46 @@ def contract_one_free(x: SymTensor, y: SymTensor) -> dict:
     x._require_same_shape(y)
     if x.rank < 2:
         raise ValueError("contraction with one free index needs rank >= 2")
-    d = x.dim
-    (tx, sx), (ty, sy) = integer_table(x), integer_table(y)
-    xs, ys = table_rows(tx, d), table_rows(ty, d)
-    return {(i, j): Fraction(sum(map(mul, xi, yj)), sx * sy)
-            for i, xi in enumerate(xs) for j, yj in enumerate(ys)}
+    rows, scale = flat_product((x, 1), (y, x.rank - 1))
+    return {(i, j): Fraction(v, scale)
+            for i, row in enumerate(rows) for j, v in enumerate(row)}
+
+
+def flat_product(*links) -> tuple:
+    """The product, left to right, of the flattenings ``(tensor, k)``, each
+    the tensor's integer table as a d**k x d**(r-k) matrix: ``(rows,
+    scale)``, the product's integer rows over the product of the scales.
+
+    A symmetric tensor's columns are the rows of its d**(r-k) x d**k
+    flattening, so every step dots rows with rows, multiplied in C by
+    ``map(mul, ...)``, and nothing is transposed. Adjacent links must
+    share the dimension and the inner size, d**(r-k) of one and d**k of
+    the next.
+    """
+    (first, k), *rest = links
+    dim = first.dim
+    if any(t.dim != dim or not 0 <= j <= t.rank for t, j in links):
+        raise ValueError("the links' dimensions differ or a flattening is "
+                         "outside its tensor's rank")
+    table, scale = integer_table(first)
+    rows = _table_rows(table, dim ** k)
+    for tensor, k in rest:
+        if len(rows[0]) != dim ** k:
+            raise ValueError(f"inner sizes {len(rows[0])} and {dim ** k} differ")
+        table, factor_scale = integer_table(tensor)
+        columns = _table_rows(table, dim ** (tensor.rank - k))
+        rows = [[sum(map(mul, row, column)) for column in columns] for row in rows]
+        scale *= factor_scale
+    return rows, scale
+
+
+def sym_product(*links) -> SymTensor:
+    """``flat_product`` of ``links`` symmetrized: the orbit means of its
+    entries, a tensor of rank k of the first link plus r-k of the last."""
+    rows, scale = flat_product(*links)
+    (first, k), (last, j) = links[0], links[-1]
+    return orbit_means(k + last.rank - j, first.dim,
+                       [v for row in rows for v in row], scale)
 
 
 # Seeded generation uses a splitmix64 stream so fixtures are reproducible

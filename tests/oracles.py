@@ -160,6 +160,26 @@ def brute_pair_cycle_trace(a: SymTensor, a_inv: SymTensor):
     return total
 
 
+def dense_flat_product(links):
+    """Product, left to right, of the flattenings ``(tensor, k)``, each the
+    d**k x d**(r-k) matrix of the tensor's ordered components (rows and
+    columns in lexicographic index order), by explicit index loops over
+    ``component`` lookups."""
+    product = None
+    for tensor, k in links:
+        rng = range(tensor.dim)
+        rows = list(itertools.product(rng, repeat=k))
+        columns = list(itertools.product(rng, repeat=tensor.rank - k))
+        matrix = [[tensor.component(row + column) for column in columns]
+                  for row in rows]
+        if product is None:
+            product = matrix
+            continue
+        product = [[sum(left[m] * matrix[m][j] for m in range(len(rows)))
+                    for j in range(len(columns))] for left in product]
+    return product
+
+
 def brute_sym_outer_component(x: SymTensor, y: SymTensor, idx):
     """Mean over all orderings of idx of x[first p] * y[last q]."""
     p = x.rank

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermat import cli, contract_one_free, engine, suites, tensor
+from hypermat import cli, contract_one_free, engine, oddrank, suites, tensor
 from hypermat.documents import tensor_from_document, tensor_to_document
 from hypermat.invariants import identity_residual
 from hypermat.tensor import SymTensor, from_matrix
@@ -215,6 +215,19 @@ class TestDet:
         monkeypatch.setattr(engine, "signed_permutations", build)
         path = write_doc(tmp_path, "d20.json", {"rank": 2, "dim": 20, "entries": [
             {"index": [i, i], "value": str(i + 1)} for i in range(20)]})
+        extra = ["--metric", path] if command == "invariants" else []
+        code, out, err = run(capsys, command, path, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "over the work budget" in err
+
+    @pytest.mark.parametrize("command", ["det", "invariants", "inverse"])
+    def test_a_rank2_d1000_estimate_past_the_float_range_exits_2(
+            self, command, tmp_path, capsys):
+        # the document bound admits it, and its estimate of about 5e605
+        # steps is past what a float holds
+        path = write_doc(tmp_path, "d1000.json", {"rank": 2, "dim": 1000, "entries": [
+            {"index": [i, i], "value": str(i + 1)} for i in range(1000)]})
         extra = ["--metric", path] if command == "invariants" else []
         code, out, err = run(capsys, command, path, *extra)
         assert code == 2
@@ -469,6 +482,21 @@ class TestLift:
         code, out, _ = run(capsys, "lift", path)
         assert code == 2
         assert out == ""
+
+    def test_a_d16_cubic_is_refused_before_it_is_squared(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the rank-6 square of a d=16 cubic holds C(21, 6) keys; its
+        # determinant's budget refuses the shape first
+        def square(*args):
+            raise AssertionError("the lift of a refused shape was built")
+
+        monkeypatch.setattr(oddrank, "sym_outer", square)
+        path = write_doc(tmp_path, "s.json", {"rank": 3, "dim": 16, "entries": [
+            {"index": [i, i, i], "value": str(i + 1)} for i in range(16)]})
+        code, out, err = run(capsys, "lift", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "over the work budget" in err
 
     def test_lifted_tensor_feeds_back_into_det(self, tmp_path, capsys):
         path = write_doc(tmp_path, "s.json", CORNERS_DOC)

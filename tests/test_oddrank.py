@@ -181,6 +181,14 @@ class TestInverse:
         cubic = random_symmetric(3, 2, seed, 9)
         assert lift_gradient_candidate(cubic) == inverse_odd_d2(cubic)
 
+    def test_candidate_refuses_a_d16_cubic_before_squaring_it(self, monkeypatch):
+        def square(*args):
+            raise AssertionError("the lift of a refused shape was built")
+
+        monkeypatch.setattr(oddrank, "sym_outer", square)
+        with pytest.raises(ValueError, match="over the work budget"):
+            lift_gradient_candidate(random_symmetric(3, 16, 1, 5))
+
     def test_candidate_reported_for_three_dims(self):
         s = random_symmetric(3, 3, 49, 5)
         report = oddrank.report_candidate_inverse(s, seed=49)

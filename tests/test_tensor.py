@@ -17,7 +17,7 @@ from hypermat import (SymTensor, as_scalar, canonical_keys,
                       random_symmetric, sym_outer)
 from hypermat import tensor
 from hypermat.documents import tensor_from_document
-from hypermat.tensor import integer_table, orbit_means
+from hypermat.tensor import flat_product, integer_table, orbit_means, sym_product
 
 import oracles
 
@@ -192,7 +192,7 @@ class TestForm:
                  t + SymTensor.zero(rank, dim),
                  (t + t) - t,
                  -(-t),
-                 orbit_means(rank, dim, table, Fraction(1, table_scale))]
+                 orbit_means(rank, dim, table, table_scale)]
         for other in paths:
             assert other.form == t.form
             assert other == t
@@ -337,6 +337,56 @@ class TestContractions:
                 assert arr[i, j] == expected
 
 
+class TestFlatProduct:
+    @staticmethod
+    def _values(links):
+        rows, scale = flat_product(*links)
+        return [[Fraction(v, scale) for v in row] for row in rows]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_chain_of_distinct_factors(self, dim):
+        # a g^ b with a != b is no symmetric matrix: nothing in the product
+        # relies on the chain being a palindrome
+        a, b = random_symmetric(2, dim, 51, 7), random_symmetric(2, dim, 52, 7)
+        g_inv = epsilon_inverse(random_symmetric(2, dim, 53, 7))
+        links = [(a, 1), (g_inv, 1), (b, 1)]
+        product = self._values(links)
+        assert product == oracles.dense_flat_product(links)
+        assert product[0][1] != product[1][0]
+        assert sym_product(*links) == oracles.symmetrized_from(
+            2, dim, lambda idx: product[idx[0]][idx[1]])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_rank3_link_flattened_at_three(self, dim):
+        # the lift candidate's shape: a rank-6 tensor's (d**3, d**3)
+        # flattening times a rank-3 tensor as one column
+        x, s = random_symmetric(6, dim, 54, 5), random_symmetric(3, dim, 55, 5)
+        links = [(x, 3), (s, 3)]
+        product = self._values(links)
+        assert len(product) == dim ** 3 and {len(row) for row in product} == {1}
+        assert product == oracles.dense_flat_product(links)
+        assert sym_product(*links) == oracles.symmetrized_from(
+            3, dim, lambda idx: product[sum(i * dim ** (2 - k)
+                                            for k, i in enumerate(idx))][0])
+
+    @pytest.mark.parametrize("shapes", [
+        # (rank, dim, k) per link: 2**3 columns against 2 rows, where
+        # map(mul, ...) would stop at the shorter row
+        [(4, 2, 1), (4, 2, 1)],
+        [(2, 2, 1), (3, 2, 2)],
+        # dimensions 2 and 3 with equal inner sizes at k = 0
+        [(2, 2, 2), (2, 3, 0)],
+        # a flattening outside its tensor's rank
+        [(2, 2, 1), (2, 2, 3)],
+        [(2, 2, -1), (2, 2, 1)],
+    ], ids=["inner-8-2", "inner-2-4", "dims-2-3", "k-above-rank", "k-negative"])
+    def test_links_that_do_not_chain_raise(self, shapes):
+        links = [(random_symmetric(rank, dim, seed, 5), k)
+                 for seed, (rank, dim, k) in enumerate(shapes)]
+        with pytest.raises(ValueError):
+            flat_product(*links)
+
+
 class TestIntegerTables:
     def test_entries_are_values_times_the_lcm(self):
         x = random_symmetric(3, 3, 41, 7)
@@ -370,11 +420,10 @@ class TestIntegerTables:
     @pytest.mark.parametrize("rank,dim", [(4, 2), (4, 3), (3, 3)])
     def test_orbit_means_against_symmetrization(self, rank, dim):
         flat = [(7 * f) % 11 - 5 for f in range(dim ** rank)]
-        scale = Fraction(3, 4)
         expected = oracles.symmetrized_from(
             rank, dim, lambda idx: flat[sum(i * dim ** (rank - 1 - k)
                                             for k, i in enumerate(idx))])
-        assert orbit_means(rank, dim, flat, scale) == expected * scale
+        assert orbit_means(rank, dim, flat, 4) == expected * Fraction(1, 4)
 
 
 class TestRandomSymmetric:
