@@ -11,7 +11,11 @@ contracted with s symmetric tensors, is this primitive on those tensors
 and d-s copies of the metric; its order-1 case is ``epsilon_inverse``.
 
 Every sum takes one of two routes, by whether it frees a slot: a sum
-with none runs ``_enumerate``, a slot-freed gradient ``_freed_sum``.
+with none runs ``_enumerate``, a slot-freed gradient ``_gradient_sum``.
+Both read a factor as its form alone, and find a canonical key's position
+in it by the key's multiset code (``_key_codes``): value v is coded
+(r+1)**v, and a multiset of at most r values by the sum of its values'
+codes, so codes add up in any order and no index prefix is sorted.
 
 - Restriction. Permuting the positions of identical factors (the same
   permutation applied to every sign symbol) leaves a term's factor
@@ -24,7 +28,7 @@ with none runs ``_enumerate``, a slot-freed gradient ``_freed_sum``.
   where the full sum vanishes, generally nonzero. At odd rank a full sum
   with a repeated factor is 0 without a plan: swapping the two copies
   negates every term. The sign-level route uses the symmetry in its
-  class sort (see "Coalesced states").
+  run sort (see "Coalesced states").
 - Positions, the route of every request with no freed slot (the
   determinant, the row product, the coset sums and full sums). The sum
   is a dynamic programme over factor positions, the subset DP of Bellman
@@ -36,73 +40,67 @@ with none runs ``_enumerate``, a slot-freed gradient ``_freed_sum``.
   bitmask. Every factor is completely symmetric and the sign product is
   symmetric in the symbols, so the masks of interchangeable symbols are
   kept sorted, and symbols with equal masks take their moves as
-  multisets, each counted by its orderings. A shape has two plans: the
-  full plan keeps all r masks, and the row plan's symbol 1 places value
-  t at position t with sign +1, so it adds nothing to the state and
-  only its value to each transition's key. The states and moves depend
-  on the shape alone (rank, dimension, row or full), so
-  ``_position_plan`` builds them once per shape as flat tuples of ints,
-  per transition its source state, the position of its r values'
-  canonical key and its signed coefficient. A call reads each factor's
+  multisets, each counted by its orderings, with the sum of their codes.
+  A shape has two plans: the full plan keeps all r masks, and the row
+  plan's symbol 1 places value t at position t with sign +1, so it adds
+  nothing to the state and only its value to each transition's key.
+  The states and moves depend on the shape alone (rank, dimension, row
+  or full), so ``_position_plan`` builds them once per shape as flat
+  tuples of ints, per transition its source state, the position of its
+  r values' canonical key and its signed coefficient. A call reads each factor's
   form numerators at those positions, sums per destination state with
   Python integers only, and divides the scales out once at the end.
 - Sign levels, the route of a slot-freed gradient. It leaves one
-  position out of the product and accumulates each term at the flat
-  index of that position's r indices. A gradient depends only on the
-  multiset of held factors: moving the freed slot to position 0 and the
-  held factors into order by ``form`` is a permutation pi of positions,
-  which multiplies the sum by sgn(pi)**r (+1 at even rank). So
-  ``epsilon_product_gradient`` makes one request per held multiset,
-  freed at position 0, and applies that sign at every rank; the kernel
-  never reads the freed factor. Each distinct factor is read as its
-  integer table, a dense list over its d**r ordered indices (flat index
-  sum_k i_k d**(r-1-k)), so no index is sorted inside the loop; the
-  table holds the numerators of the factor's form over its one scale.
-  ``tensor.integer_table`` builds a tensor's table once and caches it on
-  the tensor, the tensor layer's contractions read the same tables, and
-  a gradient's orbit sums become one form through ``tensor.orbit_means``.
+  position out of the product and accumulates each term at the
+  canonical key of that position's r indices. A gradient depends only
+  on the multiset of held factors: moving the freed slot to position 0
+  and the held factors into order by ``form`` is a permutation pi of
+  positions, which multiplies the sum by sgn(pi)**r (+1 at even rank).
+  So ``epsilon_product_gradient`` makes one request per held multiset,
+  ``_held_gradient``, freed at position 0 with the held factors sorted,
+  and applies that sign at every rank. Sorted, identical held factors
+  are contiguous: the held positions fall into runs, one per class,
+  and the runs' sizes are all the kernel needs to know of the layout.
 - Coalesced states. The sign-level route places the sign symbols one
-  level at a time, and a partial term is a state: the flat offset of
-  each held position's index prefix, the offset of the freed slot's
-  index prefix, and a sign.
-  Every factor is completely symmetric, so its value depends only on
-  the multiset of indices at its position, and two states whose held
-  prefixes are equal once sorted have the same continuation. After each
-  level every prefix offset is mapped to the offset of its sorted prefix
-  (one lookup list per prefix length, built with the plan), equal
-  states are merged with their signs summed into an integer
-  coefficient, and states whose coefficient is 0 are dropped.
+  level at a time, and a partial term is a state: the code of each held
+  position's index prefix, the code of the freed slot's index prefix,
+  and a sign. Every factor is completely symmetric, so its value depends
+  only on the multiset of indices at its position, which its code
+  names: two states with equal codes have the same continuation. After
+  each level equal states are merged with their signs summed into an
+  integer coefficient, and states whose coefficient is 0 are dropped.
   Identical factors merge positions as well: a permutation sigma of
   held positions within one class, applied to a state's prefixes,
   multiplies its continuation by sgn(sigma) per level still to place
   (substitute p o sigma for each later permutation p). So after each
-  level's merge the prefix offsets are sorted within each class and the
+  level's merge the codes are sorted within each run and the
   coefficient takes the parity of that sort when an odd number of
-  levels remains; a state with two equal prefixes in one class is then
-  dropped, its continuation being its own negative. Classes need not be
-  adjacent ([a, g, a]). The sort runs after every level but the last
-  whenever a class holds two or more positions, the first included, so
-  the first level merges into the states whose lead is increasing on
-  each class, at even rank with every coefficient |H| times larger (H
-  the product of the classes' symmetric groups) and at odd rank into
-  none. The freed slot has the table layout and is folded like a
-  prefix, so a gradient's sum is exact per orbit of ordered indices,
-  which is all a symmetric result needs. A freed position is in no
-  class, so sorting within classes leaves the freed indices as they
-  are. No level but the last reads a factor: the states that reach the
-  last level depend on the shape alone (rank, dimension, freed position
-  and the class layout), so they are built once with the shape's plan
-  (``_plan``), and a call reads its tables into the last level only.
+  levels remains; a state with two equal codes in one run is then
+  dropped, its continuation being its own negative. The sort runs after
+  every level but the last whenever a run holds two or more positions,
+  the first level included, so the first level merges into the states
+  whose lead is increasing on each run, at even rank with every
+  coefficient |H| times larger (H the product of the runs' symmetric
+  groups) and at odd rank into none. The freed slot is in no run, and
+  its code merges the orderings of its prefix, so the sum at a key is
+  over all its orderings: its multiplicity times the formal value. No
+  level but the last reads a factor: the states that reach the last
+  level depend on the shape alone (rank, dimension and runs), so they
+  are built once with the shape's plan (``_plan``), which stores each
+  prefix as a row of the positions of its d completions. A call reads
+  each held factor's form numerators at those rows into the last level
+  only, and adds each freed index into its canonical key.
 - Work. Before a plan is built, its route estimates its work from the
   shape alone, the position DP its transitions before any reduction
   (each of the r symbols moving to any unused value) and the sign-level
-  kernel its (d!)**r terms over the class sort's merge, and a request
-  over ``WORK_BUDGET`` raises ``ValueError``; ``check_budget`` runs the
-  position DP's check alone, so a caller can refuse a shape before it
-  builds the factors. The estimates are loose: they refuse the hopeless
-  shapes, not every slow one. No route counts
-  terms; ``coset_restricted_product_counted`` returns the closed form
-  C(d,s) (d!)**(r-1) beside its value.
+  kernel its (d!)**r terms over the run sort's merge, and a request
+  over ``WORK_BUDGET`` raises ``ValueError``; each plan reads the key
+  codes first after its check. ``check_budget`` runs the position DP's
+  check alone, so a caller can refuse a shape before it builds the
+  factors. The estimates are loose: they refuse the hopeless shapes, not
+  every slow one. No route counts terms;
+  ``coset_restricted_product_counted`` returns the closed form C(d,s)
+  (d!)**(r-1) beside its value.
 - Shared results. The invariants c_0..c_d, their gradients and the
   recurrence rows all read the same few sums of s copies of a tensor and
   d-s copies of a metric, and the same c_s, so one identity sample asks
@@ -150,7 +148,7 @@ from operator import add, eq, gt, itemgetter, methodcaller, mul, sub
 from typing import Sequence
 
 from .errors import SingularTensorError
-from .tensor import SymTensor, canonical_keys, integer_table, orbit_means
+from .tensor import SymTensor, canonical_keys, multiplicity
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -178,66 +176,84 @@ def _uniform_shape(factors: Sequence[SymTensor]):
 
 
 @lru_cache(maxsize=64)
-def _plan(rank: int, dim: int, free: tuple, layout: tuple):
-    """Per-shape structure of the sign-level kernel, the route of a
-    slot-freed gradient.
+def _key_codes(rank: int, dim: int):
+    """(codes, key_at): the code (r+1)**v of each value v, and per code of
+    a canonical key the key's position in a form. A multiset of at most r
+    values is coded as the sum of its values' codes, so the codes of the
+    values placed in any order add up to the code of their multiset."""
+    codes = tuple((rank + 1) ** v for v in range(dim))
+    return codes, {sum(map(codes.__getitem__, key)): k
+                   for k, key in enumerate(canonical_keys(rank, dim))}
 
-    Every level (sign symbol) but the last reads only offsets and signs,
-    never a table, so the states that reach the last level depend on the
-    shape alone and are built here, once per shape: a tuple of ((held
-    prefix offsets, freed prefix offset), coefficient), after the merge
-    and the sort within each class of ``layout`` (see "Coalesced
-    states"); ``widths`` counts the states after each outer level.
-    The last level has stride one, so it is grouped by output offset into
-    getters that pick the sign and one entry per non-freed row from the
-    rows laid end to end behind a leading (1, -1). The work budgeted
-    before anything is built is the (d!)**r terms of the sum over |H|, the
-    product of the factorials of ``layout``'s class sizes, by which the
-    class sort merges the states, and at least the d! of the first level.
+
+@lru_cache(maxsize=64)
+def _plan(rank: int, dim: int, runs: tuple):
+    """Per-shape structure of the sign-level kernel, the route of a
+    slot-freed gradient: the freed slot at position 0 and the d-1 held
+    positions after it in classes of identical factors, ``runs`` the
+    sizes of the classes in order.
+
+    Every level (sign symbol) but the last reads only codes and signs,
+    never a factor, so the states that reach the last level depend on the
+    shape alone and are built here, once per shape: (held prefixes,
+    freed keys, coefficient), after the merge and the sort within each
+    run (see "Coalesced states"). Each multiset of r-1 values is a row
+    of ``rows``, the positions of its d completions (value 0..d-1) in a
+    form; a state holds each held prefix as its row's index and the freed
+    prefix as the row itself. ``widths`` counts the states after each
+    outer level, and ``weights`` holds r! over each key's multiplicity.
+    The last level is grouped by the freed slot's value into getters that
+    pick the sign and one entry per held prefix from their rows of
+    numerators laid end to end behind a leading (1, -1). The work
+    budgeted before anything is built is the (d!)**r terms of the sum over
+    the product of the factorials of ``runs``, by which the run sort
+    merges the states, and at least the d! of the first level.
     """
-    merged_by = math.prod(math.factorial(len(c)) for c in layout)
-    _within_budget(max(math.factorial(dim) ** rank // merged_by,
+    _within_budget(max(math.factorial(dim) ** rank
+                       // math.prod(map(math.factorial, runs)),
                        math.factorial(dim)), rank, dim)
+    codes, key_at = _key_codes(rank, dim)
     perms = signed_permutations(dim)
-    held = [t for t in range(dim) if t not in free]
-    levels = []
-    for k in range(rank):
-        stride = dim ** (rank - 1 - k)
-        levels.append([
-            (s, tuple(p[t] * stride for t in held),
-             sum(p[u] * stride for u in free))
-            for p, s in perms])
-    # states map (held prefix offsets, output offset) to the summed sign
+    moves = [(s, tuple(map(codes.__getitem__, p[1:])), codes[p[0]]) for p, s in perms]
+    # states map (held prefix codes, freed prefix code) to the summed sign
     # of the partial terms that reach them
-    states = {((0,) * len(held), 0): 1}
+    states = {((0,) * (dim - 1), 0): 1}
     widths = []
-    for k, (level, sorted_at) in enumerate(zip(levels[:-1], _sorted_prefixes(rank, dim))):
-        fold = sorted_at.__getitem__
+    for k in range(rank - 1):
         merged: dict = {}
         for (base, out), coeff in states.items():
-            for s, offsets, o in level:
-                key = (tuple(map(fold, map(add, base, offsets))), fold(out + o))
+            for s, held, freed in moves:
+                key = (tuple(map(add, base, held)), out + freed)
                 merged[key] = merged.get(key, 0) + coeff * s
-        if layout:
+        if max(runs, default=1) > 1:
             odd = (rank - 1 - k) % 2
             canonical: dict = {}
             for (base, out), coeff in merged.items():
-                prefixes, sign = _canonical(base, layout, odd)
+                prefixes, sign = _canonical(base, runs, odd)
                 if sign:
                     key = (prefixes, out)
                     canonical[key] = canonical.get(key, 0) + coeff * sign
             merged = canonical
         states = {key: coeff for key, coeff in merged.items() if coeff}
         widths.append(len(states))
+    row_of, rows = {}, []
+    for prefix in itertools.combinations_with_replacement(range(dim), rank - 1):
+        code = sum(map(codes.__getitem__, prefix))
+        row_of[code] = len(rows)
+        rows.append(tuple(key_at[code + c] for c in codes))
     groups: dict = {}
-    for s, offsets, out in levels[-1]:
+    for p, s in perms:
         # the sign is picked from the leading (1, -1) of the rows; a second
         # pick of the 1 keeps the result a tuple when no row is held
-        positions = tuple(2 + j * dim + o for j, o in enumerate(offsets))
+        positions = tuple(2 + j * dim + v for j, v in enumerate(p[1:]))
         picks = itemgetter(s < 0, *(positions or (0,)))
-        groups.setdefault(out, []).append(picks)
-    last = tuple((out, tuple(picks)) for out, picks in groups.items())
-    return tuple(states.items()), last, dim ** rank, tuple(widths)
+        groups.setdefault(p[0], []).append(picks)
+    last = tuple((o, tuple(picks)) for o, picks in groups.items())
+    weights = tuple(math.factorial(rank) // multiplicity(key)
+                    for key in canonical_keys(rank, dim))
+    return (tuple((tuple(map(row_of.__getitem__, base)), rows[row_of[out]], coeff)
+                  for (base, out), coeff in states.items()),
+            last, tuple(rows), tuple(widths), weights)
 
 
 # the most work a request may take, in its route's estimate (see "Work"):
@@ -284,11 +300,7 @@ def _position_plan(rank: int, dim: int, row: bool):
     built.
     """
     check_budget(rank, dim)
-    # a multiset of r values is coded as a sum of (r+1)**v, so the codes of
-    # the symbols' values add up to the code of their canonical key
-    codes = [(rank + 1) ** v for v in range(dim)]
-    key_at = {sum(map(codes.__getitem__, key)): k
-              for k, key in enumerate(canonical_keys(rank, dim))}
+    codes, key_at = _key_codes(rank, dim)
 
     def sign(mask: int, v: int):
         """The sign of placing v after the values of ``mask``."""
@@ -353,40 +365,24 @@ def _position_plan(rank: int, dim: int, row: bool):
     return tuple(steps), tuple(widths)
 
 
-def _sorted_prefixes(rank: int, dim: int):
-    """For each prefix length k = 1..rank-1 (entry k-1), a list mapping
-    the flat offset of every k-index prefix, later indices zero, to the
-    offset of the same prefix sorted."""
-    maps = []
-    for k in range(1, rank):
-        strides = [dim ** (rank - 1 - j) for j in range(k)]
-        sorted_at = [0] * dim ** rank
-        for prefix in itertools.product(range(dim), repeat=k):
-            sorted_at[sum(map(math.prod, zip(prefix, strides)))] = sum(
-                map(math.prod, zip(sorted(prefix), strides)))
-        maps.append(sorted_at)
-    return tuple(maps)
-
-
-def _canonical(base: tuple, layout: tuple, odd: int):
-    """(prefixes, sign) of the canonical state of ``base``: the prefix
-    offsets sorted within each class of ``layout``, and the sign the
-    continuation picks up, the parity of that sort when an odd number of
-    levels remains. The sign is 0 when two prefixes of one class are
-    equal at an odd count: the swap fixes the state and flips its
-    continuation, which is therefore 0."""
-    base = list(base)
-    sign = 1
-    for positions in layout:
-        values = [base[j] for j in positions]
-        ordered = sorted(values)
+def _canonical(codes: tuple, runs: tuple, odd: int):
+    """(codes, sign) of the canonical state of held prefix ``codes``: the
+    codes sorted within each class, ``runs`` the sizes of the classes in
+    order, and the sign the continuation picks up, the parity of that
+    sort when an odd number of levels remains. The sign is 0 when two
+    codes of one class are equal at an odd count: the swap fixes the
+    state and flips its continuation, which is therefore 0."""
+    ordered, sign, end = [], 1, 0
+    for size in runs:
+        values = codes[end:end + size]
+        end += size
+        run = sorted(values)
         if odd:
-            if any(map(eq, ordered, ordered[1:])):
+            if any(map(eq, run, run[1:])):
                 return None, 0
             sign *= permutation_sign(values)
-        for j, v in zip(positions, ordered):
-            base[j] = v
-    return tuple(base), sign
+        ordered += run
+    return tuple(ordered), sign
 
 
 # results by ``once_per_block`` key
@@ -470,48 +466,34 @@ def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
     return Fraction(values[0], denominator)
 
 
-def _freed_sum(factors: Sequence[SymTensor], free: tuple) -> SymTensor:
-    """A slot-freed gradient by the sign-level kernel: the factors' tables
-    are read into the last level of their shape's plan, whose states are
-    built on the shape's first call. Each orbit of ordered indices is
-    accumulated over all its orderings, so its mean is the per-component
-    formal value."""
-    rank, dim = factors[0].rank, factors[0].dim
-    held = [t for t in range(dim) if t not in free]
-    groups: list = []  # positions of identical non-freed factors
-    for t in held:
-        for group in groups:
-            if factors[group[0]] is factors[t] or factors[group[0]] == factors[t]:
-                group.append(t)
-                break
-        else:
-            groups.append([t])
-    # held positions of each class of identical factors, as indices into
-    # a state's prefixes
-    layout = tuple(tuple(map(held.index, group))
-                   for group in groups if len(group) > 1)
-    states, last, size, _ = _plan(rank, dim, free, layout)
-
-    table_at = {}
+def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
+    """The gradient at position 0 of d factors whose other d-1 are
+    ``held``, sorted by ``form``, by the sign-level kernel: the held
+    factors' form numerators are read into the last level of their shape's
+    plan, whose states are built on the shape's first call. Each freed
+    index is added into its canonical key, so a key holds the sum over its
+    orderings, and its multiplicity times the per-component formal
+    value."""
+    classes = [(form, len(tuple(same)))
+               for form, same in itertools.groupby(f.form for f in held)]
+    states, last, rows, _, weights = _plan(rank, dim, tuple(n for _, n in classes))
+    held_rows = []  # per held position, its numerators at each row's keys
     denominator = 1
-    for group in groups:
-        table, scale = integer_table(factors[group[0]])
-        for t in group:
-            table_at[t] = table
-        denominator *= scale ** len(group)
-    rows = [table_at[t] for t in held]
-
-    acc = [0] * size
-    for (base, out), coeff in states:
+    for (numerators, scale), count in classes:
+        held_rows += [[[numerators[k] for k in keys] for keys in rows]] * count
+        denominator *= scale ** count
+    acc = [0] * len(weights)
+    for base, out, coeff in states:
         flat = [1, -1]
-        for table, b in zip(rows, base):
-            flat += table[b:b + dim]
+        for row, b in zip(held_rows, base):
+            flat += row[b]
         pick_from = methodcaller("__call__", flat)
         for o, picks in last:
             v = sum(map(math.prod, map(pick_from, picks)))
             if v:
-                acc[out + o] += coeff * v
-    return orbit_means(rank, dim, acc, denominator)
+                acc[out[o]] += coeff * v
+    return SymTensor(rank, dim, map(mul, acc, weights),
+                     denominator * math.factorial(rank))
 
 
 def epsilon_product(factors: Sequence[SymTensor]):
@@ -541,20 +523,18 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
         raise ValueError(f"position {position} out of range for {dim} slots")
     order = sorted((t for t in range(dim) if t != position),
                    key=lambda t: factors[t].form)
-    # the kernel never reads the freed slot: the first held factor stands
-    # in for it, or at d=1, where nothing is held, the freed factor itself
-    stand_in = factors[order[0] if order else position]
-    grad = _held_gradient(stand_in, *[factors[t] for t in order])
+    grad = _held_gradient(rank, dim, *[factors[t] for t in order])
     # moving the freed slot first and the held factors into order permutes
     # the positions, which multiplies the sum by sgn(pi) per sign symbol
     return grad if permutation_sign([position, *order]) ** rank > 0 else -grad
 
 
 @once_per_block
-def _held_gradient(*factors: SymTensor) -> SymTensor:
-    """The gradient at position 0 of ``factors``, whose first factor only
-    stands in for the freed slot."""
-    return _freed_sum(factors, (0,))
+def _held_gradient(rank: int, dim: int, *held: SymTensor) -> SymTensor:
+    """The gradient at position 0 of d factors whose other d-1 are
+    ``held``, sorted by ``form``: ``_gradient_sum``, served once per
+    block."""
+    return _gradient_sum(rank, dim, *held)
 
 
 def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):

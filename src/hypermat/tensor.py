@@ -27,8 +27,8 @@ the links are multiplied left to right as rows dotted with rows in C by
 ``map(mul, ...)``, and the result is integer rows over the product of
 the scales. ``sym_product`` reads a symmetric result off the product by
 summing each orbit of ordered indices (``orbit_means``), and the
-builders return forms directly. The engine's kernel reads the same
-tables; no other module reads them. There is no second arithmetic: the
+builders return forms directly. No other module reads the tables: the
+engine reads forms only. There is no second arithmetic: the
 constructor's gcd pass takes integers only, so a float fails at once and
 table entries are integers.
 """

@@ -278,6 +278,25 @@ def matrix_det(matrix):
     return det
 
 
+def matrix_inverse(matrix):
+    """Inverse of a square list-of-rows matrix by Gauss-Jordan elimination
+    over Fractions; raises ``ZeroDivisionError`` when it is singular."""
+    dim = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(dim)]
+            for i, row in enumerate(matrix)]
+    for k in range(dim):
+        pivot = next((i for i in range(k, dim) if rows[i][k]), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(dim):
+            if i != k and rows[i][k]:
+                ratio = rows[i][k]
+                rows[i] = [x - ratio * y for x, y in zip(rows[i], rows[k])]
+    return [row[dim:] for row in rows]
+
+
 def all_canonical(rank: int, dim: int):
     return list(canonical_keys(rank, dim))
 

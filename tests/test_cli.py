@@ -207,12 +207,11 @@ class TestDet:
     def test_a_rank2_d20_document_is_over_the_work_budget(self, command, tmp_path,
                                                           capsys, monkeypatch):
         # it loads at once, and its sum is refused before any plan is built:
-        # each plan's first step past the estimate is never reached
+        # both plans read the key codes first after their estimate
         def build(*args):
             raise AssertionError("a plan was built for a refused request")
 
-        monkeypatch.setattr(engine, "canonical_keys", build)
-        monkeypatch.setattr(engine, "signed_permutations", build)
+        monkeypatch.setattr(engine, "_key_codes", build)
         path = write_doc(tmp_path, "d20.json", {"rank": 2, "dim": 20, "entries": [
             {"index": [i, i], "value": str(i + 1)} for i in range(20)]})
         extra = ["--metric", path] if command == "invariants" else []

@@ -312,7 +312,7 @@ def _assert_gradients_are_derivatives(factors, slots):
 
 class TestCoalescedStates:
     """Shapes with a level past the first, where the kernel merges partial
-    terms whose held index prefixes agree once sorted, and states that
+    terms whose held index prefixes agree as multisets, and states that
     differ only by a permutation of the positions of identical factors."""
 
     @pytest.mark.parametrize("pattern", ["azg", "aga"])
@@ -351,17 +351,18 @@ class TestCoalescedStates:
             assert derivative == multiplicity(key) * grad.component(key)
 
     def test_canonical_form_sorts_within_each_class(self):
-        two = ((0, 2), (1, 3))
-        # class (0, 2) holds 5, 1 (one swap), class (1, 3) holds 3, 9
-        assert engine._canonical((5, 3, 1, 9), two, 0) == ((1, 3, 5, 9), 1)
-        assert engine._canonical((5, 3, 1, 9), two, 1) == ((1, 3, 5, 9), -1)
-        # a cycle of three is even, a swap odd; a position in no class stays
-        assert engine._canonical((2, 0, 1), ((0, 1, 2),), 1) == ((0, 1, 2), 1)
-        assert engine._canonical((1, 0, 2), ((0, 1, 2),), 1) == ((0, 1, 2), -1)
-        assert engine._canonical((5, 0, 1), ((0, 2),), 1) == ((1, 0, 5), -1)
+        # runs (2, 2): class 0..1 holds 5, 1 (one swap), class 2..3 holds 9, 3
+        two = (2, 2)
+        assert engine._canonical((5, 1, 9, 3), two, 0) == ((1, 5, 3, 9), 1)
+        assert engine._canonical((5, 1, 3, 9), two, 1) == ((1, 5, 3, 9), -1)
+        assert engine._canonical((5, 1, 9, 3), two, 1) == ((1, 5, 3, 9), 1)
+        # a cycle of three is even, a swap odd; a class of one stays
+        assert engine._canonical((2, 0, 1), (3,), 1) == ((0, 1, 2), 1)
+        assert engine._canonical((1, 0, 2), (3,), 1) == ((0, 1, 2), -1)
+        assert engine._canonical((5, 1, 0), (2, 1), 1) == ((1, 5, 0), -1)
         # equal prefixes: the continuation is 0 at an odd count only
-        assert engine._canonical((4, 7, 4, 7), two, 1)[1] == 0
-        assert engine._canonical((7, 7, 4, 4), two, 0) == ((4, 4, 7, 7), 1)
+        assert engine._canonical((4, 4, 7, 9), two, 1)[1] == 0
+        assert engine._canonical((7, 4, 7, 4), two, 0) == ((4, 7, 4, 7), 1)
 
     @pytest.mark.parametrize("rank", [3, 5])
     def test_odd_rank_repeated_factors_cancel(self, rank):
@@ -380,7 +381,8 @@ class TestCoalescedStates:
     @pytest.mark.parametrize("rank", [4, 6])
     def test_a_freed_copy_and_non_adjacent_classes(self, rank):
         # [a, a, g] freed at slot 1 holds a once: its copy is not in a
-        # class; [a, g, a] puts one class on positions 0 and 2
+        # class; [a, g, a] puts one class on positions 0 and 2, which the
+        # gradient request sorts into one run
         a = _coprime_factor(rank, 3)
         g = random_symmetric(rank, 3, 210 + rank, 5)
         if rank == 4:
@@ -477,6 +479,23 @@ def test_a_moved_diagonal_determinant(rank, dim):
     assert epsilon_determinant(moved) == det_m ** rank * math.factorial(dim)
 
 
+@pytest.mark.parametrize("rank,dim", [(2, 8), (4, 4), (6, 4)])
+def test_a_moved_diagonal_inverse(rank, dim):
+    # the inverse is contravariant: inv(M.D) = M**-T . inv(D), and the
+    # inverse of diag(d_i) is diag(1/d_i)
+    matrix = _mixing_matrix(dim)
+    inverse = oracles.matrix_inverse(matrix)
+    assert oracles.mat_mul(matrix, inverse) == [[int(i == j) for j in range(dim)]
+                                                for i in range(dim)]
+    diagonal = SymTensor.from_entries(rank, dim, {(i,) * rank: i + 1 for i in range(dim)})
+    reciprocal = SymTensor.from_entries(rank, dim, {(i,) * rank: Fraction(1, i + 1)
+                                                    for i in range(dim)})
+    moved = oracles.transform(diagonal, matrix)
+    assert len(moved.entries) == math.comb(dim + rank - 1, rank)
+    transposed = [list(column) for column in zip(*inverse)]
+    assert epsilon_inverse(moved) == oracles.transform(reciprocal, transposed)
+
+
 @pytest.mark.parametrize("rank,dim", [(2, 6), (4, 4), (6, 3)])
 def test_moved_diagonal_invariants(rank, dim):
     # c_s(M.D, M.I) = c_s(D, I) = e_s(1..d): det(M)**r cancels in the ratio
@@ -494,13 +513,12 @@ def test_moved_diagonal_invariants(rank, dim):
 def test_the_work_budget_refuses_before_building(monkeypatch):
     # each route estimates its work from the shape: the position DP its
     # unreduced transitions, the sign-level kernel its (d!)**r terms over
-    # the class sort's merge; each plan's first step past the estimate is
-    # never reached
+    # the class sort's merge; both plans read the key codes first after
+    # the estimate, and a refused request never does
     def build(*args):
         raise AssertionError("a plan was built for a refused request")
 
-    monkeypatch.setattr(engine, "canonical_keys", build)
-    monkeypatch.setattr(engine, "signed_permutations", build)
+    monkeypatch.setattr(engine, "_key_codes", build)
     with pytest.raises(ValueError, match="budget"):
         engine.row_product(identity(20))
     with pytest.raises(ValueError, match="budget"):
@@ -526,7 +544,7 @@ class TestSharedSums:
         to the position DP."""
         requests, enumerated, scopes = [], [], []
         sums = {name: getattr(engine, name) for name in (
-            "_enumerate", "_freed_sum", "row_product", "_held_gradient",
+            "_enumerate", "_gradient_sum", "row_product", "_held_gradient",
             "epsilon_product", "coset_restricted_product_counted")}
 
         def key(factors, route):
@@ -546,9 +564,10 @@ class TestSharedSums:
             requests.append(key([tensor] * tensor.dim, (tuple(range(tensor.dim)),)))
             return sums["row_product"](tensor)
 
-        def held_gradient(*factors):
-            requests.append(key(factors, (0,)))
-            return sums["_held_gradient"](*factors)
+        def held_gradient(rank, dim, *held):
+            requests.append((rank, "held", tuple(tuple(sorted(f.entries.items()))
+                                                 for f in held)))
+            return sums["_held_gradient"](rank, dim, *held)
 
         def full(factors):
             requests.append(key(factors, ()))
@@ -563,7 +582,7 @@ class TestSharedSums:
 
         for name, recorded in (
                 ("_enumerate", enumeration("_enumerate")),
-                ("_freed_sum", enumeration("_freed_sum")),
+                ("_gradient_sum", enumeration("_gradient_sum")),
                 ("row_product", row_product), ("_held_gradient", held_gradient),
                 ("epsilon_product", full),
                 ("coset_restricted_product_counted", coset)):
@@ -600,15 +619,15 @@ class TestSharedSums:
         assert enumerated == [None, None]
 
     def test_a_shared_result_is_immutable(self):
-        factors = [SAMPLE_A, SAMPLE_A]
+        shape = (SAMPLE_A.rank, SAMPLE_A.dim)
         with engine.shared_sums():
-            grad = engine._held_gradient(*factors)
+            grad = engine._held_gradient(*shape, SAMPLE_A)
             with pytest.raises(TypeError):
                 grad.form[0][0] = 1
             with pytest.raises(AttributeError):
                 grad.form = ((1,) * 5, 1)
-            assert engine._held_gradient(*list(factors)) is grad
-        assert engine._held_gradient(*factors) == grad
+            assert engine._held_gradient(*shape, SAMPLE_A) is grad
+        assert engine._held_gradient(*shape, SAMPLE_A) == grad
 
     def test_a_nested_scope_starts_empty(self, monkeypatch):
         _, enumerated, _ = self._count(monkeypatch)
@@ -725,13 +744,13 @@ class TestSharedSums:
         # sides of the bridge at s all hold a^s g^(d-s-1)
         a, g = (suites.random_invertible(rank, dim, seed) for seed in (35, 36))
         held = []
-        freed_sum = engine._freed_sum
+        gradient_sum = engine._gradient_sum
 
-        def enumeration(factors, free):
-            held.append(sorted(factors[t].form for t in range(dim) if t not in free))
-            return freed_sum(factors, free)
+        def enumeration(rank, dim, *factors):
+            held.append([f.form for f in factors])
+            return gradient_sum(rank, dim, *factors)
 
-        monkeypatch.setattr(engine, "_freed_sum", enumeration)
+        monkeypatch.setattr(engine, "_gradient_sum", enumeration)
         with engine.shared_sums():
             for s in range(dim):
                 invariants.grad_tensor(a, g, s + 1)
