@@ -12,10 +12,13 @@ and d-s copies of the metric; its order-1 case is ``epsilon_inverse``.
 
 Every sum takes one of two routes, by whether it frees a slot: a sum
 with none runs ``_enumerate``, a slot-freed gradient ``_gradient_sum``.
-Both read a factor as its form alone, and find a canonical key's position
-in it by the key's multiset code (``_key_codes``): value v is coded
-(r+1)**v, and a multiset of at most r values by the sum of its values'
-codes, so codes add up in any order and no index prefix is sorted.
+On a polarized shape a pair (a, g) of even rank instead takes all its
+sums, or all its gradients, from one run of either route over a packed
+form (``_packed``, see "Pairs"). Each route reads a factor as its form
+alone, and finds a canonical key's position in it by the key's multiset
+code (``_key_codes``): value v is coded (r+1)**v, and a multiset of at
+most r values by the sum of its values' codes, so codes add up in any
+order and no index prefix is sorted.
 
 - Restriction. Permuting the positions of identical factors (the same
   permutation applied to every sign symbol) leaves a term's factor
@@ -23,12 +26,13 @@ codes, so codes add up in any order and no index prefix is sorted.
   rank the paper's coset sum, the first permutation restricted to the
   C(d,s) block-monotone representatives of two blocks of identical
   factors and scaled by s!(d-s)!, equals the full sum, and is computed
-  as the full sum. Fixing the first permutation to the identity gives
-  the row product: 1/d! times the full sum at even rank, and at odd rank,
-  where the full sum vanishes, generally nonzero. At odd rank a full sum
-  with a repeated factor is 0 without a plan: swapping the two copies
-  negates every term. The sign-level route uses the symmetry in its
-  run sort (see "Coalesced states").
+  as the full sum, or on a polarized shape as a digit of the pair's
+  packed row product (see "Pairs"). Fixing the first permutation to the
+  identity gives the row product: 1/d! times the full sum at even rank,
+  and at odd rank, where the full sum vanishes, generally nonzero. At
+  odd rank a full sum with a repeated factor is 0 without a plan:
+  swapping the two copies negates every term. The sign-level route uses
+  the symmetry in its run sort (see "Coalesced states").
 - Positions, the route of every request with no freed slot (the
   determinant, the row product, the coset sums and full sums). The sum
   is a dynamic programme over factor positions, the subset DP of Bellman
@@ -90,6 +94,30 @@ codes, so codes add up in any order and no index prefix is sorted.
   prefix as a row of the positions of its d completions. A call reads
   each held factor's form numerators at those rows into the last level
   only, and adds each freed index into its canonical key.
+- Pairs. At even rank the full sum is symmetric and multilinear in its
+  factor positions, so the row product of X*a + g polarizes (Olver,
+  *Classical Invariant Theory*, 1999):
+  row(X*a + g) = sum_s X**s E(a^s g^(d-s)) / (s!(d-s)!), with E the full
+  sum. Likewise the gradient at position 0 of d-1 copies of X*a + g is
+  sum_j C(d-1, j) X**j times the gradient holding a^j g^(d-1-j). With a
+  and g over a common scale L, numerators A and G, each key of the
+  packed form holds (A << B) + G, so X = 2**B, and one integer run of the
+  row plan, or of the copies gradient ``_plan(r, d, (d-1,))``, holds
+  every coefficient as a base-2**B digit (Kronecker substitution). A
+  digit is signed: it is read in [-2**(B-1), 2**(B-1)), and a carry left
+  past the last digit raises ``RuntimeError``. B is 2 bits over a
+  proved bound on every coefficient, the terms of the sum times
+  (max|A| + max|G|) to the number of factors read:
+  (d!)**(r-1) (max|A| + max|G|)**d for the sums, read over L**d, and
+  (d!)**r (max|A| + max|G|)**(d-1) for the gradients, whose digit j is
+  C(d-1, j) times that gradient's integer accumulator before the key
+  weights, over L**(d-1). At odd rank the sum is antisymmetric in the
+  positions of identical factors, so there is no pair route. A packed
+  form is never a ``SymTensor``: its gcd pass would mix the digits. The
+  pass replaces d-1 full-plan sums and d-2 mixed gradients of the pair,
+  and wins from d = 4, and from d = 3 at rank 4 and above
+  (``_polarized``); below that crossover each sum and gradient is
+  enumerated on its own.
 - Work. Before a plan is built, its route estimates its work from the
   shape alone, the position DP its transitions before any reduction
   (each of the r symbols moving to any unused value) and the sign-level
@@ -109,17 +137,21 @@ codes, so codes add up in any order and no index prefix is sorted.
   once and a repeat is served from a dict that lives only as long as the
   block. That is the row product (so the determinant, c_0's and c_d's
   numerators and the row-product determinant are one sum), the gradient
-  of a held multiset, the inverse, the invariant c_s and the rank-2
-  matrix identity. A call is keyed by the function's qualified name, each
+  of a held multiset, the packed sums and the packed gradients of a pair
+  (``_pair``), the inverse, the invariant c_s and the rank-2 matrix
+  identity. A call is keyed by the function's qualified name, each
   tensor argument's (rank, dim, ``form``) and each integer argument. A
   form is the tensor's value in lowest terms, so equal tensors give
   equal keys whatever object holds them, and no key holds a tensor. So
   the metric's det(g) and inv(g) are computed once per block and passed
   by no caller, and the d gradients that hold a^j g^(d-1-j) are all that
   ``grad_tensor``, ``grad_metric``, the bridge rows and the inverse of a
-  or g enumerate for a pair (a, g); a raised error is never stored. A
-  full sum and a coset sum with two non-empty blocks are not served
-  themselves; c_s, which reads the coset sum, is. Results are immutable
+  or g enumerate for a pair (a, g), on a polarized shape the two copies
+  and one packed pass for the d-2 mixed ones; a raised error is never
+  stored. A full sum and a coset sum with two non-empty blocks are not
+  served themselves; c_s, which reads the coset sum, is, and on a
+  polarized shape the coset sums of 0 < s < d of a pair are one packed
+  pass. Results are immutable
   values (a ``Fraction`` or a tensor). The dict is scoped, not global: a
   sample reuses only its own results, so the cost of a call never
   depends on what ran before it, and the memory goes when the block
@@ -435,23 +467,13 @@ def sharing(function):
     return run
 
 
-def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
-    """The signed sum of ``factors`` by the position DP: its shape's plan,
-    built on the shape's first call, run over the factors' forms. The
-    full sum, or with ``row`` the sum with the first permutation fixed to
-    the identity."""
-    rank, dim = factors[0].rank, factors[0].dim
-    if rank % 2 and not row and len({f.form for f in factors}) < dim:
-        # swapping two identical factors negates every term
-        return Fraction(0)
-    steps, _ = _position_plan(rank, dim, row)
-    denominator = 1
+def _position_sum(steps: tuple, numerators: Sequence) -> int:
+    """The integer sum of a position plan's ``steps`` over the form
+    numerators of the factor at each position, before the scales."""
     values = [1]
-    for factor, (sources, offsets, coefficients, starts, ends) in zip(factors, steps):
-        numerators, scale = factor.form
-        denominator *= scale
+    for factor, (sources, offsets, coefficients, starts, ends) in zip(numerators, steps):
         moved = map(mul, map(mul, map(values.__getitem__, sources),
-                             map(numerators.__getitem__, offsets)), coefficients)
+                             map(factor.__getitem__, offsets)), coefficients)
         # a step with one transition per state and the last step, which
         # has one destination, skip the running sums: without these two
         # cases verify-even-top ran about 5 % fewer ops per second
@@ -463,25 +485,35 @@ def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
             running = [0, *itertools.accumulate(moved)]
             values = list(map(sub, map(running.__getitem__, ends),
                               map(running.__getitem__, starts)))
-    return Fraction(values[0], denominator)
+    return values[0]
 
 
-def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
-    """The gradient at position 0 of d factors whose other d-1 are
-    ``held``, sorted by ``form``, by the sign-level kernel: the held
-    factors' form numerators are read into the last level of their shape's
-    plan, whose states are built on the shape's first call. Each freed
-    index is added into its canonical key, so a key holds the sum over its
-    orderings, and its multiplicity times the per-component formal
-    value."""
-    classes = [(form, len(tuple(same)))
-               for form, same in itertools.groupby(f.form for f in held)]
+def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
+    """The signed sum of ``factors`` by the position DP: its shape's plan,
+    built on the shape's first call, run over the factors' forms. The
+    full sum, or with ``row`` the sum with the first permutation fixed to
+    the identity."""
+    rank, dim = factors[0].rank, factors[0].dim
+    if rank % 2 and not row and len({f.form for f in factors}) < dim:
+        # swapping two identical factors negates every term
+        return Fraction(0)
+    steps, _ = _position_plan(rank, dim, row)
+    return Fraction(_position_sum(steps, [f.form[0] for f in factors]),
+                    math.prod(f.form[1] for f in factors))
+
+
+def _gradient_accumulator(rank: int, dim: int, classes: Sequence) -> tuple:
+    """(acc, weights) of the gradient at position 0 of d factors whose
+    other d-1 are held, ``classes`` their (form numerators, count) in
+    order, by the sign-level kernel: per canonical key the integer sum
+    over its orderings before the scales, and r! over each key's
+    multiplicity. The held numerators are read into the last level of
+    their shape's plan, whose states are built on the shape's first
+    call."""
     states, last, rows, _, weights = _plan(rank, dim, tuple(n for _, n in classes))
     held_rows = []  # per held position, its numerators at each row's keys
-    denominator = 1
-    for (numerators, scale), count in classes:
+    for numerators, count in classes:
         held_rows += [[[numerators[k] for k in keys] for keys in rows]] * count
-        denominator *= scale ** count
     acc = [0] * len(weights)
     for base, out, coeff in states:
         flat = [1, -1]
@@ -492,8 +524,81 @@ def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
             v = sum(map(math.prod, map(pick_from, picks)))
             if v:
                 acc[out[o]] += coeff * v
+    return acc, weights
+
+
+def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
+    """The gradient at position 0 of d factors whose other d-1 are
+    ``held``, sorted by ``form``, by the sign-level kernel. Each freed
+    index is added into its canonical key, so a key holds the sum over its
+    orderings, and its multiplicity times the per-component formal
+    value."""
+    classes = [(form, len(tuple(same)))
+               for form, same in itertools.groupby(f.form for f in held)]
+    acc, weights = _gradient_accumulator(
+        rank, dim, [(numerators, count) for (numerators, _), count in classes])
     return SymTensor(rank, dim, map(mul, acc, weights),
-                     denominator * math.factorial(rank))
+                     math.prod(scale ** count for (_, scale), count in classes)
+                     * math.factorial(rank))
+
+
+def _polarized(rank: int, dim: int) -> bool:
+    """Whether the sums and the mixed gradients of a pair take the packed
+    pass (see "Pairs"): at even rank, from the measured crossover on."""
+    return rank % 2 == 0 and (dim >= 4 or dim == 3 and rank >= 4)
+
+
+def _digits(value: int, bits: int, count: int) -> list:
+    """The ``count`` signed base-2**bits digits of ``value``, lowest
+    first, each in [-2**(bits-1), 2**(bits-1)); a carry left over raises
+    ``RuntimeError``."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    for _ in range(count):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        digits.append(digit)
+        value = (value - digit) >> bits
+    if value:
+        raise RuntimeError(f"a packed sum carries past its {count} digits "
+                           f"of {bits} bits")
+    return digits
+
+
+def _packed(a: SymTensor, g: SymTensor, freed: int) -> tuple:
+    """Every sum (``freed`` 0) or every gradient (``freed`` 1) of the even-
+    rank pair (a, g) by one pass over the packed form X*a + g (see
+    "Pairs"): the full sums of a^s g^(d-s) for s = 0..d, or the gradients
+    at position 0 holding a^j g^(d-1-j) for j = 0..d-1."""
+    rank, dim = a.rank, a.dim
+    (a_numerators, a_scale), (g_numerators, g_scale) = a.form, g.form
+    scale = math.lcm(a_scale, g_scale)
+    a_numerators = [n * (scale // a_scale) for n in a_numerators]
+    g_numerators = [n * (scale // g_scale) for n in g_numerators]
+    # the proved bound of "Pairs" on every digit's coefficient
+    largest = max(map(abs, a_numerators)) + max(map(abs, g_numerators))
+    bound = math.factorial(dim) ** (rank - 1 + freed) * largest ** (dim - freed)
+    bits = bound.bit_length() + 2
+    packed = [(x << bits) + y for x, y in zip(a_numerators, g_numerators)]
+    if not freed:
+        steps, _ = _position_plan(rank, dim, True)
+        digits = _digits(_position_sum(steps, [packed] * dim), bits, dim + 1)
+        return tuple(Fraction(digit * math.factorial(s) * math.factorial(dim - s),
+                              scale ** dim) for s, digit in enumerate(digits))
+    acc, weights = _gradient_accumulator(rank, dim, [(packed, dim - 1)])
+    denominator = scale ** (dim - 1) * math.factorial(rank)
+    columns = zip(*[_digits(v, bits, dim) for v in acc])
+    return tuple(SymTensor(rank, dim, [v // math.comb(dim - 1, j) * w
+                                       for v, w in zip(column, weights)], denominator)
+                 for j, column in enumerate(columns))
+
+
+@once_per_block
+def _pair(a: SymTensor, g: SymTensor, freed: int) -> tuple:
+    """Every sum or every gradient of the pair (a, g): ``_packed``, served
+    once per block."""
+    return _packed(a, g, freed)
 
 
 def epsilon_product(factors: Sequence[SymTensor]):
@@ -532,8 +637,16 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
 @once_per_block
 def _held_gradient(rank: int, dim: int, *held: SymTensor) -> SymTensor:
     """The gradient at position 0 of d factors whose other d-1 are
-    ``held``, sorted by ``form``: ``_gradient_sum``, served once per
-    block."""
+    ``held``, sorted by ``form``, served once per block: a digit of the
+    pair's packed gradients when ``held`` is two classes and the shape is
+    polarized, else ``_gradient_sum``."""
+    if _polarized(rank, dim):
+        forms = [f.form for f in held]
+        copies = forms.count(forms[0])
+        # the first and the last class cover every held factor only when
+        # they differ and are the only two
+        if copies + forms.count(forms[-1]) == dim - 1:
+            return _pair(held[0], held[-1], 1)[copies]
     return _gradient_sum(rank, dim, *held)
 
 
@@ -545,9 +658,10 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
 
     Requires even rank and factors that are constant within the two blocks
     [0, split) and [split, d). Split 0 and split d are d! times
-    ``row_product``; every other split is the full sum by the position DP
-    (see "Positions"), so the count is of the terms the restriction
-    covers, not of the steps taken.
+    ``row_product``; every other split is the full sum, on a polarized
+    shape a digit of the pair's packed sums (see "Pairs") and otherwise by
+    the position DP (see "Positions"), so the count is of the terms the
+    restriction covers, not of the steps taken.
     """
     rank, dim = _uniform_shape(factors)
     if rank % 2:
@@ -562,6 +676,8 @@ def coset_restricted_product_counted(factors: Sequence[SymTensor], split: int):
             raise ValueError("factors in the second block differ")
     if split in (0, dim):
         value = row_product(factors[0]) * math.factorial(dim)
+    elif _polarized(rank, dim):
+        value = _pair(factors[0], factors[split], 0)[split]
     else:
         value = _enumerate(factors)
     return value, math.comb(dim, split) * math.factorial(dim) ** (rank - 1)

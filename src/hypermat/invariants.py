@@ -148,9 +148,13 @@ def evaluate_polynomial(coefficients: Sequence, point):
 
 def characteristic_residual_at(a: SymTensor, g: SymTensor, point) -> Fraction:
     """Difference between the order-d invariant of a - t*g and the
-    characteristic polynomial evaluated at t; exactly zero."""
+    characteristic polynomial evaluated at t; exactly zero.
+
+    det(a - t*g) is the full sum over d!, so it shares no plan with the
+    c_s, which read the row plan on a polarized shape."""
     shifted = a + g * (-point)
-    direct = engine.epsilon_determinant(shifted) / metric_determinant(g)
+    direct = (engine.epsilon_product([shifted] * a.dim) / math.factorial(a.dim)
+              / metric_determinant(g))
     coeffs = characteristic_coefficients(invariant_values(a, g))
     return direct - evaluate_polynomial(coeffs, point)
 

@@ -294,8 +294,9 @@ class TestInvariants:
 
     def test_the_metric_determinant_is_enumerated_once(
             self, tmp_path, capsys, monkeypatch):
-        # one coset sum per order 1..3 and one for det(G), which is also
-        # order 0's numerator; repeats are served from the command's
+        # one row product for det(G), which is also order 0's numerator,
+        # one for det(A), order 3's, and one packed pass over the pair for
+        # orders 1 and 2; repeats are served from the command's
         # shared-sums block
         docs = [tensor_to_document(suites.random_invertible(4, 3, seed))
                 for seed in (3, 4)]
@@ -303,16 +304,20 @@ class TestInvariants:
         a, g = (write_doc(tmp_path, f"{name}.json", doc)
                 for name, doc in zip("ag", docs))
         enumerated = []
-        enumerate_sum = engine._enumerate
 
-        def enumeration(*args, **kwargs):
-            enumerated.append(args)
-            return enumerate_sum(*args, **kwargs)
+        def counted(name):
+            function = getattr(engine, name)
 
-        monkeypatch.setattr(engine, "_enumerate", enumeration)
+            def enumeration(*args, **kwargs):
+                enumerated.append(name)
+                return function(*args, **kwargs)
+            return enumeration
+
+        for name in ("_enumerate", "_packed"):
+            monkeypatch.setattr(engine, name, counted(name))
         code, out, _ = run(capsys, "invariants", a, "--metric", g)
         assert code == 0 and len(json.loads(out)) == 4
-        assert len(enumerated) == 4
+        assert sorted(enumerated) == ["_enumerate", "_enumerate", "_packed"]
 
 
 class TestInverse:

@@ -444,6 +444,58 @@ class TestPositionDP:
         assert engine.row_product(a) == oracles.brute_row_product_det(a)
 
 
+PAIR_SHAPES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
+               (6, 2), (6, 3)]
+
+
+def _pair_of(case, rank, dim):
+    """(a, g): negative entries over unequal scales, a zero factor on
+    either side, or a == g."""
+    a = _coprime_factor(rank, dim)
+    g = random_symmetric(rank, dim, 250 + 10 * rank + dim, 5) * Fraction(-3, 4)
+    zero = SymTensor.zero(rank, dim)
+    return {"unequal": (a, g), "zero_a": (zero, g), "zero_g": (a, zero),
+            "equal": (g, g)}[case]
+
+
+class TestPairs:
+    """The packed pass of a pair against the unpacked routes: its digits
+    are every full sum of a^s g^(d-s) and every gradient holding
+    a^j g^(d-1-j), at any even shape, whether or not it is polarized."""
+
+    @pytest.mark.parametrize("case", ["unequal", "zero_a", "zero_g", "equal"])
+    @pytest.mark.parametrize("rank,dim", PAIR_SHAPES)
+    def test_the_digits_are_the_sums(self, case, rank, dim):
+        a, g = _pair_of(case, rank, dim)
+        sums = engine._packed(a, g, 0)
+        factors = [[a] * s + [g] * (dim - s) for s in range(dim + 1)]
+        assert sums == tuple(map(engine._enumerate, factors))
+        if math.factorial(dim) ** rank <= 1296:
+            assert sums == tuple(map(oracles.brute_epsilon_product, factors))
+
+    @pytest.mark.parametrize("case", ["unequal", "zero_a", "zero_g", "equal"])
+    @pytest.mark.parametrize("rank,dim", PAIR_SHAPES)
+    def test_the_digits_are_the_gradients(self, case, rank, dim):
+        a, g = _pair_of(case, rank, dim)
+        assert engine._packed(a, g, 1) == tuple(
+            engine._gradient_sum(rank, dim, *[a] * j, *[g] * (dim - 1 - j))
+            for j in range(dim))
+
+    def test_a_carry_left_over_raises(self):
+        # 4 bits per digit: det(a) = 10**9 is c_3's digit and overflows it
+        a = SymTensor.from_entries(2, 3, {(i, i): 1000 for i in range(3)})
+        g = identity(3)
+        steps, _ = engine._position_plan(2, 3, True)
+
+        def packed_sum(bits):
+            packed = [(x << bits) + y for x, y in zip(a.form[0], g.form[0])]
+            return engine._position_sum(steps, [packed] * 3)
+
+        assert engine._digits(packed_sum(40), 40, 4) == [1, 3000, 3 * 10 ** 6, 10 ** 9]
+        with pytest.raises(RuntimeError, match="carries past its 4 digits"):
+            engine._digits(packed_sum(4), 4, 4)
+
+
 def _diagonal(rank, dim):
     # entries 1, -3/2, 5/3, ...: distinct scales, product known
     return SymTensor.from_entries(rank, dim, {
@@ -537,14 +589,17 @@ class TestSharedSums:
     @staticmethod
     def _count(monkeypatch):
         """Record every request for a sum (by rank, route and factor
-        content) and every enumeration, by the position DP or the
-        sign-level kernel, with the scope each ran in. The row product
-        and the gradient of a held multiset are served once per block;
-        a full sum and a coset sum strictly between the blocks' ends go
-        to the position DP."""
+        content) and every enumeration, by the position DP, the packed
+        pass of a pair or the sign-level kernel, with the scope each ran
+        in. The row product and the gradient of a held multiset are served
+        once per block; a full sum goes to the position DP. On a polarized
+        shape a coset sum strictly between the blocks' ends and the
+        gradient of two held classes read the pair's packed pass, served
+        once per block, so they are recorded as the pair's request;
+        elsewhere the coset sum goes to the position DP."""
         requests, enumerated, scopes = [], [], []
         sums = {name: getattr(engine, name) for name in (
-            "_enumerate", "_gradient_sum", "row_product", "_held_gradient",
+            "_enumerate", "_gradient_sum", "_packed", "row_product", "_held_gradient",
             "epsilon_product", "coset_restricted_product_counted")}
 
         def key(factors, route):
@@ -565,8 +620,11 @@ class TestSharedSums:
             return sums["row_product"](tensor)
 
         def held_gradient(rank, dim, *held):
-            requests.append((rank, "held", tuple(tuple(sorted(f.entries.items()))
-                                                 for f in held)))
+            if engine._polarized(rank, dim) and len({f.form for f in held}) == 2:
+                requests.append(key([held[0], held[-1]], "gradients"))
+            else:
+                requests.append((rank, "held", tuple(tuple(sorted(f.entries.items()))
+                                                     for f in held)))
             return sums["_held_gradient"](rank, dim, *held)
 
         def full(factors):
@@ -575,14 +633,18 @@ class TestSharedSums:
 
         def coset(factors, split):
             # split 0 and split d are recorded as row_product's request
-            if 0 < split < len(factors):
-                blocks = (tuple(range(split)), tuple(range(split, len(factors))))
+            rank, dim = factors[0].rank, len(factors)
+            if 0 < split < dim and engine._polarized(rank, dim):
+                requests.append(key([factors[0], factors[split]], "sums"))
+            elif 0 < split < dim:
+                blocks = (tuple(range(split)), tuple(range(split, dim)))
                 requests.append(key(factors, blocks))
             return sums["coset_restricted_product_counted"](factors, split)
 
         for name, recorded in (
                 ("_enumerate", enumeration("_enumerate")),
                 ("_gradient_sum", enumeration("_gradient_sum")),
+                ("_packed", enumeration("_packed")),
                 ("row_product", row_product), ("_held_gradient", held_gradient),
                 ("epsilon_product", full),
                 ("coset_restricted_product_counted", coset)):
@@ -703,8 +765,9 @@ class TestSharedSums:
         a, g = (suites.random_invertible(rank, dim, seed) for seed in (21, 22))
         _, enumerated, scopes = self._count(monkeypatch)
         invariants.invariant_values(a, g)
-        # c_0's sum is det(g)'s, which every order divides by
-        assert len(enumerated) == dim + 1
+        # c_0's sum is det(g)'s, which every order divides by, c_d's is
+        # det(a)'s, and c_1..c_(d-1) read one packed pass over the pair
+        assert len(enumerated) == 3
         assert len(scopes) == 1 and scopes[0] is not None
 
     @pytest.mark.parametrize("verifier,rank,dim", [
@@ -726,13 +789,16 @@ class TestSharedSums:
         assert None not in scopes and len(scopes) == 2
 
     @pytest.mark.parametrize("suite,dim,count", [
-        ("rank2", 2, 17), ("rank2", 3, 24), ("rank2", 4, 31), ("rank4", 2, 11),
-        ("rank4", 3, 15), ("odd", 2, 4), ("odd", 3, 3)])
+        ("rank2", 2, 17), ("rank2", 3, 24), ("rank2", 4, 19), ("rank4", 2, 11),
+        ("rank4", 3, 12), ("odd", 2, 4), ("odd", 3, 3)])
     def test_one_sample_enumeration_counts_are_pinned(
             self, monkeypatch, suite, dim, count):
         # one gradient per held multiset, and one full sum for det(a); a key
         # on the full factor list and the freed slot would make the
-        # even-rank counts 22/32/42 and 13/18
+        # even-rank counts 22/32/42 and 13/18. At rank2 d=4 and rank4 d=3
+        # each pair's sums and mixed gradients are one packed pass each,
+        # where a sum per coset split and a gradient per mixed multiset
+        # made 31 and 15
         _, enumerated, _ = self._count(monkeypatch)
         assert suites.run_suite(suite, dim, 5, 1).all_pass
         assert len(enumerated) == count
@@ -742,27 +808,38 @@ class TestSharedSums:
             self, monkeypatch, rank, dim):
         # grad_tensor at s+1, the slot term of grad_metric at s and both
         # sides of the bridge at s all hold a^s g^(d-s-1)
+        # on a polarized shape the mixed multisets are digits of one packed
+        # pass over the pair, and only the copies take the kernel
         a, g = (suites.random_invertible(rank, dim, seed) for seed in (35, 36))
         held = []
-        gradient_sum = engine._gradient_sum
+        gradient_sum, packed = engine._gradient_sum, engine._packed
 
         def enumeration(rank, dim, *factors):
-            held.append([f.form for f in factors])
+            held.append(("held", *sorted(f.form for f in factors)))
             return gradient_sum(rank, dim, *factors)
 
+        def pair(x, y, freed):
+            if freed:
+                held.append(("pair", x.form, y.form))
+            return packed(x, y, freed)
+
         monkeypatch.setattr(engine, "_gradient_sum", enumeration)
+        monkeypatch.setattr(engine, "_packed", pair)
         with engine.shared_sums():
             for s in range(dim):
                 invariants.grad_tensor(a, g, s + 1)
                 invariants.grad_metric(a, g, s)
                 assert invariants.metric_derivative_bridge_residual(a, g, s).is_zero()
-        assert sorted(held) == sorted(sorted([a.form] * s + [g.form] * (dim - 1 - s))
-                                      for s in range(dim))
+        multisets = [("held", *sorted([a.form] * s + [g.form] * (dim - 1 - s)))
+                     for s in range(dim)]
+        if engine._polarized(rank, dim):
+            multisets = [multisets[0], multisets[-1], ("pair", *sorted([a.form, g.form]))]
+        assert sorted(held) == sorted(multisets)
         held.clear()
         with engine.shared_sums():
             inverse = epsilon_inverse(a)
             assert invariants.grad_tensor(a, g, dim) == inverse * invariant_of_order(a, g, dim)
-        assert held == [[a.form] * (dim - 1)]
+        assert held == [("held", *[a.form] * (dim - 1))]
 
     @pytest.mark.parametrize("rank,dim", [(2, 3), (4, 3)])
     def test_a_determinant_is_one_request_by_every_route(
@@ -833,8 +910,9 @@ class TestPlans:
         # sorted, so step t holds the multisets of r-1 t-subsets
         pytest.param(6, 3, None, (21, 21, 1), id="6-3-None"),
         pytest.param(4, 4, None, (20, 56, 20, 1), id="4-4-None"),
-        # a coset sum of all copies is the full sum: all r masks are
-        # sorted, so step t holds the multisets of r t-subsets
+        # a coset sum of all copies is the full sum, which a shape below
+        # the crossover runs on the full plan: all r masks are sorted, so
+        # step t holds the multisets of r t-subsets
         pytest.param(2, 4, 2, (10, 21, 10, 1), id="2-4-split2"),
         pytest.param(4, 3, 1, (15, 15, 1), id="4-3-split1"),
     ])
@@ -852,17 +930,36 @@ class TestPlans:
         if split is None:
             epsilon_determinant(t)
         else:
+            monkeypatch.setattr(engine, "_polarized", lambda rank, dim: False)
             coset_restricted_product_counted([t] * dim, split)
         assert seen == [widths]
 
-    @pytest.mark.parametrize("rank,dim", [(2, 4), (2, 5), (4, 3)])
-    def test_the_invariants_of_a_pair_build_two_plans(self, rank, dim):
-        # c_0 and c_d read the row plan and every other c_s the full plan;
-        # a plan per coset split would make d plans
+    @pytest.mark.parametrize("rank,dim,plans", [(2, 3, 2), (2, 4, 1), (2, 5, 1), (4, 3, 1)])
+    def test_the_plans_the_invariants_of_a_pair_build(self, rank, dim, plans):
+        # c_0 and c_d read the row plan; every other c_s reads the full
+        # plan below the crossover and the pair's packed pass over the row
+        # plan from it on. A plan per coset split would make d plans
         a, g = (suites.random_invertible(rank, dim, seed) for seed in (37, 38))
         engine._position_plan.cache_clear()
         invariants.invariant_values(a, g)
-        assert engine._position_plan.cache_info().misses == 2
+        assert engine._position_plan.cache_info().misses == plans
+
+    def test_a_rank2_d12_pair_never_builds_the_full_plan(self, monkeypatch):
+        # the full plan holds about C(12, 6)**2 / 2 states at its widest
+        # step, and took over a minute behind `hypermat invariants`
+        built = []
+        plan = engine._position_plan
+
+        def recorded(*shape):
+            built.append(shape)
+            return plan(*shape)
+
+        monkeypatch.setattr(engine, "_position_plan", recorded)
+        diagonal = SymTensor.from_entries(2, 12, {(i, i): i + 1 for i in range(12)})
+        assert invariants.invariant_values(diagonal, identity(12)) == tuple(
+            sum(map(math.prod, itertools.combinations(range(1, 13), s)))
+            for s in range(13))
+        assert (2, 12, False) not in built and (2, 12, True) in built
 
     def test_shapes_that_differ_only_in_layout(self):
         # each request shares rank, dimension, freed slots and classes with

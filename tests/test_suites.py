@@ -58,6 +58,26 @@ def test_a_wrong_row_product_fails_the_determinant_rows(monkeypatch, suite, dim,
     assert rows <= {c.identity for c in report.checks if c.status == FAIL}
 
 
+@pytest.mark.parametrize("suite,dim", [("rank2", 4), ("rank4", 3)])
+def test_a_wrong_row_plan_fails_the_characteristic_polynomial(monkeypatch, suite, dim):
+    # one transition of the row plan negated: the c_s read the row plan
+    # through the pair's packed pass, so det(a - t*g) must not
+    plan = engine._position_plan
+
+    def mutated(rank, dim, row):
+        steps, widths = plan(rank, dim, row)
+        if not row:
+            return steps, widths
+        sources, offsets, coefficients, starts, ends = steps[0]
+        negated = (-coefficients[0], *coefficients[1:])
+        return ((sources, offsets, negated, starts, ends), *steps[1:]), widths
+
+    monkeypatch.setattr(engine, "_position_plan", mutated)
+    report = suites.run_suite(suite, dim, 5, 1)
+    rows = [c.status for c in report.checks if c.identity == "char_poly_evaluation"]
+    assert rows and all(status == FAIL for status in rows)
+
+
 def test_suite_reports_are_pinned():
     # sha256 of every report over all SUITE_DIMS pairs and seeds 1-8, two
     # samples each, so a sample that follows another in one run is covered
