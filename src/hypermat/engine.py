@@ -13,8 +13,9 @@ and d-s copies of the metric; its order-1 case is ``epsilon_inverse``.
 Every sum takes one of two routes, by whether it frees a slot: a sum
 with none runs ``_enumerate``, a slot-freed gradient ``_gradient_sum``.
 On a polarized shape a pair (a, g) of even rank instead takes all its
-sums, or all its gradients, from one run of either route over a packed
-form (``_packed``, see "Pairs"). Each route reads a factor as its form
+sums from one run of the row plan over a packed form, and all its
+gradients from one forward and one backward run of it (``_packed``, see
+"Pairs"). Each route reads a factor as its form
 alone, and finds a canonical key's position in it by the key's multiset
 code (``_key_codes``): value v is coded (r+1)**v, and a multiset of at
 most r values by the sum of its values' codes, so codes add up in any
@@ -54,7 +55,11 @@ order and no index prefix is sorted.
   r values' canonical key and its signed coefficient. A call reads each factor's
   form numerators at those positions, sums per destination state with
   Python integers only, and divides the scales out once at the end.
-- Sign levels, the route of a slot-freed gradient. It leaves one
+- Sign levels, the route of a slot-freed gradient that no pair serves
+  (see "Pairs"): every gradient at odd rank or below the crossover, of
+  three or more held classes or of distinct factors, and the copies of
+  a tensor asked for outside a block, or before the block computed the
+  sums of a pair that holds it. It leaves one
   position out of the product and accumulates each term at the
   canonical key of that position's r indices. A gradient depends only
   on the multiset of held factors: moving the freed slot to position 0
@@ -98,32 +103,51 @@ order and no index prefix is sorted.
   factor positions, so the row product of X*a + g polarizes (Olver,
   *Classical Invariant Theory*, 1999):
   row(X*a + g) = sum_s X**s E(a^s g^(d-s)) / (s!(d-s)!), with E the full
-  sum. Likewise the gradient at position 0 of d-1 copies of X*a + g is
-  sum_j C(d-1, j) X**j times the gradient holding a^j g^(d-1-j). With a
-  and g over a common scale L, numerators A and G, each key of the
-  packed form holds (A << B) + G, so X = 2**B, and one integer run of the
-  row plan, or of the copies gradient ``_plan(r, d, (d-1,))``, holds
-  every coefficient as a base-2**B digit (Kronecker substitution). A
-  digit is signed: it is read in [-2**(B-1), 2**(B-1)), and a carry left
-  past the last digit raises ``RuntimeError``. B is 2 bits over a
-  proved bound on every coefficient, the terms of the sum times
-  (max|A| + max|G|) to the number of factors read:
-  (d!)**(r-1) (max|A| + max|G|)**d for the sums, read over L**d, and
-  (d!)**r (max|A| + max|G|)**(d-1) for the gradients, whose digit j is
-  C(d-1, j) times that gradient's integer accumulator before the key
-  weights, over L**(d-1). At odd rank the sum is antisymmetric in the
-  positions of identical factors, so there is no pair route. A packed
-  form is never a ``SymTensor``: its gcd pass would mix the digits. The
-  pass replaces d-1 full-plan sums and d-2 mixed gradients of the pair,
-  and wins from d = 4, and from d = 3 at rank 4 and above
-  (``_polarized``); below that crossover each sum and gradient is
-  enumerated on its own.
+  sum. With a and g over a common scale L, numerators A and G, each key
+  of the packed form holds (A << B) + G, so X = 2**B, and one integer
+  run of the row plan over d packed copies holds every coefficient as a
+  base-2**B digit (Kronecker substitution). A position plan is a
+  straight-line program, so one reverse walk over its steps gives the
+  derivative of its sum in every numerator at a constant multiple of
+  the forward cost (Baur and Strassen, *Theoret. Comput. Sci.* 22, 1983;
+  ``_position_derivative``): a transition (source, offset, coefficient)
+  into a state of adjoint w adds w*coefficient*value[source] to the
+  derivative at ``offset`` and w*coefficient*factor[offset] to the
+  adjoint of ``source``. Over d copies of one form the steps'
+  derivatives add up in one list D, and since the full sum is d! times
+  the row product at even rank, (d-1)!*D is the sign-level accumulator
+  of the gradient holding d-1 copies. Over the packed form that is
+  sum_j C(d-1, j) X**j times the accumulator of the gradient holding
+  a^j g^(d-1-j), so one forward and one backward run give all d
+  gradients of the pair as digits, the copies of g (j = 0) and of a
+  (j = d-1) included. A digit is signed: it is read in
+  [-2**(B-1), 2**(B-1)), and a carry left past the last digit raises
+  ``RuntimeError``. B is 2 bits over a proved bound on every
+  coefficient, the terms of the sum times (max|A| + max|G|) to the
+  number of factors read: (d!)**(r-1) (max|A| + max|G|)**d for the
+  sums, read over L**d, and (d!)**r (max|A| + max|G|)**(d-1) for the
+  gradients, read over L**(d-1). At odd rank the sum is antisymmetric
+  in the positions of identical factors, so there is no pair route. A
+  packed form is never a ``SymTensor``: its gcd pass would mix the
+  digits. The sums replace d-1 full-plan sums and the gradients d
+  kernel gradients; the pass wins from d = 4, and from d = 3 at rank 4
+  and above (``_polarized``); below that crossover each sum and
+  gradient is enumerated on its own. A mixed gradient asks for its pair
+  by its two held classes. The copies of one tensor name no pair, so a
+  block that computes a pair's sums (``_pair(a, g, 0)``) remembers the
+  pair under each of its tensors, keeping the first pair it sees for a
+  tensor, and a later request for the copies of that tensor reads the
+  pair's gradients, with the two tensors sorted by ``form`` as a mixed
+  request sorts them. A copies request outside a block, or before its
+  pair's sums, takes the sign-level kernel, as does the copies request
+  of a tensor in no pair (``hypermat inverse``, the odd-rank lift).
 - Work. Before a plan is built, its route estimates its work from the
   shape alone, the position DP its transitions before any reduction
   (each of the r symbols moving to any unused value) and the sign-level
   kernel its (d!)**r terms over the run sort's merge, and a request
   over ``WORK_BUDGET`` raises ``ValueError``; each plan reads the key
-  codes first after its check. ``check_budget`` runs the position DP's
+  codes first after its check. A pair's gradients run the row plan, so
+  they are budgeted by its position-DP estimate. ``check_budget`` runs the position DP's
   check alone, so a caller can refuse a shape before it builds the
   factors. The estimates are loose: they refuse the hopeless shapes, not
   every slow one. No route counts terms;
@@ -146,16 +170,18 @@ order and no index prefix is sorted.
   the metric's det(g) and inv(g) are computed once per block and passed
   by no caller, and the d gradients that hold a^j g^(d-1-j) are all that
   ``grad_tensor``, ``grad_metric``, the bridge rows and the inverse of a
-  or g enumerate for a pair (a, g), on a polarized shape the two copies
-  and one packed pass for the d-2 mixed ones; a raised error is never
+  or g enumerate for a pair (a, g). On a polarized shape they are one
+  packed pass, the copies of a tensor included once the block has
+  computed the sums of a pair that holds it (see "Pairs"); a copies
+  request before that takes the kernel. A raised error is never
   stored. A full sum and a coset sum with two non-empty blocks are not
   served themselves; c_s, which reads the coset sum, is, and on a
   polarized shape the coset sums of 0 < s < d of a pair are one packed
   pass. Results are immutable
-  values (a ``Fraction`` or a tensor). The dict is scoped, not global: a
-  sample reuses only its own results, so the cost of a call never
-  depends on what ran before it, and the memory goes when the block
-  ends. Outside a block every call computes, except in a function wrapped
+  values (a ``Fraction`` or a tensor); the dict also holds the pair each
+  tensor is remembered in. The dict is scoped, not global: a sample
+  reuses only its own results, so the cost of a call never depends on
+  what ran before its block, and the memory goes when the block ends. Outside a block every call computes, except in a function wrapped
   in ``sharing``, which opens a block when none is active.
 
 Derivative convention used package-wide: gradients are formal, treating
@@ -233,7 +259,7 @@ def _plan(rank: int, dim: int, runs: tuple):
     of ``rows``, the positions of its d completions (value 0..d-1) in a
     form; a state holds each held prefix as its row's index and the freed
     prefix as the row itself. ``widths`` counts the states after each
-    outer level, and ``weights`` holds r! over each key's multiplicity.
+    outer level.
     The last level is grouped by the freed slot's value into getters that
     pick the sign and one entry per held prefix from their rows of
     numerators laid end to end behind a leading (1, -1). The work
@@ -281,11 +307,17 @@ def _plan(rank: int, dim: int, runs: tuple):
         picks = itemgetter(s < 0, *(positions or (0,)))
         groups.setdefault(p[0], []).append(picks)
     last = tuple((o, tuple(picks)) for o, picks in groups.items())
-    weights = tuple(math.factorial(rank) // multiplicity(key)
-                    for key in canonical_keys(rank, dim))
     return (tuple((tuple(map(row_of.__getitem__, base)), rows[row_of[out]], coeff)
                   for (base, out), coeff in states.items()),
-            last, tuple(rows), tuple(widths), weights)
+            last, tuple(rows), tuple(widths))
+
+
+@lru_cache(maxsize=64)
+def _weights(rank: int, dim: int) -> tuple:
+    """r! over each canonical key's multiplicity: a gradient's sum over a
+    key's orderings times its weight, over r!, is its formal value."""
+    return tuple(math.factorial(rank) // multiplicity(key)
+                 for key in canonical_keys(rank, dim))
 
 
 # the most work a request may take, in its route's estimate (see "Work"):
@@ -467,10 +499,12 @@ def sharing(function):
     return run
 
 
-def _position_sum(steps: tuple, numerators: Sequence) -> int:
-    """The integer sum of a position plan's ``steps`` over the form
-    numerators of the factor at each position, before the scales."""
+def _position_values(steps: tuple, numerators: Sequence) -> list:
+    """The integer values of a position plan's states before each of its
+    ``steps`` and after the last, over the form numerators of the factor
+    at each position, before the scales."""
     values = [1]
+    kept = [values]
     for factor, (sources, offsets, coefficients, starts, ends) in zip(numerators, steps):
         moved = map(mul, map(mul, map(values.__getitem__, sources),
                              map(factor.__getitem__, offsets)), coefficients)
@@ -485,7 +519,42 @@ def _position_sum(steps: tuple, numerators: Sequence) -> int:
             running = [0, *itertools.accumulate(moved)]
             values = list(map(sub, map(running.__getitem__, ends),
                               map(running.__getitem__, starts)))
-    return values[0]
+        kept.append(values)
+    return kept
+
+
+def _position_sum(steps: tuple, numerators: Sequence) -> int:
+    """The integer sum of a position plan's ``steps`` over the form
+    numerators of the factor at each position, before the scales."""
+    return _position_values(steps, numerators)[-1][0]
+
+
+def _position_derivative(steps: tuple, factor: Sequence, values: list) -> list:
+    """The derivative of a position plan's integer sum over d copies of
+    the form numerators ``factor`` in each of them, summed over the
+    steps: one reverse walk over the ``steps`` and their forward
+    ``values`` from ``_position_values`` (see "Pairs")."""
+    derivative = [0] * len(factor)
+    adjoint = [1]
+    for t in reversed(range(len(steps))):
+        sources, offsets, coefficients, starts, ends = steps[t]
+        # the adjoint of each transition's destination, by the same two
+        # cases as the forward pass
+        if len(ends) == len(sources):
+            into = adjoint
+        elif len(ends) == 1:
+            into = itertools.repeat(adjoint[0], len(sources))
+        else:
+            into = itertools.chain.from_iterable(
+                map(itertools.repeat, adjoint, map(sub, ends, starts)))
+        weighted = list(map(mul, into, coefficients))
+        for offset, v in zip(offsets, map(mul, weighted, map(values[t].__getitem__, sources))):
+            derivative[offset] += v
+        if t:
+            adjoint = [0] * len(values[t])
+            for source, v in zip(sources, map(mul, weighted, map(factor.__getitem__, offsets))):
+                adjoint[source] += v
+    return derivative
 
 
 def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
@@ -502,18 +571,20 @@ def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
                     math.prod(f.form[1] for f in factors))
 
 
-def _gradient_accumulator(rank: int, dim: int, classes: Sequence) -> tuple:
-    """(acc, weights) of the gradient at position 0 of d factors whose
-    other d-1 are held, ``classes`` their (form numerators, count) in
-    order, by the sign-level kernel: per canonical key the integer sum
-    over its orderings before the scales, and r! over each key's
-    multiplicity. The held numerators are read into the last level of
-    their shape's plan, whose states are built on the shape's first
-    call."""
-    states, last, rows, _, weights = _plan(rank, dim, tuple(n for _, n in classes))
+def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
+    """The gradient at position 0 of d factors whose other d-1 are
+    ``held``, sorted by ``form``, by the sign-level kernel. The held
+    numerators are read into the last level of their shape's plan, whose
+    states are built on the shape's first call. Each freed index is added
+    into its canonical key, so a key holds the sum over its orderings, and
+    its multiplicity times the per-component formal value."""
+    classes = [(form, len(tuple(same)))
+               for form, same in itertools.groupby(f.form for f in held)]
+    states, last, rows, _ = _plan(rank, dim, tuple(n for _, n in classes))
     held_rows = []  # per held position, its numerators at each row's keys
-    for numerators, count in classes:
+    for (numerators, _), count in classes:
         held_rows += [[[numerators[k] for k in keys] for keys in rows]] * count
+    weights = _weights(rank, dim)
     acc = [0] * len(weights)
     for base, out, coeff in states:
         flat = [1, -1]
@@ -524,19 +595,6 @@ def _gradient_accumulator(rank: int, dim: int, classes: Sequence) -> tuple:
             v = sum(map(math.prod, map(pick_from, picks)))
             if v:
                 acc[out[o]] += coeff * v
-    return acc, weights
-
-
-def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
-    """The gradient at position 0 of d factors whose other d-1 are
-    ``held``, sorted by ``form``, by the sign-level kernel. Each freed
-    index is added into its canonical key, so a key holds the sum over its
-    orderings, and its multiplicity times the per-component formal
-    value."""
-    classes = [(form, len(tuple(same)))
-               for form, same in itertools.groupby(f.form for f in held)]
-    acc, weights = _gradient_accumulator(
-        rank, dim, [(numerators, count) for (numerators, _), count in classes])
     return SymTensor(rank, dim, map(mul, acc, weights),
                      math.prod(scale ** count for (_, scale), count in classes)
                      * math.factorial(rank))
@@ -581,14 +639,16 @@ def _packed(a: SymTensor, g: SymTensor, freed: int) -> tuple:
     bound = math.factorial(dim) ** (rank - 1 + freed) * largest ** (dim - freed)
     bits = bound.bit_length() + 2
     packed = [(x << bits) + y for x, y in zip(a_numerators, g_numerators)]
+    steps, _ = _position_plan(rank, dim, True)
     if not freed:
-        steps, _ = _position_plan(rank, dim, True)
         digits = _digits(_position_sum(steps, [packed] * dim), bits, dim + 1)
         return tuple(Fraction(digit * math.factorial(s) * math.factorial(dim - s),
                               scale ** dim) for s, digit in enumerate(digits))
-    acc, weights = _gradient_accumulator(rank, dim, [(packed, dim - 1)])
-    denominator = scale ** (dim - 1) * math.factorial(rank)
-    columns = zip(*[_digits(v, bits, dim) for v in acc])
+    derivative = _position_derivative(steps, packed, _position_values(steps, [packed] * dim))
+    weights, denominator = _weights(rank, dim), scale ** (dim - 1) * math.factorial(rank)
+    # (d-1)! times the derivative is the sign-level accumulator of the
+    # gradient holding d-1 packed copies
+    columns = zip(*[_digits(v * math.factorial(dim - 1), bits, dim) for v in derivative])
     return tuple(SymTensor(rank, dim, [v // math.comb(dim - 1, j) * w
                                        for v, w in zip(column, weights)], denominator)
                  for j, column in enumerate(columns))
@@ -597,8 +657,23 @@ def _packed(a: SymTensor, g: SymTensor, freed: int) -> tuple:
 @once_per_block
 def _pair(a: SymTensor, g: SymTensor, freed: int) -> tuple:
     """Every sum or every gradient of the pair (a, g): ``_packed``, served
-    once per block."""
-    return _packed(a, g, freed)
+    once per block. A block that computes a pair's sums remembers the pair
+    under each of its tensors, unless the tensor is in a pair already."""
+    result = _packed(a, g, freed)
+    memo = _SHARED.get()
+    if memo is not None and not freed:
+        for tensor in (a, g):
+            memo.setdefault(("remembered pair", tensor.rank, tensor.dim, tensor.form),
+                            (a, g))
+    return result
+
+
+def _remembered_pair(tensor: SymTensor):
+    """The first pair of the enclosing block whose sums held ``tensor``,
+    or None."""
+    memo = _SHARED.get()
+    return None if memo is None else memo.get(
+        ("remembered pair", tensor.rank, tensor.dim, tensor.form))
 
 
 def epsilon_product(factors: Sequence[SymTensor]):
@@ -637,15 +712,22 @@ def epsilon_product_gradient(factors: Sequence[SymTensor], position: int) -> Sym
 @once_per_block
 def _held_gradient(rank: int, dim: int, *held: SymTensor) -> SymTensor:
     """The gradient at position 0 of d factors whose other d-1 are
-    ``held``, sorted by ``form``, served once per block: a digit of the
-    pair's packed gradients when ``held`` is two classes and the shape is
-    polarized, else ``_gradient_sum``."""
+    ``held``, sorted by ``form``, served once per block. On a polarized
+    shape it is a digit of a pair's packed gradients when ``held`` is two
+    classes, or d-1 copies of a tensor the block remembers in a pair (see
+    "Pairs"); else ``_gradient_sum``."""
     if _polarized(rank, dim):
         forms = [f.form for f in held]
         copies = forms.count(forms[0])
+        if copies == dim - 1:
+            pair = _remembered_pair(held[0])
+            if pair:
+                x, y = sorted(pair, key=lambda t: t.form)
+                # digit d-1 holds d-1 copies of x, digit 0 of y
+                return _pair(x, y, 1)[dim - 1 if x.form == forms[0] else 0]
         # the first and the last class cover every held factor only when
         # they differ and are the only two
-        if copies + forms.count(forms[-1]) == dim - 1:
+        elif copies + forms.count(forms[-1]) == dim - 1:
             return _pair(held[0], held[-1], 1)[copies]
     return _gradient_sum(rank, dim, *held)
 

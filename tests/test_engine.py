@@ -447,6 +447,10 @@ class TestPositionDP:
 PAIR_SHAPES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 2), (4, 3), (4, 4),
                (6, 2), (6, 3)]
 
+# the shapes whose sum over d factors the oracles enumerate: (d!)**r <= 1296
+ORACLE_SHAPES = [(rank, dim) for rank in range(1, 7) for dim in range(1, 5)
+                 if math.factorial(dim) ** rank <= 1296]
+
 
 def _pair_of(case, rank, dim):
     """(a, g): negative entries over unequal scales, a zero factor on
@@ -474,12 +478,32 @@ class TestPairs:
             assert sums == tuple(map(oracles.brute_epsilon_product, factors))
 
     @pytest.mark.parametrize("case", ["unequal", "zero_a", "zero_g", "equal"])
-    @pytest.mark.parametrize("rank,dim", PAIR_SHAPES)
+    @pytest.mark.parametrize("rank,dim", [*PAIR_SHAPES, (6, 4)])
     def test_the_digits_are_the_gradients(self, case, rank, dim):
+        # the backward pass of the row plan over d packed copies, the
+        # copies of a and of g included, against the sign-level kernel
         a, g = _pair_of(case, rank, dim)
         assert engine._packed(a, g, 1) == tuple(
             engine._gradient_sum(rank, dim, *[a] * j, *[g] * (dim - 1 - j))
             for j in range(dim))
+
+    @pytest.mark.parametrize("row", [True, False])
+    @pytest.mark.parametrize("rank,dim", ORACLE_SHAPES)
+    def test_the_backward_pass_is_the_derivative(self, rank, dim, row):
+        # over d copies of one integer form, the derivative in each stored
+        # numerator of the row product or of the full sum, taken by finite
+        # differences of the oracle along that key's basis direction
+        t = SymTensor(rank, dim, _coprime_factor(rank, dim).form[0])
+        steps, _ = engine._position_plan(rank, dim, row)
+        values = engine._position_values(steps, [t.form[0]] * dim)
+        assert values[-1] == [(engine.row_product(t) if row
+                               else epsilon_product([t] * dim))]
+        oracle = (oracles.brute_row_product_det if row
+                  else lambda x: oracles.brute_epsilon_product([x] * dim))
+        assert engine._position_derivative(steps, t.form[0], values) == [
+            oracles.directional_derivative(
+                oracle, t, oracles.basis_direction(rank, dim, key), dim)
+            for key in canonical_keys(rank, dim)]
 
     def test_a_carry_left_over_raises(self):
         # 4 bits per digit: det(a) = 10**9 is c_3's digit and overflows it
@@ -595,8 +619,9 @@ class TestSharedSums:
         once per block; a full sum goes to the position DP. On a polarized
         shape a coset sum strictly between the blocks' ends and the
         gradient of two held classes read the pair's packed pass, served
-        once per block, so they are recorded as the pair's request;
-        elsewhere the coset sum goes to the position DP."""
+        once per block, so they are recorded as the pair's request, and so
+        is the gradient of the copies of a tensor the block remembers in a
+        pair; elsewhere the coset sum goes to the position DP."""
         requests, enumerated, scopes = [], [], []
         sums = {name: getattr(engine, name) for name in (
             "_enumerate", "_gradient_sum", "_packed", "row_product", "_held_gradient",
@@ -620,8 +645,12 @@ class TestSharedSums:
             return sums["row_product"](tensor)
 
         def held_gradient(rank, dim, *held):
-            if engine._polarized(rank, dim) and len({f.form for f in held}) == 2:
+            forms = {f.form for f in held}
+            pair = engine._remembered_pair(held[0]) if len(forms) == 1 else None
+            if engine._polarized(rank, dim) and len(forms) == 2:
                 requests.append(key([held[0], held[-1]], "gradients"))
+            elif engine._polarized(rank, dim) and pair:
+                requests.append(key(sorted(pair, key=lambda t: t.form), "gradients"))
             else:
                 requests.append((rank, "held", tuple(tuple(sorted(f.entries.items()))
                                                      for f in held)))
@@ -789,16 +818,17 @@ class TestSharedSums:
         assert None not in scopes and len(scopes) == 2
 
     @pytest.mark.parametrize("suite,dim,count", [
-        ("rank2", 2, 17), ("rank2", 3, 24), ("rank2", 4, 19), ("rank4", 2, 11),
-        ("rank4", 3, 12), ("odd", 2, 4), ("odd", 3, 3)])
+        ("rank2", 2, 17), ("rank2", 3, 24), ("rank2", 4, 17), ("rank4", 2, 11),
+        ("rank4", 3, 10), ("odd", 2, 4), ("odd", 3, 3)])
     def test_one_sample_enumeration_counts_are_pinned(
             self, monkeypatch, suite, dim, count):
         # one gradient per held multiset, and one full sum for det(a); a key
         # on the full factor list and the freed slot would make the
         # even-rank counts 22/32/42 and 13/18. At rank2 d=4 and rank4 d=3
-        # each pair's sums and mixed gradients are one packed pass each,
-        # where a sum per coset split and a gradient per mixed multiset
-        # made 31 and 15
+        # each pair's sums and gradients are one packed pass each, where a
+        # sum per coset split and a gradient per mixed multiset made 31 and
+        # 15, and the copies of a tensor on the kernel 19 and 12; only
+        # rank2's inv(g), asked for before its pair, takes the kernel
         _, enumerated, _ = self._count(monkeypatch)
         assert suites.run_suite(suite, dim, 5, 1).all_pass
         assert len(enumerated) == count
@@ -809,7 +839,9 @@ class TestSharedSums:
         # grad_tensor at s+1, the slot term of grad_metric at s and both
         # sides of the bridge at s all hold a^s g^(d-s-1)
         # on a polarized shape the mixed multisets are digits of one packed
-        # pass over the pair, and only the copies take the kernel
+        # pass over the pair, and so are the copies of a, asked for after
+        # c_1 has remembered the pair; the copies of g, asked for first,
+        # take the kernel
         a, g = (suites.random_invertible(rank, dim, seed) for seed in (35, 36))
         held = []
         gradient_sum, packed = engine._gradient_sum, engine._packed
@@ -833,13 +865,79 @@ class TestSharedSums:
         multisets = [("held", *sorted([a.form] * s + [g.form] * (dim - 1 - s)))
                      for s in range(dim)]
         if engine._polarized(rank, dim):
-            multisets = [multisets[0], multisets[-1], ("pair", *sorted([a.form, g.form]))]
+            multisets = [multisets[0], ("pair", *sorted([a.form, g.form]))]
         assert sorted(held) == sorted(multisets)
         held.clear()
         with engine.shared_sums():
             inverse = epsilon_inverse(a)
             assert invariants.grad_tensor(a, g, dim) == inverse * invariant_of_order(a, g, dim)
         assert held == [("held", *[a.form] * (dim - 1))]
+
+    @pytest.mark.parametrize("rank,dim", [(2, 4), (4, 3), (6, 3)])
+    def test_an_inverse_after_its_pair_is_a_digit_of_the_pair(
+            self, monkeypatch, rank, dim):
+        a, g = (suites.random_invertible(rank, dim, seed) for seed in (41, 42))
+        outside = epsilon_inverse(a), epsilon_inverse(g)
+        with engine.shared_sums():
+            # asked before the pair, the inverses take the kernel
+            before = epsilon_inverse(a), epsilon_inverse(g)
+            invariants.invariant_values(a, g)
+        calls, gradient_sum = [], engine._gradient_sum
+
+        def counted(*args):
+            calls.append(args)
+            return gradient_sum(*args)
+
+        monkeypatch.setattr(engine, "_gradient_sum", counted)
+        with engine.shared_sums():
+            invariants.invariant_values(a, g)
+            assert engine._remembered_pair(a) == engine._remembered_pair(g) == (a, g)
+            after = epsilon_inverse(a), epsilon_inverse(g)
+        assert calls == []
+        assert after == before == outside
+
+    def test_a_tensor_in_two_pairs_reads_its_first_pair(self, monkeypatch):
+        a, b, g = (suites.random_invertible(2, 4, seed) for seed in (43, 44, 45))
+        passes, packed = [], engine._packed
+
+        def pair(x, y, freed):
+            passes.append((x.form, y.form, freed))
+            return packed(x, y, freed)
+
+        monkeypatch.setattr(engine, "_packed", pair)
+        with engine.shared_sums():
+            invariants.invariant_values(a, g)
+            invariants.invariant_values(b, g)
+            assert engine._remembered_pair(g) == (a, g)
+            assert engine._remembered_pair(b) == (b, g)
+            inverse = epsilon_inverse(g)
+        assert passes == [(a.form, g.form, 0), (b.form, g.form, 0),
+                          (*sorted([a.form, g.form]), 1)]
+        assert inverse == epsilon_inverse(g)
+
+    def test_no_pair_is_remembered_outside_a_block(self):
+        a, g = (suites.random_invertible(4, 3, seed) for seed in (46, 47))
+        invariants.invariant_values(a, g)
+        assert engine._remembered_pair(a) is None
+        with engine.shared_sums():
+            assert engine._remembered_pair(a) is None
+
+    @pytest.mark.parametrize("suite,dim,kernel", [
+        (suites.rank4_suite, 3, 0), (suites.rank4_suite, 5, 0),
+        (suites.rank2_suite, 4, 1)])
+    def test_the_sign_level_kernel_calls_of_one_sample(
+            self, monkeypatch, suite, dim, kernel):
+        # every gradient of a rank-4 sample is a digit of a pair; rank2's
+        # trace route asks for inv(g) before g's pair has computed its sums
+        calls, gradient_sum = [], engine._gradient_sum
+
+        def counted(*args):
+            calls.append(args)
+            return gradient_sum(*args)
+
+        monkeypatch.setattr(engine, "_gradient_sum", counted)
+        assert suite(dim, 5, 1).all_pass
+        assert len(calls) == kernel
 
     @pytest.mark.parametrize("rank,dim", [(2, 3), (4, 3)])
     def test_a_determinant_is_one_request_by_every_route(

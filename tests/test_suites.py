@@ -78,6 +78,25 @@ def test_a_wrong_row_plan_fails_the_characteristic_polynomial(monkeypatch, suite
     assert rows and all(status == FAIL for status in rows)
 
 
+@pytest.mark.parametrize("suite,dim", [("rank2", 4), ("rank4", 3)])
+def test_a_wrong_backward_pass_fails_the_inverse(monkeypatch, suite, dim):
+    # one coefficient of the last step negated in the reverse walk alone:
+    # the forward values and every sum stay right, and the inverse of a,
+    # a digit of the pair's gradients, must not contract to delta
+    derivative = engine._position_derivative
+
+    def mutated(steps, factor, values):
+        sources, offsets, coefficients, starts, ends = steps[-1]
+        negated = (-coefficients[0], *coefficients[1:])
+        return derivative((*steps[:-1], (sources, offsets, negated, starts, ends)),
+                          factor, values)
+
+    monkeypatch.setattr(engine, "_position_derivative", mutated)
+    report = suites.run_suite(suite, dim, 5, 1)
+    assert "inverse_contraction" in {c.identity for c in report.checks
+                                     if c.status == FAIL}
+
+
 def test_suite_reports_are_pinned():
     # sha256 of every report over all SUITE_DIMS pairs and seeds 1-8, two
     # samples each, so a sample that follows another in one run is covered
