@@ -11,11 +11,13 @@ contracted with s symmetric tensors, is this primitive on those tensors
 and d-s copies of the metric; its order-1 case is ``epsilon_inverse``.
 
 Every sum takes one of two routes, by whether it frees a slot: a sum
-with none runs ``_enumerate``, a slot-freed gradient ``_gradient_sum``.
-On a polarized shape a pair (a, g) of even rank instead takes all its
-sums from one run of the row plan over a packed form, and all its
-gradients from one forward and one backward run of it (``_packed``, see
-"Pairs"). Each route reads a factor as its form
+with none runs ``_enumerate``, a slot-freed gradient ``_gradient_sum``,
+which takes one backward walk of the full plan when it holds two or
+more classes of factors and the sign-level kernel when it holds d-1
+copies of one tensor. On a polarized shape a pair (a, g) of even rank
+instead takes all its sums from one run of the row plan over a packed
+form, and all its gradients from one forward and one backward run of it
+(``_packed``, see "Pairs"). Each route reads a factor as its form
 alone, and finds a canonical key's position in it by the key's multiset
 code (``_key_codes``): value v is coded (r+1)**v, and a multiset of at
 most r values by the sum of its values' codes, so codes add up in any
@@ -55,21 +57,22 @@ order and no index prefix is sorted.
   r values' canonical key and its signed coefficient. A call reads each factor's
   form numerators at those positions, sums per destination state with
   Python integers only, and divides the scales out once at the end.
-- Sign levels, the route of a slot-freed gradient that no pair serves
-  (see "Pairs"): every gradient at odd rank or below the crossover, of
-  three or more held classes or of distinct factors, and the copies of
-  a tensor asked for outside a block, or before the block computed the
-  sums of a pair that holds it. It leaves one
-  position out of the product and accumulates each term at the
-  canonical key of that position's r indices. A gradient depends only
-  on the multiset of held factors: moving the freed slot to position 0
-  and the held factors into order by ``form`` is a permutation pi of
-  positions, which multiplies the sum by sgn(pi)**r (+1 at even rank).
-  So ``epsilon_product_gradient`` makes one request per held multiset,
+  The full sum is linear in step 0's factor, so a gradient of two or
+  more held classes is the derivative at step 0 of one backward walk
+  of the full plan (see "Pairs") over the held numerators at steps
+  1..d-1, with no forward pass.
+- Sign levels, the route of the gradient that holds d-1 copies of one
+  tensor when no pair serves it (see "Pairs"): at odd rank, below the
+  crossover, outside a block, or before the block computed the sums of
+  a pair that holds the tensor. It leaves one position out of the
+  product and accumulates each term at the canonical key of that
+  position's r indices. A gradient depends only on the multiset of held
+  factors: moving the freed slot to position 0 and the held factors
+  into order by ``form`` is a permutation pi of positions, which
+  multiplies the sum by sgn(pi)**r (+1 at even rank). So
+  ``epsilon_product_gradient`` makes one request per held multiset,
   ``_held_gradient``, freed at position 0 with the held factors sorted,
-  and applies that sign at every rank. Sorted, identical held factors
-  are contiguous: the held positions fall into runs, one per class,
-  and the runs' sizes are all the kernel needs to know of the layout.
+  and applies that sign at every rank.
 - Coalesced states. The sign-level route places the sign symbols one
   level at a time, and a partial term is a state: the code of each held
   position's index prefix, the code of the freed slot's index prefix,
@@ -78,26 +81,22 @@ order and no index prefix is sorted.
   names: two states with equal codes have the same continuation. After
   each level equal states are merged with their signs summed into an
   integer coefficient, and states whose coefficient is 0 are dropped.
-  Identical factors merge positions as well: a permutation sigma of
-  held positions within one class, applied to a state's prefixes,
-  multiplies its continuation by sgn(sigma) per level still to place
-  (substitute p o sigma for each later permutation p). So after each
-  level's merge the codes are sorted within each run and the
-  coefficient takes the parity of that sort when an odd number of
-  levels remains; a state with two equal codes in one run is then
-  dropped, its continuation being its own negative. The sort runs after
-  every level but the last whenever a run holds two or more positions,
-  the first level included, so the first level merges into the states
-  whose lead is increasing on each run, at even rank with every
-  coefficient |H| times larger (H the product of the runs' symmetric
-  groups) and at odd rank into none. The freed slot is in no run, and
-  its code merges the orderings of its prefix, so the sum at a key is
-  over all its orderings: its multiplicity times the formal value. No
-  level but the last reads a factor: the states that reach the last
-  level depend on the shape alone (rank, dimension and runs), so they
-  are built once with the shape's plan (``_plan``), which stores each
-  prefix as a row of the positions of its d completions. A call reads
-  each held factor's form numerators at those rows into the last level
+  The held copies merge positions as well: a permutation sigma of the
+  held positions, applied to a state's prefixes, multiplies its
+  continuation by sgn(sigma) per level still to place (substitute
+  p o sigma for each later permutation p). So after each level but the
+  last the held codes are sorted, one run, and the coefficient takes
+  the parity of that sort when an odd number of levels remains; a state
+  with two equal codes is then dropped, its continuation being its own
+  negative. From d = 3 the first level so merges into the states whose
+  lead is increasing on the held positions, at even rank with every
+  coefficient (d-1)! times larger and at odd rank into none. The freed
+  slot's code merges the orderings of its prefix, so a key holds the
+  sum over its orderings: its multiplicity times the formal value. No
+  level but the last reads a factor, so the states that reach it depend
+  on the rank and dimension alone and are built once per shape
+  (``_plan``), each prefix a row of the positions of its d completions.
+  A call reads the held numerators at those rows into the last level
   only, and adds each freed index into its canonical key.
 - Pairs. At even rank the full sum is symmetric and multilinear in its
   factor positions, so the row product of X*a + g polarizes (Olver,
@@ -111,9 +110,11 @@ order and no index prefix is sorted.
   derivative of its sum in every numerator at a constant multiple of
   the forward cost (Baur and Strassen, *Theoret. Comput. Sci.* 22, 1983;
   ``_position_derivative``): a transition (source, offset, coefficient)
-  into a state of adjoint w adds w*coefficient*value[source] to the
-  derivative at ``offset`` and w*coefficient*factor[offset] to the
-  adjoint of ``source``. Over d copies of one form the steps'
+  of step t into a state of adjoint w adds w*coefficient*value[source]
+  to the derivative at ``offset`` and w*coefficient*factor_t[offset] to
+  the adjoint of ``source``, where the forward values are given: at
+  every step here, at step 0 alone on the walk (see "Positions"). Over
+  d copies of one form the steps'
   derivatives add up in one list D, and since the full sum is d! times
   the row product at even rank, (d-1)!*D is the sign-level accumulator
   of the gradient holding d-1 copies. Over the packed form that is
@@ -130,7 +131,7 @@ order and no index prefix is sorted.
   in the positions of identical factors, so there is no pair route. A
   packed form is never a ``SymTensor``: its gcd pass would mix the
   digits. The sums replace d-1 full-plan sums and the gradients d
-  kernel gradients; the pass wins from d = 4, and from d = 3 at rank 4
+  unpacked gradients; the pass wins from d = 4, and from d = 3 at rank 4
   and above (``_polarized``); below that crossover each sum and
   gradient is enumerated on its own. A mixed gradient asks for its pair
   by its two held classes. The copies of one tensor name no pair, so a
@@ -143,11 +144,13 @@ order and no index prefix is sorted.
   of a tensor in no pair (``hypermat inverse``, the odd-rank lift).
 - Work. Before a plan is built, its route estimates its work from the
   shape alone, the position DP its transitions before any reduction
-  (each of the r symbols moving to any unused value) and the sign-level
-  kernel its (d!)**r terms over the run sort's merge, and a request
-  over ``WORK_BUDGET`` raises ``ValueError``; each plan reads the key
-  codes first after its check. A pair's gradients run the row plan, so
-  they are budgeted by its position-DP estimate. ``check_budget`` runs the position DP's
+  (each of the r symbols moving to any unused value) and a slot-freed
+  gradient, on either route, its (d!)**r terms over the product of the
+  factorials of its held classes' sizes, and a request over
+  ``WORK_BUDGET`` raises ``ValueError``;
+  each plan reads the key codes first after its check. A pair's
+  gradients run the row plan, so they are budgeted by its position-DP
+  estimate. ``check_budget`` runs the position DP's
   check alone, so a caller can refuse a shape before it builds the
   factors. The estimates are loose: they refuse the hopeless shapes, not
   every slow one. No route counts terms;
@@ -245,31 +248,25 @@ def _key_codes(rank: int, dim: int):
 
 
 @lru_cache(maxsize=64)
-def _plan(rank: int, dim: int, runs: tuple):
-    """Per-shape structure of the sign-level kernel, the route of a
-    slot-freed gradient: the freed slot at position 0 and the d-1 held
-    positions after it in classes of identical factors, ``runs`` the
-    sizes of the classes in order.
+def _plan(rank: int, dim: int):
+    """Per-shape structure of the sign-level kernel, the route of the
+    gradient that holds d-1 copies of one tensor: the freed slot at
+    position 0 and the d-1 held positions after it in one run.
 
     Every level (sign symbol) but the last reads only codes and signs,
     never a factor, so the states that reach the last level depend on the
     shape alone and are built here, once per shape: (held prefixes,
-    freed keys, coefficient), after the merge and the sort within each
-    run (see "Coalesced states"). Each multiset of r-1 values is a row
+    freed keys, coefficient), after the merge and the sort of the run
+    (see "Coalesced states"). Each multiset of r-1 values is a row
     of ``rows``, the positions of its d completions (value 0..d-1) in a
     form; a state holds each held prefix as its row's index and the freed
     prefix as the row itself. ``widths`` counts the states after each
     outer level.
     The last level is grouped by the freed slot's value into getters that
     pick the sign and one entry per held prefix from their rows of
-    numerators laid end to end behind a leading (1, -1). The work
-    budgeted before anything is built is the (d!)**r terms of the sum over
-    the product of the factorials of ``runs``, by which the run sort
-    merges the states, and at least the d! of the first level.
+    numerators laid end to end behind a leading (1, -1). Its work is
+    budgeted by ``_gradient_sum`` before it is built.
     """
-    _within_budget(max(math.factorial(dim) ** rank
-                       // math.prod(map(math.factorial, runs)),
-                       math.factorial(dim)), rank, dim)
     codes, key_at = _key_codes(rank, dim)
     perms = signed_permutations(dim)
     moves = [(s, tuple(map(codes.__getitem__, p[1:])), codes[p[0]]) for p, s in perms]
@@ -283,16 +280,14 @@ def _plan(rank: int, dim: int, runs: tuple):
             for s, held, freed in moves:
                 key = (tuple(map(add, base, held)), out + freed)
                 merged[key] = merged.get(key, 0) + coeff * s
-        if max(runs, default=1) > 1:
-            odd = (rank - 1 - k) % 2
-            canonical: dict = {}
-            for (base, out), coeff in merged.items():
-                prefixes, sign = _canonical(base, runs, odd)
-                if sign:
-                    key = (prefixes, out)
-                    canonical[key] = canonical.get(key, 0) + coeff * sign
-            merged = canonical
-        states = {key: coeff for key, coeff in merged.items() if coeff}
+        odd = (rank - 1 - k) % 2
+        canonical: dict = {}
+        for (base, out), coeff in merged.items():
+            prefixes, sign = _canonical(base, odd)
+            if sign:
+                key = (prefixes, out)
+                canonical[key] = canonical.get(key, 0) + coeff * sign
+        states = {key: coeff for key, coeff in canonical.items() if coeff}
         widths.append(len(states))
     row_of, rows = {}, []
     for prefix in itertools.combinations_with_replacement(range(dim), rank - 1):
@@ -429,24 +424,18 @@ def _position_plan(rank: int, dim: int, row: bool):
     return tuple(steps), tuple(widths)
 
 
-def _canonical(codes: tuple, runs: tuple, odd: int):
+def _canonical(codes: tuple, odd: int):
     """(codes, sign) of the canonical state of held prefix ``codes``: the
-    codes sorted within each class, ``runs`` the sizes of the classes in
-    order, and the sign the continuation picks up, the parity of that
-    sort when an odd number of levels remains. The sign is 0 when two
-    codes of one class are equal at an odd count: the swap fixes the
-    state and flips its continuation, which is therefore 0."""
-    ordered, sign, end = [], 1, 0
-    for size in runs:
-        values = codes[end:end + size]
-        end += size
-        run = sorted(values)
-        if odd:
-            if any(map(eq, run, run[1:])):
-                return None, 0
-            sign *= permutation_sign(values)
-        ordered += run
-    return tuple(ordered), sign
+    codes sorted, and the sign the continuation picks up, the parity of
+    that sort when an odd number of levels remains. The sign is 0 when
+    two codes are equal at an odd count: the swap fixes the state and
+    flips its continuation, which is therefore 0."""
+    run = tuple(sorted(codes))
+    if not odd:
+        return run, 1
+    if any(map(eq, run, run[1:])):
+        return None, 0
+    return run, permutation_sign(codes)
 
 
 # results by ``once_per_block`` key
@@ -529,12 +518,13 @@ def _position_sum(steps: tuple, numerators: Sequence) -> int:
     return _position_values(steps, numerators)[-1][0]
 
 
-def _position_derivative(steps: tuple, factor: Sequence, values: list) -> list:
-    """The derivative of a position plan's integer sum over d copies of
-    the form numerators ``factor`` in each of them, summed over the
-    steps: one reverse walk over the ``steps`` and their forward
-    ``values`` from ``_position_values`` (see "Pairs")."""
-    derivative = [0] * len(factor)
+def _position_derivative(steps: tuple, factors: Sequence, values: list) -> list:
+    """The derivative of a position plan's integer sum over the form
+    numerators ``factors[t]`` at each step t, summed over the steps t
+    whose forward values ``values[t]`` are given: one reverse walk over
+    the ``steps`` (see "Pairs"). It never reads step 0's factor, and
+    ``values`` [[1]] is the derivative at step 0 with no forward pass."""
+    derivative = [0] * len(factors[-1])
     adjoint = [1]
     for t in reversed(range(len(steps))):
         sources, offsets, coefficients, starts, ends = steps[t]
@@ -548,11 +538,13 @@ def _position_derivative(steps: tuple, factor: Sequence, values: list) -> list:
             into = itertools.chain.from_iterable(
                 map(itertools.repeat, adjoint, map(sub, ends, starts)))
         weighted = list(map(mul, into, coefficients))
-        for offset, v in zip(offsets, map(mul, weighted, map(values[t].__getitem__, sources))):
-            derivative[offset] += v
+        if t < len(values):
+            for offset, v in zip(offsets, map(mul, weighted, map(values[t].__getitem__, sources))):
+                derivative[offset] += v
         if t:
-            adjoint = [0] * len(values[t])
-            for source, v in zip(sources, map(mul, weighted, map(factor.__getitem__, offsets))):
+            # the states before step t are the destinations of step t-1
+            adjoint = [0] * len(steps[t - 1][3])
+            for source, v in zip(sources, map(mul, weighted, map(factors[t].__getitem__, offsets))):
                 adjoint[source] += v
     return derivative
 
@@ -573,31 +565,34 @@ def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
 
 def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
     """The gradient at position 0 of d factors whose other d-1 are
-    ``held``, sorted by ``form``, by the sign-level kernel. The held
-    numerators are read into the last level of their shape's plan, whose
-    states are built on the shape's first call. Each freed index is added
-    into its canonical key, so a key holds the sum over its orderings, and
-    its multiplicity times the per-component formal value."""
-    classes = [(form, len(tuple(same)))
-               for form, same in itertools.groupby(f.form for f in held)]
-    states, last, rows, _ = _plan(rank, dim, tuple(n for _, n in classes))
-    held_rows = []  # per held position, its numerators at each row's keys
-    for (numerators, _), count in classes:
-        held_rows += [[[numerators[k] for k in keys] for keys in rows]] * count
+    ``held``, sorted by ``form``, admitted by its (d!)**r terms over the
+    classes' factorials (see "Work"): by the full plan's backward walk
+    when ``held`` holds two or more classes (see "Positions"), else by
+    the sign-level kernel. A key holds the sum over its orderings, its
+    multiplicity times the per-component formal value."""
+    runs = [len(tuple(same)) for _, same in itertools.groupby(f.form for f in held)]
+    _within_budget(max(math.factorial(dim) ** rank // math.prod(map(math.factorial, runs)),
+                       math.factorial(dim)), rank, dim)
     weights = _weights(rank, dim)
-    acc = [0] * len(weights)
-    for base, out, coeff in states:
-        flat = [1, -1]
-        for row, b in zip(held_rows, base):
-            flat += row[b]
-        pick_from = methodcaller("__call__", flat)
-        for o, picks in last:
-            v = sum(map(math.prod, map(pick_from, picks)))
-            if v:
-                acc[out[o]] += coeff * v
+    if len(runs) > 1:
+        steps, _ = _position_plan(rank, dim, False)
+        acc = _position_derivative(steps, [None, *(f.form[0] for f in held)], [[1]])
+    else:
+        states, last, rows, _ = _plan(rank, dim)
+        # the held numerators at each row's keys; at d=1 nothing is held
+        held_rows = held and [[held[0].form[0][k] for k in keys] for keys in rows]
+        acc = [0] * len(weights)
+        for base, out, coeff in states:
+            flat = [1, -1]
+            for b in base:
+                flat += held_rows[b]
+            pick_from = methodcaller("__call__", flat)
+            for o, picks in last:
+                v = sum(map(math.prod, map(pick_from, picks)))
+                if v:
+                    acc[out[o]] += coeff * v
     return SymTensor(rank, dim, map(mul, acc, weights),
-                     math.prod(scale ** count for (_, scale), count in classes)
-                     * math.factorial(rank))
+                     math.prod(f.form[1] for f in held) * math.factorial(rank))
 
 
 def _polarized(rank: int, dim: int) -> bool:
@@ -644,7 +639,8 @@ def _packed(a: SymTensor, g: SymTensor, freed: int) -> tuple:
         digits = _digits(_position_sum(steps, [packed] * dim), bits, dim + 1)
         return tuple(Fraction(digit * math.factorial(s) * math.factorial(dim - s),
                               scale ** dim) for s, digit in enumerate(digits))
-    derivative = _position_derivative(steps, packed, _position_values(steps, [packed] * dim))
+    factors = [packed] * dim
+    derivative = _position_derivative(steps, factors, _position_values(steps, factors))
     weights, denominator = _weights(rank, dim), scale ** (dim - 1) * math.factorial(rank)
     # (d-1)! times the derivative is the sign-level accumulator of the
     # gradient holding d-1 packed copies

@@ -47,8 +47,10 @@ def rank2_suite(dim: int, seed: int, samples: int) -> VerificationReport:
             a = random_invertible(2, dim, sample_seed)
             g = random_invertible(2, dim, derive_seed(sample_seed, 101))
 
-            trace_route = rank2.discriminants_trace(a, g)
+            # the invariants first: on a polarized shape their pair's sums
+            # let the trace route read inv(g) from the pair's packed gradients
             epsilon_route = invariants.invariant_values(a, g)
+            trace_route = rank2.discriminants_trace(a, g)
             bridge = max(abs(x - y) for x, y in zip(trace_route, epsilon_route))
             report.checks.append(check(
                 "trace_epsilon_bridge",

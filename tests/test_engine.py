@@ -351,18 +351,16 @@ class TestCoalescedStates:
             assert derivative == multiplicity(key) * grad.component(key)
 
     def test_canonical_form_sorts_within_each_class(self):
-        # runs (2, 2): class 0..1 holds 5, 1 (one swap), class 2..3 holds 9, 3
-        two = (2, 2)
-        assert engine._canonical((5, 1, 9, 3), two, 0) == ((1, 5, 3, 9), 1)
-        assert engine._canonical((5, 1, 3, 9), two, 1) == ((1, 5, 3, 9), -1)
-        assert engine._canonical((5, 1, 9, 3), two, 1) == ((1, 5, 3, 9), 1)
-        # a cycle of three is even, a swap odd; a class of one stays
-        assert engine._canonical((2, 0, 1), (3,), 1) == ((0, 1, 2), 1)
-        assert engine._canonical((1, 0, 2), (3,), 1) == ((0, 1, 2), -1)
-        assert engine._canonical((5, 1, 0), (2, 1), 1) == ((1, 5, 0), -1)
+        # the kernel holds one class, the d-1 copies of a tensor, as one
+        # run: a cycle of three is even, a swap odd, and the parity counts
+        # at an odd count of levels only
+        assert engine._canonical((2, 0, 1), 1) == ((0, 1, 2), 1)
+        assert engine._canonical((1, 0, 2), 1) == ((0, 1, 2), -1)
+        assert engine._canonical((1, 0, 2), 0) == ((0, 1, 2), 1)
+        assert engine._canonical((9, 3, 5, 1), 1) == ((1, 3, 5, 9), -1)
         # equal prefixes: the continuation is 0 at an odd count only
-        assert engine._canonical((4, 4, 7, 9), two, 1)[1] == 0
-        assert engine._canonical((7, 4, 7, 4), two, 0) == ((4, 7, 4, 7), 1)
+        assert engine._canonical((4, 7, 4), 1)[1] == 0
+        assert engine._canonical((7, 4, 7, 4), 0) == ((4, 4, 7, 7), 1)
 
     @pytest.mark.parametrize("rank", [3, 5])
     def test_odd_rank_repeated_factors_cancel(self, rank):
@@ -452,6 +450,23 @@ ORACLE_SHAPES = [(rank, dim) for rank in range(1, 7) for dim in range(1, 5)
                  if math.factorial(dim) ** rank <= 1296]
 
 
+def _oracle_gradient(factors, slot):
+    """The gradient of the full sum of ``factors`` at ``slot``, engine-free:
+    per canonical key the brute directional derivative along the key's
+    basis direction over the key's multiplicity. The sum is linear in the
+    slot, so the derivative is taken at zero, where most terms of the
+    brute sum stop at the slot's first zero component."""
+    rank, dim = factors[0].rank, factors[0].dim
+
+    def shifted(tensor):
+        return oracles.brute_epsilon_product([*factors[:slot], tensor, *factors[slot + 1:]])
+
+    return SymTensor.from_entries(rank, dim, {
+        key: oracles.directional_derivative(
+            shifted, SymTensor.zero(rank, dim), oracles.basis_direction(rank, dim, key), 1)
+        / multiplicity(key) for key in canonical_keys(rank, dim)})
+
+
 def _pair_of(case, rank, dim):
     """(a, g): negative entries over unequal scales, a zero factor on
     either side, or a == g."""
@@ -481,11 +496,18 @@ class TestPairs:
     @pytest.mark.parametrize("rank,dim", [*PAIR_SHAPES, (6, 4)])
     def test_the_digits_are_the_gradients(self, case, rank, dim):
         # the backward pass of the row plan over d packed copies, the
-        # copies of a and of g included, against the sign-level kernel
+        # copies of a and of g included, against the unpacked route: the
+        # sign-level kernel for the copies and the full plan's walk, which
+        # shares the backward pass, for the mixed digits, so those are
+        # checked against the oracle too wherever it enumerates the sum
         a, g = _pair_of(case, rank, dim)
-        assert engine._packed(a, g, 1) == tuple(
+        digits = engine._packed(a, g, 1)
+        assert digits == tuple(
             engine._gradient_sum(rank, dim, *[a] * j, *[g] * (dim - 1 - j))
             for j in range(dim))
+        if math.factorial(dim) ** rank <= 1296:
+            for j in range(1, dim - 1):
+                assert digits[j] == _oracle_gradient([a, *[a] * j, *[g] * (dim - 1 - j)], 0)
 
     @pytest.mark.parametrize("row", [True, False])
     @pytest.mark.parametrize("rank,dim", ORACLE_SHAPES)
@@ -500,7 +522,7 @@ class TestPairs:
                                else epsilon_product([t] * dim))]
         oracle = (oracles.brute_row_product_det if row
                   else lambda x: oracles.brute_epsilon_product([x] * dim))
-        assert engine._position_derivative(steps, t.form[0], values) == [
+        assert engine._position_derivative(steps, [t.form[0]] * dim, values) == [
             oracles.directional_derivative(
                 oracle, t, oracles.basis_direction(rank, dim, key), dim)
             for key in canonical_keys(rank, dim)]
@@ -518,6 +540,62 @@ class TestPairs:
         assert engine._digits(packed_sum(40), 40, 4) == [1, 3000, 3 * 10 ** 6, 10 ** 9]
         with pytest.raises(RuntimeError, match="carries past its 4 digits"):
             engine._digits(packed_sum(4), 4, 4)
+
+
+# held patterns of two or more classes, each in two orders of positions:
+# the doubled class first or last in order by form, and distinct factors
+WALK_PATTERNS = {3: (("ab", "ba"),),
+                 4: (("aab", "aba"), ("abb", "bab"), ("abc", "cab"))}
+
+
+class TestTheWalk:
+    """A held multiset of two or more classes takes the derivative at step
+    0 of one backward walk of the full plan and builds no sign-level
+    plan: every pattern freed at every slot, at every shape whose sum the
+    oracles enumerate ((d!)**r <= 1296), against the engine-free
+    oracles. The pair's packed pass is turned off, so a polarized shape
+    takes the walk too. The gradient is linear and does not read the
+    freed factor, so one freed factor serves; the second order of a
+    pattern is taken at odd rank only, where it can flip the sign."""
+
+    @staticmethod
+    def _walked(rank, dim):
+        """Every (factors, slot) of the held patterns with the freed
+        factor inserted at each slot."""
+        named = {"a": _coprime_factor(rank, dim),
+                 "b": random_symmetric(rank, dim, 400 + rank, 5) * Fraction(-2, 3),
+                 "c": _sparse_factor(rank, dim, 410 + rank),
+                 "f": random_symmetric(rank, dim, 420 + rank, 5)}
+        for orders in WALK_PATTERNS[dim]:
+            for pattern in orders[:2 if rank % 2 else 1]:
+                held = [named[c] for c in pattern]
+                for slot in range(dim):
+                    yield [*held[:slot], named["f"], *held[slot:]], slot
+
+    @pytest.mark.parametrize("rank,dim", [(rank, dim) for rank, dim in ORACLE_SHAPES
+                                          if dim >= 3])
+    def test_every_held_pattern_at_every_slot(self, monkeypatch, rank, dim):
+        monkeypatch.setattr(engine, "_polarized", lambda rank, dim: False)
+        plans = engine._plan.cache_info()
+        for factors, slot in self._walked(rank, dim):
+            assert epsilon_product_gradient(factors, slot) == _oracle_gradient(factors, slot)
+        assert engine._plan.cache_info() == plans
+
+    def test_rank5_along_a_direction(self):
+        # (3!)**5 terms per brute sum: one dense direction per gradient
+        direction = random_symmetric(5, 3, 430, 5)
+        plans = engine._plan.cache_info()
+        for factors, slot in self._walked(5, 3):
+            def shifted(tensor):
+                return oracles.brute_epsilon_product(
+                    [*factors[:slot], tensor, *factors[slot + 1:]])
+
+            derivative = oracles.directional_derivative(
+                shifted, SymTensor.zero(5, 3), direction, 1)
+            assert derivative != 0
+            grad = epsilon_product_gradient(factors, slot)
+            assert oracles.brute_contract_full(grad, direction) == derivative
+        assert engine._plan.cache_info() == plans
 
 
 def _diagonal(rank, dim):
@@ -614,8 +692,8 @@ class TestSharedSums:
     def _count(monkeypatch):
         """Record every request for a sum (by rank, route and factor
         content) and every enumeration, by the position DP, the packed
-        pass of a pair or the sign-level kernel, with the scope each ran
-        in. The row product and the gradient of a held multiset are served
+        pass of a pair or ``_gradient_sum`` (the full plan's walk or the
+        sign-level kernel), with the scope each ran in. The row product and the gradient of a held multiset are served
         once per block; a full sum goes to the position DP. On a polarized
         shape a coset sum strictly between the blocks' ends and the
         gradient of two held classes read the pair's packed pass, served
@@ -818,7 +896,7 @@ class TestSharedSums:
         assert None not in scopes and len(scopes) == 2
 
     @pytest.mark.parametrize("suite,dim,count", [
-        ("rank2", 2, 17), ("rank2", 3, 24), ("rank2", 4, 17), ("rank4", 2, 11),
+        ("rank2", 2, 17), ("rank2", 3, 24), ("rank2", 4, 16), ("rank4", 2, 11),
         ("rank4", 3, 10), ("odd", 2, 4), ("odd", 3, 3)])
     def test_one_sample_enumeration_counts_are_pinned(
             self, monkeypatch, suite, dim, count):
@@ -827,8 +905,8 @@ class TestSharedSums:
         # even-rank counts 22/32/42 and 13/18. At rank2 d=4 and rank4 d=3
         # each pair's sums and gradients are one packed pass each, where a
         # sum per coset split and a gradient per mixed multiset made 31 and
-        # 15, and the copies of a tensor on the kernel 19 and 12; only
-        # rank2's inv(g), asked for before its pair, takes the kernel
+        # 15, and the copies of a tensor on the kernel 19 and 12; rank2's
+        # inv(g), asked for before its pair, took the kernel and made 17
         _, enumerated, _ = self._count(monkeypatch)
         assert suites.run_suite(suite, dim, 5, 1).all_pass
         assert len(enumerated) == count
@@ -924,11 +1002,12 @@ class TestSharedSums:
 
     @pytest.mark.parametrize("suite,dim,kernel", [
         (suites.rank4_suite, 3, 0), (suites.rank4_suite, 5, 0),
-        (suites.rank2_suite, 4, 1)])
+        (suites.rank2_suite, 4, 0)])
     def test_the_sign_level_kernel_calls_of_one_sample(
             self, monkeypatch, suite, dim, kernel):
-        # every gradient of a rank-4 sample is a digit of a pair; rank2's
-        # trace route asks for inv(g) before g's pair has computed its sums
+        # every gradient of a sample is a digit of a pair: rank2's trace
+        # route asks for inv(g) after the invariants have computed the
+        # pair's sums
         calls, gradient_sum = [], engine._gradient_sum
 
         def counted(*args):
