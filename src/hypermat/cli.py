@@ -10,17 +10,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import engine, evenrank, invariants, oddrank, suites
+# a command imports the modules it runs, so an even-rank det or inverse
+# loads the engine, the tensor layer and the documents, and nothing more
+from . import engine
 from .documents import load_tensor, tensor_to_document
 from .errors import SingularTensorError
 from .rational import format_scalar
-from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .report import VerificationReport
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
+
+# sorted(suites.SUITES), spelled out so the parser does not load the suites
+SUITE_NAMES = ("odd", "rank2", "rank4")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inverse.add_argument("file")
 
     verify = sub.add_parser("verify", help="run a seeded identity suite")
-    verify.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
+    verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     verify.add_argument("--dim", required=True, type=int)
     verify.add_argument("--seed", required=True, type=int)
     verify.add_argument("--samples", type=int, default=5)
@@ -63,6 +71,8 @@ def _cmd_det(args) -> int:
         value = format_scalar(engine.epsilon_determinant(tensor))
         print(f"det: {value}" if args.pretty else value)
         return EXIT_OK
+    from . import evenrank
+
     cayley = format_scalar(evenrank.cayley_det(tensor))
     lines = ["epsilon: 0 (identically zero for odd rank)", f"cayley: {cayley}"]
     print("\n".join(lines))
@@ -70,6 +80,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from . import invariants
+
     tensor = load_tensor(args.file)
     metric = load_tensor(args.metric)
     rendered = [format_scalar(v)
@@ -86,6 +98,8 @@ def _cmd_inverse(args) -> int:
     if tensor.rank % 2 == 0:
         result = engine.epsilon_inverse(tensor)
     elif tensor.rank == 3 and tensor.dim == 2:
+        from . import oddrank
+
         result = oddrank.inverse_odd_d2(tensor)
     else:
         raise ValueError("no inverse construction for this shape: odd rank "
@@ -111,12 +125,16 @@ def _render_report(report: VerificationReport, pretty: bool) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from . import suites
+
     report = suites.run_suite(args.suite, args.dim, args.seed, args.samples)
     print(_render_report(report, args.pretty))
     return EXIT_OK if report.all_pass else EXIT_IDENTITY_FAILURE
 
 
 def _cmd_lift(args) -> int:
+    from . import oddrank
+
     result = oddrank.lift(load_tensor(args.file))
     out = {"tensor": tensor_to_document(result.tensor),
            "det": format_scalar(result.det)}

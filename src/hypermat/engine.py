@@ -143,14 +143,14 @@ order and no index prefix is sorted.
   pair's sums, takes the sign-level kernel, as does the copies request
   of a tensor in no pair (``hypermat inverse``, the odd-rank lift).
 - Work. Before a plan is built, its route estimates its work from the
-  shape alone, the position DP its transitions before any reduction
-  (each of the r symbols moving to any unused value) and a slot-freed
-  gradient, on either route, its (d!)**r terms over the product of the
-  factorials of its held classes' sizes, and a request over
-  ``WORK_BUDGET`` raises ``ValueError``;
-  each plan reads the key codes first after its check. A pair's
-  gradients run the row plan, so they are budgeted by its position-DP
-  estimate. ``check_budget`` runs the position DP's
+  shape alone, and a request over ``WORK_BUDGET`` raises ``ValueError``;
+  each plan reads the key codes first after its check. A position plan
+  estimates its transitions before any reduction (each of the r symbols
+  moving to any unused value), and so budgets every request that runs
+  one: the sums, a pair's gradients (the row plan) and the walk of two
+  or more held classes (the full plan). The sign-level kernel, the
+  copies of one tensor, estimates its (d!)**r terms over the (d-1)!
+  orders of the copies. ``check_budget`` runs the position DP's
   check alone, so a caller can refuse a shape before it builds the
   factors. The estimates are loose: they refuse the hopeless shapes, not
   every slow one. No route counts terms;
@@ -565,23 +565,23 @@ def _enumerate(factors: Sequence[SymTensor], row: bool = False) -> Fraction:
 
 def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
     """The gradient at position 0 of d factors whose other d-1 are
-    ``held``, sorted by ``form``, admitted by its (d!)**r terms over the
-    classes' factorials (see "Work"): by the full plan's backward walk
-    when ``held`` holds two or more classes (see "Positions"), else by
-    the sign-level kernel. A key holds the sum over its orderings, its
-    multiplicity times the per-component formal value."""
-    runs = [len(tuple(same)) for _, same in itertools.groupby(f.form for f in held)]
-    _within_budget(max(math.factorial(dim) ** rank // math.prod(map(math.factorial, runs)),
-                       math.factorial(dim)), rank, dim)
-    weights = _weights(rank, dim)
-    if len(runs) > 1:
+    ``held``, sorted by ``form``: by the full plan's backward walk when
+    ``held`` holds two or more classes (see "Positions"), admitted by the
+    plan's position-DP estimate, else by the sign-level kernel, admitted
+    by its (d!)**r terms over (d-1)! (see "Work"). A key holds the sum
+    over its orderings, its multiplicity times the per-component formal
+    value."""
+    # sorted by form, so the ends differ when two or more classes are held
+    if held and held[0].form != held[-1].form:
         steps, _ = _position_plan(rank, dim, False)
         acc = _position_derivative(steps, [None, *(f.form[0] for f in held)], [[1]])
     else:
+        _within_budget(max(math.factorial(dim) ** rank // math.factorial(len(held)),
+                           math.factorial(dim)), rank, dim)
         states, last, rows, _ = _plan(rank, dim)
         # the held numerators at each row's keys; at d=1 nothing is held
         held_rows = held and [[held[0].form[0][k] for k in keys] for keys in rows]
-        acc = [0] * len(weights)
+        acc = [0] * math.comb(dim + rank - 1, rank)
         for base, out, coeff in states:
             flat = [1, -1]
             for b in base:
@@ -591,7 +591,7 @@ def _gradient_sum(rank: int, dim: int, *held: SymTensor) -> SymTensor:
                 v = sum(map(math.prod, map(pick_from, picks)))
                 if v:
                     acc[out[o]] += coeff * v
-    return SymTensor(rank, dim, map(mul, acc, weights),
+    return SymTensor(rank, dim, map(mul, acc, _weights(rank, dim)),
                      math.prod(f.form[1] for f in held) * math.factorial(rank))
 
 

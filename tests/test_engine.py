@@ -665,10 +665,10 @@ def test_moved_diagonal_invariants(rank, dim):
 
 
 def test_the_work_budget_refuses_before_building(monkeypatch):
-    # each route estimates its work from the shape: the position DP its
-    # unreduced transitions, the sign-level kernel its (d!)**r terms over
-    # the class sort's merge; both plans read the key codes first after
-    # the estimate, and a refused request never does
+    # each route estimates its work from the shape: a position plan its
+    # unreduced transitions, the sign-level kernel of the copies its
+    # (d!)**r terms over (d-1)!; both plans read the key codes first
+    # after the estimate, and a refused request never does
     def build(*args):
         raise AssertionError("a plan was built for a refused request")
 
@@ -680,8 +680,9 @@ def test_the_work_budget_refuses_before_building(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         epsilon_product_gradient([identity(20)] * 20, 0)
     with pytest.raises(ValueError, match="budget"):
-        # distinct held factors merge nothing: (10!)**2 = 1.3e13
-        epsilon_product_gradient([identity(10) * k for k in range(1, 11)], 0)
+        # distinct held factors take the full plan's walk, refused by its
+        # position-DP estimate: 2.0e9 at rank 2 and d=14 (4.9e6 at d=10)
+        epsilon_product_gradient([identity(14) * k for k in range(1, 15)], 0)
 
 
 class TestSharedSums:
@@ -1055,14 +1056,18 @@ class TestPlans:
         assert engine._plan.cache_info().misses == 1
 
     def test_the_even_top_shape_mix_fits_the_cache(self):
+        # rank2 d=4 and rank4 d=3 samples run position plans only: every
+        # plan they build stays cached, and none is the sign-level kernel's
         engine._plan.cache_clear()
+        engine._position_plan.cache_clear()
         for suite, dim in (("rank2", 4), ("rank4", 3)):
             assert suites.run_suite(suite, dim, 1, 1).all_pass
-        shapes = engine._plan.cache_info()
-        assert shapes.currsize == shapes.misses < shapes.maxsize
+        shapes = engine._position_plan.cache_info()
+        assert 0 < shapes.currsize == shapes.misses < shapes.maxsize
         for suite, dim in (("rank2", 4), ("rank4", 3)):
             assert suites.run_suite(suite, dim, 2, 1).all_pass
-        assert engine._plan.cache_info().misses == shapes.misses
+        assert engine._position_plan.cache_info().misses == shapes.misses
+        assert engine._plan.cache_info().currsize == 0
 
     @pytest.mark.parametrize("rank,dim,call,widths", [
         pytest.param(6, 3, 0, (3, 12, 27, 63, 111), id="6-3-0-widths1"),
