@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import engine
 from .errors import SingularTensorError
 from .report import IdentityCheck, check
-from .tensor import SymTensor
+from .tensor import SymTensor, flat_product
 
 
 def _check_pair(a: SymTensor, g: SymTensor):
@@ -159,8 +159,15 @@ def characteristic_residual_at(a: SymTensor, g: SymTensor, point) -> Fraction:
     return direct - evaluate_polynomial(coeffs, point)
 
 
-def identity_residual(array: Mapping) -> Fraction:
-    """Largest absolute deviation from the unit matrix of a d x d mapping
-    keyed by ``(i, j)``, as returned by ``tensor.contract_one_free``."""
-    return max((abs(value - (1 if i == j else 0))
-                for (i, j), value in array.items()), default=Fraction(0))
+def identity_residual(x: SymTensor, y: SymTensor) -> Fraction:
+    """Largest absolute deviation from the unit matrix of the contraction
+    T[i, j] = sum over (r-1)-tuples k of x[(i,)+k] * y[(j,)+k]
+    (``tensor.contract_one_free``), read off its integer rows as one
+    Fraction: max |v - delta_ij scale| over the rows' scale."""
+    x._require_same_shape(y)
+    if x.rank < 2:
+        raise ValueError("contraction with one free index needs rank >= 2")
+    rows, scale = flat_product((x, 1), (y, x.rank - 1))
+    return Fraction(max(abs(v - scale) if i == j else abs(v)
+                        for i, row in enumerate(rows)
+                        for j, v in enumerate(row)), scale)

@@ -9,18 +9,26 @@ of the cubic in two dimensions. ``lift`` returns a named tuple,
 dimensions, the discriminant and the ratio of the two. The
 two-dimensional closed-form inverse and its derivative construction live
 here as well.
+
+The binary-cubic closed forms run on the form's integer numerators
+(A, B, C, D), in key order 000, 001, 011, 111, over its scale L. Each
+is homogeneous, so each result is one Fraction or one tensor form: the
+discriminant is disc(A, B, C, D) / L^4, its partials are P(A, B, C, D)
+/ L^3, and the inverse is L N(A, B, C, D) / disc(A, B, C, D), with N the
+inverse's numerator polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from . import engine, invariants
 from .errors import SingularTensorError
 from .rational import format_scalar
 from .report import VerificationReport, check
-from .tensor import (SymTensor, contract_one_free, derive_seed, multiplicity,
+from .tensor import (SymTensor, canonical_keys, derive_seed, multiplicity,
                      random_symmetric, sym_outer, sym_product)
 
 # det(lift(s)) / cubic_discriminant(s) for every binary cubic. Proved:
@@ -29,6 +37,13 @@ from .tensor import (SymTensor, contract_one_free, derive_seed, multiplicity,
 # Nullstellensatz (Alon, Combin. Probab. Comput. 8, 1999, Lemma 2.1) it is
 # the zero polynomial; tests/test_oddrank.py evaluates the grid.
 CUBIC_LIFT_RATIO = Fraction(9, 10)
+
+# a binary cubic's keys 000, 001, 011, 111, the order of its numerators
+_CUBIC_KEYS = tuple(canonical_keys(3, 2))
+
+# 3 / multiplicity per key, so that partial / (2 multiplicity disc) is
+# partial * weight / (6 disc)
+_GRADIENT_WEIGHTS = tuple(3 // multiplicity(key) for key in _CUBIC_KEYS)
 
 
 class OddLiftResult(NamedTuple):
@@ -56,19 +71,36 @@ def verify_odd_rank_vanishing(s: SymTensor,
     return report
 
 
-def _cubic_coefficients(s: SymTensor) -> tuple:
-    # s000, s001, s011 and s111 of a binary cubic
-    return tuple(map(s.component, ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))))
+def _discriminant(a, b, c, d):
+    # the binary cubic discriminant, homogeneous of degree 4
+    return (a * a * d * d - 6 * a * b * c * d + 4 * a * c ** 3
+            + 4 * b ** 3 * d - 3 * b * b * c * c)
+
+
+def _partials(a, b, c, d):
+    # the derivatives of _discriminant in a, b, c and d, of degree 3
+    return (2 * a * d * d - 6 * b * c * d + 4 * c ** 3,
+            -6 * a * c * d + 12 * b * b * d - 6 * b * c * c,
+            -6 * a * b * d + 12 * a * c * c - 6 * b * b * c,
+            2 * d * a * a - 6 * a * b * c + 4 * b ** 3)
+
+
+def _inverse_numerators(a, b, c, d):
+    # the closed-form inverse times the discriminant, of degree 3
+    return (a * d * d + 2 * c ** 3 - 3 * b * c * d,
+            2 * d * b * b - a * c * d - b * c * c,
+            2 * a * c * c - d * b * a - c * b * b,
+            d * a * a + 2 * b ** 3 - 3 * c * b * a)
 
 
 def cubic_discriminant(s: SymTensor):
     """Discriminant of a binary cubic: for components a=s000, b=s001,
-    c=s011, d=s111 this is a^2 d^2 - 6abcd + 4ac^3 + 4b^3 d - 3b^2 c^2."""
+    c=s011, d=s111 this is a^2 d^2 - 6abcd + 4ac^3 + 4b^3 d - 3b^2 c^2,
+    evaluated on the form's numerators over its scale to the fourth."""
     if s.rank != 3 or s.dim != 2:
         raise ValueError("the closed form covers rank 3 in two dimensions")
-    a, b, c, d = _cubic_coefficients(s)
-    return (a * a * d * d - 6 * a * b * c * d + 4 * a * c ** 3
-            + 4 * b ** 3 * d - 3 * b * b * c * c)
+    numerators, scale = s.form
+    return Fraction(_discriminant(*numerators), scale ** 4)
 
 
 def _square(s: SymTensor) -> SymTensor:
@@ -93,14 +125,28 @@ def lift(s: SymTensor) -> OddLiftResult:
 
 def discriminant_partials(s: SymTensor) -> dict:
     """Canonical derivatives of the cubic discriminant, one per stored
-    key: each is the key's multiplicity times the formal derivative."""
-    a, b, c, d = _cubic_coefficients(s)
-    return {
-        (0, 0, 0): 2 * a * d * d - 6 * b * c * d + 4 * c ** 3,
-        (0, 0, 1): -6 * a * c * d + 12 * b * b * d - 6 * b * c * c,
-        (0, 1, 1): -6 * a * b * d + 12 * a * c * c - 6 * b * b * c,
-        (1, 1, 1): 2 * d * a * a - 6 * a * b * c + 4 * b ** 3,
-    }
+    key: each is the key's multiplicity times the formal derivative,
+    evaluated on the form's numerators over its scale cubed."""
+    if s.rank != 3 or s.dim != 2:
+        raise ValueError("the closed form covers rank 3 in two dimensions")
+    numerators, scale = s.form
+    cube = scale ** 3
+    return {key: Fraction(partial, cube)
+            for key, partial in zip(_CUBIC_KEYS, _partials(*numerators))}
+
+
+def _over_discriminant(s: SymTensor, values, factor: int) -> SymTensor:
+    # the cubic scale * values / (factor * disc) for values of degree 3 in
+    # the form's numerators: by homogeneity, the same polynomials on the
+    # coefficients over their discriminant. The sign of disc moves to the
+    # numerators, since a scale is positive
+    numerators, scale = s.form
+    disc = _discriminant(*numerators)
+    if disc == 0:
+        raise SingularTensorError("cubic discriminant is zero; no inverse")
+    if disc < 0:
+        scale, disc = -scale, -disc
+    return SymTensor(3, 2, [scale * v for v in values], factor * disc)
 
 
 def inverse_odd_d2(s: SymTensor) -> SymTensor:
@@ -109,21 +155,13 @@ def inverse_odd_d2(s: SymTensor) -> SymTensor:
     Components (with disc the cubic discriminant):
         inv^000 = (s000 s111^2 + 2 s011^3 - 3 s001 s011 s111) / disc
         inv^001 = (2 s111 s001^2 - s000 s011 s111 - s001 s011^2) / disc
-    and the 0 <-> 1 mirror images for the other two.
+    and the 0 <-> 1 mirror images for the other two. Both polynomials
+    run on the form's numerators, and the quotient is multiplied by the
+    form's scale.
     """
     if s.rank != 3 or s.dim != 2:
         raise ValueError("the closed-form inverse covers rank 3 in two dimensions")
-    disc = cubic_discriminant(s)
-    if disc == 0:
-        raise SingularTensorError("cubic discriminant is zero; no inverse")
-    a, b, c, d = _cubic_coefficients(s)
-    entries = {
-        (0, 0, 0): (a * d * d + 2 * c ** 3 - 3 * b * c * d) / disc,
-        (0, 0, 1): (2 * d * b * b - a * c * d - b * c * c) / disc,
-        (0, 1, 1): (2 * a * c * c - d * b * a - c * b * b) / disc,
-        (1, 1, 1): (d * a * a + 2 * b ** 3 - 3 * c * b * a) / disc,
-    }
-    return SymTensor.from_entries(3, 2, entries)
+    return _over_discriminant(s, _inverse_numerators(*s.form[0]), 1)
 
 
 def inverse_odd_d2_gradient(s: SymTensor) -> SymTensor:
@@ -132,16 +170,14 @@ def inverse_odd_d2_gradient(s: SymTensor) -> SymTensor:
 
     The canonical derivative of the discriminant divides by the key's
     multiplicity to give the formal per-component derivative; this is
-    where the mixed-index factor 1/3 enters.
+    where the mixed-index factor 1/3 enters: the value at a key is
+    partial / (2 multiplicity disc), taken as partial (3 / multiplicity)
+    over 6 disc.
     """
     if s.rank != 3 or s.dim != 2:
         raise ValueError("the derivative route covers rank 3 in two dimensions")
-    disc = cubic_discriminant(s)
-    if disc == 0:
-        raise SingularTensorError("cubic discriminant is zero; no inverse")
-    return SymTensor.from_entries(3, 2, {
-        key: partial / multiplicity(key) / (2 * disc)
-        for key, partial in discriminant_partials(s).items()})
+    return _over_discriminant(s, map(mul, _GRADIENT_WEIGHTS,
+                                     _partials(*s.form[0])), 6)
 
 
 def lift_gradient_candidate(s: SymTensor) -> SymTensor:
@@ -217,7 +253,7 @@ def verify_inverse_d2(s: SymTensor, seed: int | None = None) -> VerificationRepo
         "inverse_two_routes",
         "closed-form inverse == discriminant-gradient inverse",
         closed - via_gradient, seed))
-    residual = invariants.identity_residual(contract_one_free(closed, s))
+    residual = invariants.identity_residual(closed, s)
     report.checks.append(check(
         "inverse_contraction",
         "inv[(i,)+k] * s[(j,)+k] summed over k == delta", residual, seed))
@@ -231,7 +267,7 @@ def report_candidate_inverse(s: SymTensor,
     report = VerificationReport("odd-rank-candidate")
     try:
         candidate = lift_gradient_candidate(s)
-        residual = invariants.identity_residual(contract_one_free(candidate, s))
+        residual = invariants.identity_residual(candidate, s)
     except SingularTensorError:
         residual = Fraction(0)
         report.notes["candidate"] = "degenerate sample, lift determinant zero"

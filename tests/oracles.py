@@ -318,3 +318,49 @@ def newton_closed_forms(q):
                              + 40 * q3 ** 2 - 90 * q1 ** 2 * q4
                              + 90 * q2 * q4 + 144 * q1 * q5 - 120 * q6)
     return p2, p3, p4, p5, p6
+
+
+def _cubic_coefficients(s: SymTensor) -> tuple:
+    # s000, s001, s011 and s111 of a binary cubic, as Fractions
+    return tuple(map(s.component, ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))))
+
+
+def cubic_discriminant(s: SymTensor):
+    """a^2 d^2 - 6abcd + 4ac^3 + 4b^3 d - 3b^2 c^2 for a=s000, b=s001,
+    c=s011, d=s111, one Fraction operation per step."""
+    a, b, c, d = _cubic_coefficients(s)
+    return (a * a * d * d - 6 * a * b * c * d + 4 * a * c ** 3
+            + 4 * b ** 3 * d - 3 * b * b * c * c)
+
+
+def discriminant_partials(s: SymTensor) -> dict:
+    """The cubic discriminant's derivative in each stored coefficient."""
+    a, b, c, d = _cubic_coefficients(s)
+    return {
+        (0, 0, 0): 2 * a * d * d - 6 * b * c * d + 4 * c ** 3,
+        (0, 0, 1): -6 * a * c * d + 12 * b * b * d - 6 * b * c * c,
+        (0, 1, 1): -6 * a * b * d + 12 * a * c * c - 6 * b * b * c,
+        (1, 1, 1): 2 * d * a * a - 6 * a * b * c + 4 * b ** 3,
+    }
+
+
+def inverse_odd_d2(s: SymTensor) -> SymTensor:
+    """The closed-form inverse of a binary cubic, each component divided
+    by the discriminant as a Fraction."""
+    disc = cubic_discriminant(s)
+    a, b, c, d = _cubic_coefficients(s)
+    return SymTensor.from_entries(3, 2, {
+        (0, 0, 0): (a * d * d + 2 * c ** 3 - 3 * b * c * d) / disc,
+        (0, 0, 1): (2 * d * b * b - a * c * d - b * c * c) / disc,
+        (0, 1, 1): (2 * a * c * c - d * b * a - c * b * b) / disc,
+        (1, 1, 1): (d * a * a + 2 * b ** 3 - 3 * c * b * a) / disc,
+    })
+
+
+def inverse_odd_d2_gradient(s: SymTensor) -> SymTensor:
+    """Each partial over its key's orbit size, counted by listing the
+    key's distinct orderings, and over twice the discriminant."""
+    disc = cubic_discriminant(s)
+    return SymTensor.from_entries(3, 2, {
+        key: partial / len(set(itertools.permutations(key))) / (2 * disc)
+        for key, partial in discriminant_partials(s).items()})

@@ -6,7 +6,7 @@ import math
 import time
 from fractions import Fraction
 
-from hypermat import (CUBIC_LIFT_RATIO, SymTensor, contract_one_free,
+from hypermat import (CUBIC_LIFT_RATIO, SymTensor,
                       coset_restricted_product_counted, cubic_discriminant,
                       derive_seed, discriminants_trace, epsilon_determinant,
                       epsilon_inverse, epsilon_product, identity,
@@ -58,11 +58,11 @@ def test_criterion_02_inverse_components_and_contraction():
         assert inv.component((0, 0, 0, 0)) == a.component((1, 1, 1, 1)) / det
         assert inv.component((0, 0, 0, 1)) == -a.component((0, 1, 1, 1)) / det
         assert inv.component((0, 0, 1, 1)) == a.component((0, 0, 1, 1)) / det
-        assert identity_residual(contract_one_free(inv, a)) == 0
+        assert identity_residual(inv, a) == 0
     for seed in range(10):
         a = invertible(4, 3, derive_seed(2100, seed), 5)
         inv = epsilon_inverse(a)
-        assert identity_residual(contract_one_free(inv, a)) == 0
+        assert identity_residual(inv, a) == 0
     _stamp(2, 30, started,
            "fourth-rank inverse closed forms (d=2, 50 seeds) and "
            "delta contraction (d=3, 10 seeds)")
@@ -154,7 +154,7 @@ def test_criterion_09_cubic_inverse_routes():
             continue
         closed = inverse_odd_d2(s)
         assert closed == inverse_odd_d2_gradient(s)
-        assert identity_residual(contract_one_free(closed, s)) == 0
+        assert identity_residual(closed, s) == 0
         disc = cubic_discriminant(s)
         partials = oddrank.discriminant_partials(s)
         assert partials[(0, 0, 1)] == \

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermat import cli, contract_one_free, engine, oddrank, suites, tensor
+from hypermat import cli, engine, oddrank, suites, tensor
 from hypermat.documents import tensor_from_document, tensor_to_document
 from hypermat.invariants import identity_residual
 from hypermat.tensor import SymTensor, from_matrix
@@ -338,7 +338,7 @@ class TestInverse:
         _, out, _ = run(capsys, "inverse", path)
         inverse = tensor_from_document(json.loads(out))
         original = tensor_from_document(SAMPLE_A_DOC)
-        assert identity_residual(contract_one_free(inverse, original)) == 0
+        assert identity_residual(inverse, original) == 0
 
     def test_a_rank2_d8_inverse_is_within_the_work_budget(self, tmp_path, capsys):
         # the held copies merge by 7!, so the sign-level estimate is 8! * 8
@@ -349,7 +349,7 @@ class TestInverse:
         code, out, err = run(capsys, "inverse", path)
         assert (code, err) == (0, "")
         inverse = tensor_from_document(json.loads(out))
-        assert identity_residual(contract_one_free(inverse, tensor_from_document(doc))) == 0
+        assert identity_residual(inverse, tensor_from_document(doc)) == 0
 
     @pytest.mark.parametrize("doc", [SINGULAR_MATRIX_DOC, SINGULAR_RANK4_DOC],
                              ids=["rank2", "rank4"])

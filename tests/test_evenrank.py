@@ -12,7 +12,8 @@ from hypermat import (SingularTensorError, SymTensor, cayley_det,
                       characteristic_coefficients, contract_full,
                       contract_one_free, derive_seed, epsilon_determinant,
                       epsilon_inverse, from_matrix, invariant_values,
-                      quadratic_identity_residual, random_symmetric,
+                      inverse_odd_d2, quadratic_identity_residual,
+                      random_symmetric,
                       self_identity_residual, verify_poly_identity_d2,
                       verify_recurrence_even)
 from hypermat import evenrank, invariants
@@ -115,7 +116,7 @@ class TestInverse:
         assert inv.component((1, 1, 1, 1)) == a.component((0, 0, 0, 0)) / det
 
     def test_contraction_identity_d2(self):
-        assert identity_residual(contract_one_free(epsilon_inverse(SAMPLE_A), SAMPLE_A)) == 0
+        assert identity_residual(epsilon_inverse(SAMPLE_A), SAMPLE_A) == 0
 
     # delta at every even rank and d, by GL(d) invariance (the proof is in
     # epsilon_inverse's docstring)
@@ -124,7 +125,7 @@ class TestInverse:
     def test_contraction_identity_beyond_d2(self, rank, dim):
         a = random_symmetric(rank, dim, 13, 5)
         assert epsilon_determinant(a) != 0
-        assert identity_residual(contract_one_free(epsilon_inverse(a), a)) == 0
+        assert identity_residual(epsilon_inverse(a), a) == 0
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_contraction_trace_is_the_dimension(self, dim):
@@ -136,6 +137,45 @@ class TestInverse:
         single = SymTensor.from_entries(4, 2, {(0, 0, 0, 0): 1})
         with pytest.raises(SingularTensorError):
             epsilon_inverse(single)
+
+
+def _dict_route(x, y):
+    # the residual as the rows once read it: every entry of the d x d
+    # contraction a Fraction, less delta, in absolute value
+    return max(abs(value - (1 if i == j else 0))
+               for (i, j), value in contract_one_free(x, y).items())
+
+
+class TestIdentityResidual:
+    """identity_residual reads the contraction's integer rows and forms one
+    Fraction; the dict of d*d Fractions gives the same value."""
+
+    @pytest.mark.parametrize("rank,dim", [(2, 3), (2, 4), (4, 2), (4, 3), (6, 2)])
+    def test_exact_and_perturbed_inverses(self, rank, dim):
+        a = random_symmetric(rank, dim, 350 + rank + dim, 7)
+        assert epsilon_determinant(a) != 0
+        inverse = epsilon_inverse(a)
+        assert identity_residual(inverse, a) == _dict_route(inverse, a) == 0
+        bump = SymTensor.from_entries(rank, dim, {(0,) * rank: Fraction(1, 7)})
+        perturbed = inverse + bump
+        residual = identity_residual(perturbed, a)
+        assert residual != 0
+        assert residual == _dict_route(perturbed, a)
+
+    def test_odd_closed_form_inverse(self):
+        s = random_symmetric(3, 2, 47, 9)
+        closed = inverse_odd_d2(s)
+        assert identity_residual(closed, s) == _dict_route(closed, s) == 0
+        perturbed = closed * Fraction(5, 4)
+        assert identity_residual(perturbed, s) == _dict_route(perturbed, s) == Fraction(1, 4)
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            identity_residual(SAMPLE_A, random_symmetric(4, 3, 1, 5))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            identity_residual(SAMPLE_A, random_symmetric(2, 2, 1, 5))
+        with pytest.raises(ValueError, match="rank >= 2"):
+            identity_residual(random_symmetric(1, 2, 1, 5), random_symmetric(1, 2, 2, 5))
 
 
 class TestInvariantSequence:

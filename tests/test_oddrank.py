@@ -117,7 +117,7 @@ class TestInverse:
 
     def test_contraction_identity(self):
         inv = inverse_odd_d2(CORNERS)
-        assert identity_residual(contract_one_free(inv, CORNERS)) == 0
+        assert identity_residual(inv, CORNERS) == 0
 
     @pytest.mark.parametrize("seed", [43, 44, 45])
     def test_two_routes_and_contraction(self, seed):
@@ -126,8 +126,8 @@ class TestInverse:
         closed = inverse_odd_d2(s)
         gradient = inverse_odd_d2_gradient(s)
         assert closed == gradient
+        assert identity_residual(closed, s) == 0
         arr = contract_one_free(closed, s)
-        assert identity_residual(arr) == 0
         assert arr[0, 0] + arr[1, 1] == 2
 
     def test_mixed_component_carries_one_third(self):
@@ -193,6 +193,63 @@ class TestInverse:
         s = random_symmetric(3, 3, 49, 5)
         report = oddrank.report_candidate_inverse(s, seed=49)
         assert report.checks[0].status == "reported"
+
+
+def _cubic(*values, scale=1):
+    return SymTensor(3, 2, values, scale)
+
+
+# fixed cubics: a scale above one with a negative discriminant, the same
+# shape with all four coefficients nonzero, two zero discriminants, and
+# numerators and scales near 10**30
+FIXED_CUBICS = [
+    SymTensor.from_entries(3, 2, {(0, 0, 0): Fraction(1, 2), (0, 0, 1): 1,
+                                  (0, 1, 1): Fraction(1, 3),
+                                  (1, 1, 1): Fraction(-3, 4)}),
+    _cubic(5, -3, 2, 7, scale=6), _cubic(9, 2, -1, 12, scale=6),
+    _cubic(1, 2, 3, -4, scale=35), ALL_ONES,
+    _cubic(1, 1, 1, 1, scale=2), SymTensor.from_entries(3, 2, {(0, 0, 0): 2}),
+    _cubic(10 ** 30 + 1, -(10 ** 30 - 7), 10 ** 30 + 3, 10 ** 30 - 11),
+    _cubic(10 ** 30 - 1, 3, -(10 ** 30 + 9), 7, scale=10 ** 30 + 17),
+]
+SEEDED_CUBICS = [random_symmetric(3, 2, derive_seed(35, k), 9) for k in range(60)]
+
+
+class TestIntegerClosedForms:
+    """The closed forms on the form's numerators against the Fraction
+    formulas of the oracles, which read component() one by one."""
+
+    def test_the_fixed_cubics_cover_each_case(self):
+        discs = [cubic_discriminant(s) for s in FIXED_CUBICS]
+        assert any(d < 0 and s.form[1] > 1 for d, s in zip(discs, FIXED_CUBICS))
+        assert sum(d == 0 for d in discs) >= 2
+        assert any(max(map(abs, s.form[0])) > 10 ** 29 for s in FIXED_CUBICS)
+        assert any(s.form[1] > 10 ** 29 for s in FIXED_CUBICS)
+        seeded = [cubic_discriminant(s) for s in SEEDED_CUBICS]
+        assert any(d < 0 for d in seeded) and any(d > 0 for d in seeded)
+
+    @pytest.mark.parametrize("s", FIXED_CUBICS + SEEDED_CUBICS)
+    def test_discriminant_and_partials_match_the_oracle(self, s):
+        assert cubic_discriminant(s) == oracles.cubic_discriminant(s)
+        assert oddrank.discriminant_partials(s) == oracles.discriminant_partials(s)
+
+    @pytest.mark.parametrize("s", FIXED_CUBICS + SEEDED_CUBICS)
+    def test_inverses_match_the_oracle(self, s):
+        if oracles.cubic_discriminant(s) == 0:
+            with pytest.raises(SingularTensorError):
+                inverse_odd_d2(s)
+            with pytest.raises(SingularTensorError):
+                inverse_odd_d2_gradient(s)
+            return
+        closed = inverse_odd_d2(s)
+        gradient = inverse_odd_d2_gradient(s)
+        assert closed == oracles.inverse_odd_d2(s)
+        assert gradient == oracles.inverse_odd_d2_gradient(s)
+        assert gradient == closed
+        for inverse in (closed, gradient):
+            numerators, scale = inverse.form
+            assert scale > 0
+            assert math.gcd(scale, *numerators) == 1
 
 
 class TestProportionality:

@@ -9,8 +9,8 @@ import pytest
 
 from hypermat import (SingularTensorError, SymTensor,
                       characteristic_coefficients, contract_full,
-                      contract_one_free, discriminants_trace,
-                      epsilon_determinant, epsilon_inverse, from_matrix,
+                      discriminants_trace, epsilon_determinant,
+                      epsilon_inverse, from_matrix,
                       g_product, identity, invariant_values,
                       newton_elementary_from_power, power_sums,
                       random_symmetric, verify_recurrence2)
@@ -51,7 +51,7 @@ class TestMetricInverse:
 
     def test_inverse_contracts_to_delta(self):
         g = random_invertible_2(3, 17)
-        assert identity_residual(contract_one_free(epsilon_inverse(g), g)) == 0
+        assert identity_residual(epsilon_inverse(g), g) == 0
 
 
 class TestMetricAlgebra:
@@ -256,7 +256,7 @@ class TestDetInverse:
 
     def test_inverse_contraction(self):
         a = random_invertible_2(3, 74)
-        assert identity_residual(contract_one_free(epsilon_inverse(a), a)) == 0
+        assert identity_residual(epsilon_inverse(a), a) == 0
 
     def test_singular(self):
         with pytest.raises(SingularTensorError):

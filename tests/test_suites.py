@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hypermat import SymTensor, engine, suites
+from hypermat import SymTensor, engine, oddrank, suites
 from hypermat.report import FAIL
 
 
@@ -95,6 +95,39 @@ def test_a_wrong_backward_pass_fails_the_inverse(monkeypatch, suite, dim):
     report = suites.run_suite(suite, dim, 5, 1)
     assert "inverse_contraction" in {c.identity for c in report.checks
                                      if c.status == FAIL}
+
+
+def _plus_abcd(a, b, c, d, discriminant=oddrank._discriminant):
+    # the discriminant with -6abcd turned into -5abcd
+    return discriminant(a, b, c, d) + a * b * c * d
+
+
+def _partials_less_b2d(a, b, c, d, partials=oddrank._partials):
+    # the 001 partial with 12b^2 d turned into 11b^2 d
+    p = list(partials(a, b, c, d))
+    p[1] -= b * b * d
+    return tuple(p)
+
+
+def _numerators_plus_c3(a, b, c, d, numerators=oddrank._inverse_numerators):
+    # the 000 inverse numerator with 2c^3 turned into 3c^3
+    n = list(numerators(a, b, c, d))
+    n[0] += c ** 3
+    return tuple(n)
+
+
+@pytest.mark.parametrize("helper,mutated,rows", [
+    ("_discriminant", _plus_abcd, {"proportionality", "inverse_contraction"}),
+    ("_partials", _partials_less_b2d,
+     {"inverse_two_routes", "derivative_multiplicity_factor"}),
+    ("_inverse_numerators", _numerators_plus_c3,
+     {"inverse_two_routes", "inverse_contraction"})])
+def test_the_odd_d2_rows_see_each_closed_form(monkeypatch, helper, mutated, rows):
+    # one coefficient of one integer polynomial changed: the rows that
+    # read that closed form must fail
+    monkeypatch.setattr(oddrank, helper, mutated)
+    report = suites.run_suite("odd", 2, 5, 2)
+    assert rows <= {c.identity for c in report.checks if c.status == FAIL}
 
 
 def test_suite_reports_are_pinned():
