@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from . import engine, invariants
 from .report import VerificationReport, check
-from .tensor import SymTensor, contract_full, flat_product, sym_product
+from .tensor import (SymTensor, contract_full, flat_product, linear_combination,
+                     sym_product)
 
 
 def cayley_det(a: SymTensor):
@@ -61,10 +62,8 @@ def quadratic_identity_residual(a: SymTensor, g: SymTensor) -> SymTensor:
     g_inv = engine.epsilon_inverse(g)
     c1 = contract_full(g_inv, a)
     c2 = invariants.invariant_of_order(a, g, 2)
-    return (a * c1
-            - _one_three_split(a, g_inv) * 4
-            + _two_two_split(a, g_inv) * 3
-            - g * c2)
+    return linear_combination(4, 2, [(a, c1), (_one_three_split(a, g_inv), -4),
+                                     (_two_two_split(a, g_inv), 3), (g, -c2)])
 
 
 def pair_cycle_trace(a: SymTensor, a_inv: SymTensor):
@@ -82,8 +81,8 @@ def self_identity_residual(a: SymTensor) -> SymTensor:
     if a.rank != 4 or a.dim != 2:
         raise ValueError("the self identity is stated for rank 4, d = 2")
     a_inv = engine.epsilon_inverse(a)
-    return (_two_two_split(a, a_inv)
-            - a * (pair_cycle_trace(a, a_inv) / 2))
+    return linear_combination(4, 2, [(_two_two_split(a, a_inv), 1),
+                                     (a, -pair_cycle_trace(a, a_inv) / 2)])
 
 
 _QUADRATIC_FORMULA = ("C_1*A - 4*sym(A:invG:A, 1|3 split) "

@@ -6,6 +6,14 @@ copies of ``a`` and d-s copies of ``g``, normalized by s!(d-s)! and by
 the metric determinant. Order 0 is identically 1 and order d equals
 det(a)/det(g); orders above d vanish. The rank-2 and higher even-rank
 layers both build on the functions here.
+
+The gradients of c_s are lists of (tensor, coefficient) terms from two
+private builders, ``_tensor_terms`` and ``_metric_terms``, which take
+det(g), inv(g) and c_s as arguments. ``grad_tensor`` and ``grad_metric``
+are each one ``tensor.linear_combination`` of a builder's terms, and a
+recurrence row is one combination of both builders' own terms, each
+with its own normalization, so a wrong one fails the row; the rows of
+``recurrence_checks`` fetch det(g), inv(g) and the c_s once.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Sequence
 from . import engine
 from .errors import SingularTensorError
 from .report import IdentityCheck, check
-from .tensor import SymTensor, flat_product
+from .tensor import SymTensor, flat_product, linear_combination
 
 
 def _check_pair(a: SymTensor, g: SymTensor):
@@ -56,38 +64,61 @@ def invariant_values(a: SymTensor, g: SymTensor) -> tuple:
     return tuple(invariant_of_order(a, g, s) for s in range(a.dim + 1))
 
 
-def grad_tensor(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
-    """Formal derivative of the order-s invariant with respect to ``a``.
-
-    The s tensor slots contribute identical slot-freed gradients, so the
-    result is s times the first slot's gradient over the normalization.
-    """
-    _check_pair(a, g)
+def _tensor_terms(a: SymTensor, g: SymTensor, s: int, g_det) -> list:
+    """The (tensor, coefficient) terms of the derivative of c_s with
+    respect to ``a``, for the metric determinant ``g_det``: the s tensor
+    slots contribute identical slot-freed gradients, so one term, the
+    first slot's gradient times s over the normalization; none for s = 0
+    or s > d."""
     d = a.dim
-    g_det = metric_determinant(g)
     if s == 0 or s > d:
-        return SymTensor.zero(a.rank, d)
+        return []
     freed = engine.epsilon_product_gradient([a] * s + [g] * (d - s), 0)
-    return freed * (Fraction(s, math.factorial(s) * math.factorial(d - s)) / g_det)
+    return [(freed, Fraction(s, math.factorial(s) * math.factorial(d - s)) / g_det)]
+
+
+def _metric_terms(a: SymTensor, g: SymTensor, s: int, g_det, g_inv: SymTensor,
+                  c_s) -> list:
+    """The (tensor, coefficient) terms of the derivative of c_s with
+    respect to ``g``, for the metric determinant ``g_det``, its inverse
+    ``g_inv`` and the invariant ``c_s``: the 1/det(g) prefactor's term,
+    -c_s inv(g), and below order d the d-s metric slots' identical
+    slot-freed gradients; none for s > d."""
+    d = a.dim
+    if s > d:
+        return []
+    terms = [(g_inv, -c_s)]
+    if s < d:
+        freed = engine.epsilon_product_gradient([a] * s + [g] * (d - s), s)
+        terms.append((freed, Fraction(d - s, math.factorial(s) * math.factorial(d - s))
+                      / g_det))
+    return terms
+
+
+def grad_tensor(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
+    """Formal derivative of the order-s invariant with respect to ``a``."""
+    _check_pair(a, g)
+    return linear_combination(a.rank, a.dim,
+                              _tensor_terms(a, g, s, metric_determinant(g)))
 
 
 def grad_metric(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
     """Formal derivative of the order-s invariant with respect to ``g``,
     including the term from the 1/det(g) prefactor."""
     _check_pair(a, g)
-    d = a.dim
     g_det = metric_determinant(g)
     g_inv = engine.epsilon_inverse(g)
-    if s > d:
-        return SymTensor.zero(a.rank, d)
-    value = invariant_of_order(a, g, s)
-    prefactor_term = g_inv * (-value)
-    if s == d:
-        return prefactor_term
-    freed = engine.epsilon_product_gradient([a] * s + [g] * (d - s), s)
-    slot_term = freed * (
-        Fraction(d - s, math.factorial(s) * math.factorial(d - s)) / g_det)
-    return slot_term + prefactor_term
+    return linear_combination(a.rank, a.dim, _metric_terms(
+        a, g, s, g_det, g_inv, invariant_of_order(a, g, s)))
+
+
+def _recurrence_row(a: SymTensor, g: SymTensor, s: int, g_det, g_inv: SymTensor,
+                    c_s) -> SymTensor:
+    # both builders' own terms, each with its own normalization, and
+    # c_s inv(g), as one combination
+    return linear_combination(a.rank, a.dim, [
+        *_metric_terms(a, g, s, g_det, g_inv, c_s), (g_inv, c_s),
+        *[(t, -c) for t, c in _tensor_terms(a, g, s + 1, g_det)]])
 
 
 def recurrence_residual(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
@@ -97,20 +128,25 @@ def recurrence_residual(a: SymTensor, g: SymTensor, s: int) -> SymTensor:
     zero, is the Cayley-Hamilton statement). Below order d both gradients
     hold a^s g^(d-s-1), so they are one served request.
     """
-    lhs = grad_metric(a, g, s) + engine.epsilon_inverse(g) * invariant_of_order(a, g, s)
-    return lhs - grad_tensor(a, g, s + 1)
+    _check_pair(a, g)
+    return _recurrence_row(a, g, s, metric_determinant(g), engine.epsilon_inverse(g),
+                           invariant_of_order(a, g, s))
 
 
 def recurrence_checks(a: SymTensor, g: SymTensor, formulas: tuple,
                       seed: int | None) -> list[IdentityCheck]:
     """One check row per order 0..d of the recurrence; the order-d row is
     the Cayley-Hamilton statement. ``formulas`` holds the printed forms of
-    the general row and of the order-d row."""
+    the general row and of the order-d row. det(g), inv(g) and the c_s
+    are fetched once for every row."""
     recurrence, cayley_hamilton = formulas
+    _check_pair(a, g)
     d = a.dim
+    g_det, g_inv = metric_determinant(g), engine.epsilon_inverse(g)
+    values = invariant_values(a, g)
     return [check("cayley_hamilton" if s == d else f"recurrence_order_{s}",
                   cayley_hamilton if s == d else recurrence,
-                  recurrence_residual(a, g, s), seed)
+                  _recurrence_row(a, g, s, g_det, g_inv, values[s]), seed)
             for s in range(d + 1)]
 
 
@@ -126,11 +162,11 @@ def metric_derivative_bridge_residual(a: SymTensor, g: SymTensor, s: int) -> Sym
     d = a.dim
     if not 0 <= s < d:
         raise ValueError("the product-rule bridge applies for 0 <= s < d")
-    lhs = engine.epsilon_product_gradient([a] * s + [g] * (d - s), s) * Fraction(
-        d - s, math.factorial(s) * math.factorial(d - s))
-    rhs = engine.epsilon_product_gradient([a] * (s + 1) + [g] * (d - s - 1), 0) * Fraction(
-        s + 1, math.factorial(s + 1) * math.factorial(d - s - 1))
-    return lhs - rhs
+    return linear_combination(a.rank, d, [
+        (engine.epsilon_product_gradient([a] * s + [g] * (d - s), s),
+         Fraction(d - s, math.factorial(s) * math.factorial(d - s))),
+        (engine.epsilon_product_gradient([a] * (s + 1) + [g] * (d - s - 1), 0),
+         -Fraction(s + 1, math.factorial(s + 1) * math.factorial(d - s - 1)))])
 
 
 def characteristic_coefficients(values: Sequence) -> tuple:
@@ -152,7 +188,7 @@ def characteristic_residual_at(a: SymTensor, g: SymTensor, point) -> Fraction:
 
     det(a - t*g) is the full sum over d!, so it shares no plan with the
     c_s, which read the row plan on a polarized shape."""
-    shifted = a + g * (-point)
+    shifted = linear_combination(a.rank, a.dim, [(a, 1), (g, -point)])
     direct = (engine.epsilon_product([shifted] * a.dim) / math.factorial(a.dim)
               / metric_determinant(g))
     coeffs = characteristic_coefficients(invariant_values(a, g))

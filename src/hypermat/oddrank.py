@@ -135,6 +135,25 @@ def discriminant_partials(s: SymTensor) -> dict:
             for key, partial in zip(_CUBIC_KEYS, _partials(*numerators))}
 
 
+def discriminant_difference(s: SymTensor):
+    """The derivative of the cubic discriminant in the 001 component, by
+    the five-point central difference of its integer polynomial along B
+    with the scale L as step: [8(disc(B+L) - disc(B-L)) - (disc(B+2L) -
+    disc(B-2L))] / (12 L^4). The stencil is exact on polynomials of
+    degree 4 or less and the discriminant is cubic in B, so this is the
+    001 entry of ``discriminant_partials`` read off the discriminant
+    itself."""
+    if s.rank != 3 or s.dim != 2:
+        raise ValueError("the closed form covers rank 3 in two dimensions")
+    (a, b, c, d), scale = s.form
+
+    def shifted(steps: int):
+        return _discriminant(a, b + steps * scale, c, d)
+
+    return Fraction(8 * (shifted(1) - shifted(-1)) - (shifted(2) - shifted(-2)),
+                    12 * scale ** 4)
+
+
 def _over_discriminant(s: SymTensor, values, factor: int) -> SymTensor:
     # the cubic scale * values / (factor * disc) for values of degree 3 in
     # the form's numerators: by homogeneity, the same polynomials on the

@@ -14,7 +14,8 @@ from typing import Sequence
 
 from . import engine, invariants
 from .report import VerificationReport, check
-from .tensor import SymTensor, contract_full, identity, sym_product
+from .tensor import (SymTensor, contract_full, identity, linear_combination,
+                     sym_product)
 
 
 def g_product(a: SymTensor, b: SymTensor, g: SymTensor) -> SymTensor:
@@ -82,10 +83,8 @@ def matrix_polynomial_residual(a: SymTensor) -> SymTensor:
     powers = [unit]
     for _ in range(d):
         powers.append(g_product(powers[-1], a, unit))
-    residual = SymTensor.zero(2, d)
-    for s in range(d + 1):
-        residual = residual + powers[d - s] * ((-1) ** s * coeffs[s])
-    return residual
+    return linear_combination(2, d, [(powers[d - s], (-1) ** s * coeffs[s])
+                                     for s in range(d + 1)])
 
 
 _RECURRENCE_FORMULAS = ("d(c_s)/dg + c_s*inv(g) == d(c_{s+1})/da",

@@ -10,9 +10,11 @@ ordering resolves through sorting, and the number of distinct orderings
 of a key is its multiplicity. Because the form is in lowest terms, two
 tensors are equal exactly when their forms are.
 
-Arithmetic runs on the numerators: ``+`` and ``-`` bring both operands
-to the lcm of their scales, ``* scalar`` multiplies numerators and
-scale by the scalar's numerator and denominator, and the constructor's
+Arithmetic runs on the numerators. ``linear_combination`` sums scaled
+tensors of one shape over one scale, the lcm of each term's scale times
+its coefficient's denominator, in one integer pass; ``+`` and ``-`` are
+two-term combinations, and ``* scalar`` multiplies numerators and scale
+by the scalar's numerator and denominator. Either way the constructor's
 one ``math.gcd`` pass reduces the result. ``max_abs`` and ``is_zero``
 read the numerators, so checking a residual builds one Fraction.
 ``entries``, a dict from canonical key to nonzero Fraction, is a view
@@ -40,7 +42,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .rational import as_scalar
@@ -94,6 +96,21 @@ def _orbits(rank: int, dim: int) -> tuple:
 
 
 _set = object.__setattr__
+
+
+def _require_shape(tensor, rank: int, dim: int):
+    if (rank, dim) != (tensor.rank, tensor.dim):
+        raise ValueError(f"shape mismatch: rank {rank} dim {dim} "
+                         f"vs rank {tensor.rank} dim {tensor.dim}")
+
+
+def _exact(scalar) -> tuple:
+    # an int's or a Fraction's numerator and denominator
+    try:
+        return scalar.numerator, scalar.denominator
+    except AttributeError:
+        raise TypeError(f"scalar {scalar!r} is not an exact rational; "
+                        "tensors scale by ints and Fractions only") from None
 
 
 class SymTensor:
@@ -224,27 +241,13 @@ class SymTensor:
         return Fraction(max(map(abs, numerators)), scale)
 
     def _require_same_shape(self, other: "SymTensor"):
-        if (self.rank, self.dim) != (other.rank, other.dim):
-            raise ValueError(
-                f"shape mismatch: rank {self.rank} dim {self.dim} "
-                f"vs rank {other.rank} dim {other.dim}")
-
-    def _combine(self, other: "SymTensor", op) -> "SymTensor":
-        # op(self, other) entrywise, both brought to the lcm of the scales
-        self._require_same_shape(other)
-        (xn, xs), (yn, ys) = self.form, other.form
-        scale = math.lcm(xs, ys)
-        if xs != scale:
-            xn = [n * (scale // xs) for n in xn]
-        if ys != scale:
-            yn = [n * (scale // ys) for n in yn]
-        return SymTensor(self.rank, self.dim, list(map(op, xn, yn)), scale)
+        _require_shape(other, self.rank, self.dim)
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
-        return self._combine(other, add)
+        return linear_combination(self.rank, self.dim, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
-        return self._combine(other, sub)
+        return linear_combination(self.rank, self.dim, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "SymTensor":
         numerators, scale = self.form
@@ -253,15 +256,36 @@ class SymTensor:
     def __mul__(self, scalar) -> "SymTensor":
         if isinstance(scalar, SymTensor):
             return NotImplemented
-        try:
-            p, q = scalar.numerator, scalar.denominator
-        except AttributeError:
-            raise TypeError(f"scalar {scalar!r} is not an exact rational; "
-                            "tensors scale by ints and Fractions only") from None
+        p, q = _exact(scalar)
         numerators, scale = self.form
         return SymTensor(self.rank, self.dim, [n * p for n in numerators], scale * q)
 
     __rmul__ = __mul__
+
+
+def linear_combination(rank: int, dim: int, terms: Iterable) -> SymTensor:
+    """The sum of ``coefficient * tensor`` over ``(tensor, coefficient)``
+    pairs of one shape, each coefficient an int or a Fraction: one form.
+
+    The numerators are taken over one scale, the lcm of each term's scale
+    times its coefficient's denominator, summed in one integer pass, and
+    reduced by the constructor's one gcd pass. A zero coefficient adds
+    nothing, and no terms make the zero tensor. A tensor of another shape
+    raises ``ValueError``.
+    """
+    scaled = []
+    for tensor, coefficient in terms:
+        _require_shape(tensor, rank, dim)
+        p, q = _exact(coefficient)
+        if p:
+            numerators, scale = tensor.form
+            scaled.append((numerators, p, scale * q))
+    scale = math.lcm(*[q for _, _, q in scaled])
+    total = [0] * len(_keys(rank, dim))
+    for numerators, p, q in scaled:
+        total = list(map(add, total, map(mul, numerators,
+                                         itertools.repeat(p * (scale // q)))))
+    return SymTensor(rank, dim, total, scale)
 
 
 def identity(dim: int) -> SymTensor:

@@ -232,6 +232,8 @@ class TestIntegerClosedForms:
     def test_discriminant_and_partials_match_the_oracle(self, s):
         assert cubic_discriminant(s) == oracles.cubic_discriminant(s)
         assert oddrank.discriminant_partials(s) == oracles.discriminant_partials(s)
+        assert (oddrank.discriminant_difference(s)
+                == oracles.discriminant_partials(s)[(0, 0, 1)])
 
     @pytest.mark.parametrize("s", FIXED_CUBICS + SEEDED_CUBICS)
     def test_inverses_match_the_oracle(self, s):
@@ -282,3 +284,25 @@ class TestProportionality:
     def test_degenerate_sample_asserts_zero_determinant(self):
         result = lift(ALL_ONES)
         assert result.cubic_disc == 0 and result.det == 0
+
+
+class TestBasisDependence:
+    """README: at odd rank the `cayley:` line of `det`, the row product, is
+    not a GL(d) invariant; at even rank it is the determinant, which is."""
+
+    UNIMODULAR = [[2, 1], [1, 1]]
+
+    def test_the_odd_rank_row_product_depends_on_the_basis(self):
+        s = random_symmetric(3, 2, 1, 7)
+        moved = oracles.transform(s, self.UNIMODULAR)
+        assert engine.row_product(s) == Fraction(7, 6)
+        assert engine.row_product(moved) == Fraction(-1490, 9)
+        # det(lift), the odd-rank invariant, moves by det(M)^6 = 1
+        assert lift(moved).det == lift(s).det
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_the_even_rank_row_product_does_not(self, rank):
+        a = random_symmetric(rank, 2, 1, 7)
+        moved = oracles.transform(a, self.UNIMODULAR)
+        assert moved != a
+        assert engine.row_product(moved) == engine.row_product(a) != 0

@@ -117,7 +117,8 @@ def _numerators_plus_c3(a, b, c, d, numerators=oddrank._inverse_numerators):
 
 
 @pytest.mark.parametrize("helper,mutated,rows", [
-    ("_discriminant", _plus_abcd, {"proportionality", "inverse_contraction"}),
+    ("_discriminant", _plus_abcd,
+     {"proportionality", "inverse_contraction", "derivative_multiplicity_factor"}),
     ("_partials", _partials_less_b2d,
      {"inverse_two_routes", "derivative_multiplicity_factor"}),
     ("_inverse_numerators", _numerators_plus_c3,
@@ -128,6 +129,28 @@ def test_the_odd_d2_rows_see_each_closed_form(monkeypatch, helper, mutated, rows
     monkeypatch.setattr(oddrank, helper, mutated)
     report = suites.run_suite("odd", 2, 5, 2)
     assert rows <= {c.identity for c in report.checks if c.status == FAIL}
+
+
+@pytest.mark.parametrize("suite,dim", [("rank2", 2), ("rank2", 3), ("rank2", 4),
+                                       ("rank4", 2), ("rank4", 3)])
+def test_the_recurrence_rows_read_both_freed_slot_routes(monkeypatch, suite, dim):
+    # every gradient with a metric slot freed doubled: the metric-slot
+    # term of each row below order d and the tensor-slot term hold the
+    # same gradient, so each row must fail unless both are read with
+    # their own normalization
+    gradient = engine.epsilon_product_gradient
+
+    def mutated(factors, position):
+        grad = gradient(factors, position)
+        return grad * 2 if position else grad
+
+    monkeypatch.setattr(engine, "epsilon_product_gradient", mutated)
+    report = suites.run_suite(suite, dim, 5, 1)
+    failed = {c.identity for c in report.checks if c.status == FAIL}
+    rows = {f"recurrence_order_{s}" for s in range(1, dim)}
+    if suite == "rank2":
+        rows |= {f"metric_derivative_bridge_order_{s}" for s in range(1, dim)}
+    assert rows <= failed
 
 
 def test_suite_reports_are_pinned():

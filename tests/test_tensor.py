@@ -17,7 +17,8 @@ from hypermat import (SymTensor, as_scalar, canonical_keys,
                       random_symmetric, sym_outer)
 from hypermat import tensor
 from hypermat.documents import tensor_from_document
-from hypermat.tensor import flat_product, integer_table, orbit_means, sym_product
+from hypermat.tensor import (flat_product, integer_table, linear_combination,
+                             orbit_means, sym_product)
 
 import oracles
 
@@ -250,6 +251,65 @@ class TestForm:
             SymTensor(2, 2, [1, 0.5, 2])
         with pytest.raises(TypeError):
             SymTensor(2, 2, [1, Fraction(1, 2), 2])
+
+
+class TestLinearCombination:
+    """``linear_combination``: one form for a sum of scaled tensors, the
+    kernel behind ``+``, ``-`` and every residual row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.lists(SEEDS, max_size=5), rank=RANKS, dim=DIMS, data=st.data())
+    def test_matches_the_fraction_sum_over_entries(self, seeds, rank, dim, data):
+        # each term drawn with its own bound, so the scales differ; zero
+        # coefficients are drawn too
+        terms = [(random_symmetric(rank, dim, seed, data.draw(st.integers(1, 9))),
+                  data.draw(st.fractions(max_denominator=12)))
+                 for seed in seeds]
+        result = linear_combination(rank, dim, terms)
+        expected = {}
+        for key in canonical_keys(rank, dim):
+            value = sum((c * t.entries.get(key, 0) for t, c in terms), Fraction(0))
+            if value:
+                expected[key] = value
+        assert result.entries == expected
+        numerators, scale = result.form
+        assert scale >= 1 and math.gcd(scale, *numerators) == 1
+
+    def test_no_terms_make_the_zero_tensor(self):
+        assert linear_combination(3, 2, []).form == ((0, 0, 0, 0), 1)
+        assert linear_combination(3, 2, []) == SymTensor.zero(3, 2)
+
+    def test_zero_coefficients_add_nothing(self):
+        a = SymTensor.from_entries(2, 2, {(0, 0): Fraction(1, 3), (0, 1): 5})
+        b = SymTensor.from_entries(2, 2, {(1, 1): Fraction(2, 7)})
+        assert linear_combination(2, 2, [(a, 0), (b, Fraction(0))]).is_zero()
+        assert linear_combination(2, 2, [(a, 0), (b, 1)]).form == b.form
+        assert linear_combination(2, 2, [(a, 1), (b, 0), (a, 0)]).form == a.form
+
+    def test_mixed_scales_reduce_to_lowest_terms(self):
+        # 1/6 - 1/3 * (1/2) cancels at (0, 0); the rest shares the scale 4
+        a = SymTensor.from_entries(2, 2, {(0, 0): Fraction(1, 6), (1, 1): Fraction(3, 4)})
+        b = SymTensor.from_entries(2, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(5, 8)})
+        result = linear_combination(2, 2, [(a, 1), (b, Fraction(-1, 3))])
+        assert result.entries == {(0, 1): Fraction(-5, 24), (1, 1): Fraction(3, 4)}
+        assert result.form == ((0, -5, 18), 24)
+        assert result == a - b * Fraction(1, 3)
+
+    def test_a_shape_mismatch_raises_through_add_and_sub(self):
+        a = random_symmetric(3, 2, 1, 5)
+        for other in (random_symmetric(2, 2, 1, 5), random_symmetric(3, 3, 1, 5)):
+            with pytest.raises(ValueError, match="shape mismatch: rank 3 dim 2 vs "
+                               f"rank {other.rank} dim {other.dim}"):
+                a + other
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a - other
+            with pytest.raises(ValueError, match="shape mismatch"):
+                linear_combination(3, 2, [(a, 1), (other, 0)])
+
+    def test_float_coefficients_are_rejected(self):
+        a = random_symmetric(3, 2, 1, 5)
+        with pytest.raises(TypeError, match="exact rational"):
+            linear_combination(3, 2, [(a, 0.5)])
 
 
 class TestSymOuter:
